@@ -125,6 +125,17 @@ def test_cached_ground_state_recovers_from_corruption(tmp_path):
     assert result.residual <= 1e-8
 
 
+def test_cached_ground_state_recovers_from_truncated_energy(tmp_path):
+    cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    path = experiments.cache_path(str(tmp_path), 6)
+    with open(path, "r+b") as fh:
+        fh.truncate(15)  # ends inside the 8-byte energy field
+    result, hit = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    assert not hit
+    assert result.residual <= 1e-8
+    assert os.path.getsize(path) == 20 + 16 * 2**6
+
+
 def test_run_case1_outputs(tmp_path):
     cfg = small_cfg(tmp_path)
     points, fits = run_case1(cfg)

@@ -1,10 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import SEED, random_state
 from renyimi import (
+    GroundStateResult,
+    LanczosError,
     TfimModel,
     apply_hamiltonian,
     ground_state,
@@ -75,6 +80,18 @@ def test_unknown_method_rejected():
         ground_state(TfimModel(4), method="qmc")
 
 
+def test_arpack_no_convergence_raises_lanczos_error(monkeypatch):
+    # the CLI maps LanczosError, not scipy's ArpackNoConvergence, to exit code 3
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("stub", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    with pytest.raises(LanczosError):
+        ground_state(TfimModel(6), method="lanczos")
+
+
 @pytest.mark.parametrize("L", [8, 10])
 def test_lanczos_agrees_with_dense(L):
     dense = ground_state(TfimModel(L), method="dense")
@@ -90,10 +107,14 @@ def test_residual_bound_L12():
     assert np.linalg.norm(hpsi - res.energy * res.state) <= 1e-8
 
 
-def test_energy_per_site_near_thermodynamic_value():
-    # -4/pi is the known infinite-size value; generous finite-size band
-    res = ground_state(TfimModel(16), method="lanczos")
-    assert abs(res.energy / 16 - (-4.0 / np.pi)) < 2e-2
+@pytest.mark.parametrize(
+    "method, L",
+    [("dense", L) for L in range(2, 13)] + [("lanczos", L) for L in range(3, 17)],
+)
+def test_energy_matches_closed_form(method, L):
+    # exact ring energy of the critical chain; L=2 gives -2 sqrt(2), the doubled bond
+    res = ground_state(TfimModel(L), method=method)
+    assert abs(res.energy + 2.0 / np.sin(np.pi / (2 * L))) <= 1e-10
 
 
 def test_ground_state_is_reproducible():
@@ -168,6 +189,31 @@ def test_cache_rejects_truncated_file(tmp_path):
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError):
-        load_ground_state(path)
+    for cut in (len(data) - 16, 15):  # inside the amplitudes, inside the energy field
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            load_ground_state(path)
+
+
+def test_failed_cache_write_keeps_old_record(tmp_path):
+    path = tmp_path / "gs.bin"
+    save_ground_state(path, ground_state(TfimModel(3), method="dense"))
+    before = path.read_bytes()
+    bad = GroundStateResult(energy=0.0, state=np.array([object()] * 8), residual=0.0)
+    with pytest.raises(TypeError):
+        save_ground_state(path, bad)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["gs.bin"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg takes ~0.3 s to import and only a cold solve needs it
+    code = (
+        "import sys, renyimi.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"
