@@ -5,8 +5,10 @@ Library layout:
   spin        bit-encoded states, Pauli actions, bipartitions, Schmidt data
   tfim        critical transverse-field Ising chain and ground-state solvers
   channels    single-site Pauli dephasing channels on dense density matrices
-  doubled     Choi supervector engine (vectorized channels, depolarizers)
-  entropy     subsystem entropies, generalized entropies, mutual information
+  doubled     Choi supervector engine (vectorized channels, depolarizers);
+              the oracle for case 2, which runs on entropy.PauliWeightPlan
+  entropy     subsystem entropies, generalized entropies, mutual information,
+              Pauli-weight plans for Z-dephased and Y-decohered windows
   scaling     chord-length scaling fit and central-charge extraction
   oracle      brute-force dense references used as test ground truth
   experiments sweeps, ground-state caching and CSV output
@@ -30,6 +32,7 @@ from .entropy import (
     GsePlan,
     MiPlan,
     MiPoint,
+    PauliWeightPlan,
     build_mi_plans,
     conjectured_cn,
     marginal_probabilities,
@@ -70,6 +73,7 @@ __all__ = [
     "LanczosError",
     "MiPlan",
     "MiPoint",
+    "PauliWeightPlan",
     "SchmidtData",
     "SUPERVECTOR_MAX_SITES",
     "TfimModel",

@@ -50,17 +50,22 @@ DENSE_GRAM_MAX_SITES = 13
 ALGORITHMS = ("auto", "dense_gram", "low_rank", "rank1_full")
 
 _BLOCK_ELEMENTS = 1 << 22  # working-set bound for blocked kernels
+# X-string blocks of the Pauli-weight histogram: 1 MiB of float64 keeps the
+# transform's passes in a core's L2 cache, twice as fast as 1 << 22 at L=12
+_PAULI_BLOCK_ELEMENTS = 1 << 17
 
 
-def _fwht_inplace(arr, n_bits):
-    # unnormalized Walsh-Hadamard transform along the last axis
-    n = arr.shape[-1]
-    flat = arr.reshape(-1, n)
+def _fwht_inplace(arr, n_bits, axis=-1):
+    # unnormalized Walsh-Hadamard transform along `axis` of a C-contiguous array
+    axis %= arr.ndim
+    n = arr.shape[axis]
+    outer = int(np.prod(arr.shape[:axis]))
     for j in range(n_bits):
-        v = flat.reshape(flat.shape[0], n >> (j + 1), 2, 1 << j)
-        x = v[:, :, 0, :].copy()
-        v[:, :, 0, :] += v[:, :, 1, :]
-        v[:, :, 1, :] = x - v[:, :, 1, :]
+        v = arr.reshape(outer, n >> (j + 1), 2, -1)
+        lo, hi = v[:, :, 0, :], v[:, :, 1, :]
+        x = lo.copy()
+        lo += hi
+        np.subtract(x, hi, out=hi)
 
 
 def _parity_bins(n):
@@ -194,17 +199,81 @@ class GsePlan:
                 self._impl = _LowRankPlan(coeff)
 
     def purity(self, p_m):
-        if not 0.0 <= p_m <= 0.5:
-            raise ValueError(f"p_m={p_m} outside [0, 1/2]")
-        # exact lam = 0 at the projective point, no rounding from 1 - 2*0.5
-        lam = 0.0 if p_m == 0.5 else 1.0 - 2.0 * p_m
-        return self._impl.purity(lam)
+        return self._impl.purity(_contraction(p_m, "p_m"))
 
     def entropy(self, p_m):
-        purity = self.purity(p_m)
-        if not np.isfinite(purity) or purity <= 0.0:
-            raise FloatingPointError(f"purity {purity} underflowed")
-        return float(-np.log(purity) + 0.0)  # +0.0 folds -0.0 into 0.0
+        return _entropy_of(self.purity(p_m))
+
+
+def _contraction(p, name):
+    """lam = 1 - 2p, the factor a strength-p channel puts on an off-diagonal Pauli."""
+    if not 0.0 <= p <= 0.5:
+        raise ValueError(f"{name}={p} outside [0, 1/2]")
+    # exact lam = 0 at the projective point, no rounding from 1 - 2*0.5
+    return 0.0 if p == 0.5 else 1.0 - 2.0 * p
+
+
+def _entropy_of(purity):
+    if not np.isfinite(purity) or purity <= 0.0:
+        raise FloatingPointError(f"purity {purity} underflowed")
+    return float(-np.log(purity) + 0.0)  # +0.0 folds -0.0 into 0.0
+
+
+class PauliWeightPlan:
+    """Renyi-2 entropy of a window under Z-dephasing and Y-decoherence.
+
+    The window [start, start+length) of a pure state is dephased in Z at
+    strength p_m, and every site carries the Y channel at strength p_y.
+    Both channels are diagonal in the Pauli basis: with lam = 1 - 2p a
+    Pauli string on the window with n_X X's, n_Y Y's and n_Z Z's is scaled
+    by (lam_m lam_y)^n_X lam_m^n_Y lam_y^n_Z, and the Y channel outside the
+    window drops out under the partial trace.  The window purity is
+    2^-n sum_P <P>^2 over the scaled expectations, so the constructor bins
+    <P>^2 once into `histogram[n_X, n_Y, n_Z]` (normalization included) and
+    `entropy(p_m, p_y)` is an O(n^3) contraction.
+
+    The histogram takes one Walsh-Hadamard transform per X-string x:
+    <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x]
+    = sum_b C[a,b] conj(C[a^x,b]), C the window coefficient matrix, so the
+    reduced density matrix is never formed.  A state with no imaginary part
+    runs in real arithmetic.  Thread-safe after construction.
+    """
+
+    def __init__(self, state, start, length):
+        psi = np.asarray(state)
+        if not np.any(psi.imag):
+            psi = psi.real
+        self.window = (start, length)
+        coeff = window_coefficient_matrix(psi, start, length)
+        coeff_c = coeff.conj()
+        dim = coeff.shape[0]
+        k = length + 1
+        labels = np.arange(dim)
+        weight = _parity_bins(dim)
+        hist = np.zeros(k**3)
+        block = max(1, _PAULI_BLOCK_ELEMENTS // coeff.size)
+        for x0 in range(0, dim, block):
+            xs = labels[x0 : x0 + block]
+            # g[a, x] for a block of x; the transform runs down the columns
+            g = np.einsum("ab,axb->ax", coeff, coeff_c[labels[:, None] ^ xs], order="C")
+            _fwht_inplace(g, length, axis=0)
+            n_y = np.bitwise_count(labels[:, None] & xs).astype(np.int64)
+            # bin (|x| - n_y, n_y, |z| - n_y) of the (k, k, k) histogram
+            idx = weight[:, None] + weight[xs] * (k * k) + n_y * (k - k * k - 1)
+            power = g * g if g.dtype.kind == "f" else g.real**2 + g.imag**2
+            hist += np.bincount(idx.ravel(), weights=power.ravel(), minlength=k**3)
+        self.histogram = hist.reshape(k, k, k) / dim
+
+    def purity(self, p_m, p_y):
+        lam_m = _contraction(p_m, "p_m")
+        lam_y = _contraction(p_y, "p_y")
+        e = 2 * np.arange(self.histogram.shape[0])
+        return float(
+            np.einsum("ijk,i,j,k->", self.histogram, (lam_m * lam_y) ** e, lam_m**e, lam_y**e)
+        )
+
+    def entropy(self, p_m, p_y):
+        return _entropy_of(self.purity(p_m, p_y))
 
 
 def marginal_probabilities(state, part: Bipartition, axis):

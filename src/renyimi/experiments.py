@@ -14,17 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelSpec
-from .doubled import (
-    SUPERVECTOR_MAX_SITES,
-    apply_lifted_channel,
-    generalized_entropy_supervector,
-    lift_channel,
-    pure_supervector,
-)
-from .entropy import MiPoint, build_mi_plans
+from .entropy import MiPoint, PauliWeightPlan, build_mi_plans
 from .scaling import default_window, fit_cft, scaling_variable
-from .spin import AXES, Bipartition
+from .spin import AXES
 from .tfim import (
     GroundStateResult,
     TfimModel,
@@ -33,6 +25,9 @@ from .tfim import (
     load_ground_state,
     save_ground_state,
 )
+
+# the whole-chain Pauli-weight histogram costs O(L 4^L): about 20 s at L=14
+CASE2_MAX_SITES = 14
 
 POINT_COLUMNS = ("L", "L_A", "axis", "p_m", "p_y", "S_A", "S_B", "S_AB", "I2")
 FIT_COLUMNS = ("axis", "p_m", "p_y", "c2", "b2", "rms", "window")
@@ -232,20 +227,22 @@ def validate_case2(cfg: ExperimentConfig):
         raise ConfigError("case2 requires a p_y grid")
     if cfg.axis != "Z":
         raise ConfigError("case2 dephases in the Z basis; set axis = Z")
-    if cfg.L > SUPERVECTOR_MAX_SITES:
-        raise ConfigError(
-            f"case2 runs in the doubled space and is capped at L <= {SUPERVECTOR_MAX_SITES}"
-        )
+    if cfg.L > CASE2_MAX_SITES:
+        raise ConfigError(f"case2 is capped at L <= {CASE2_MAX_SITES}")
     _check_fittable(cfg)
 
 
 def cached_ground_state(L, method="lanczos", cache_dir="cache"):
-    """Ground state with on-disk reuse; returns (result, cache_hit)."""
+    """Ground state with on-disk reuse; returns (result, cache_hit).
+
+    A record written by the other solver is a miss: the dense and Lanczos
+    states differ in their last digits.
+    """
     path = cache_path(cache_dir, L)
     if os.path.exists(path):
         try:
             result = load_ground_state(path)
-            if len(result.state) == 2**L and result.residual <= 1e-8:
+            if len(result.state) == 2**L and result.residual <= 1e-8 and result.method == method:
                 return result, True
         except (ValueError, OSError):
             pass  # stale or foreign file: recompute and overwrite
@@ -296,39 +293,35 @@ def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
 
 
 def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
-    """Doubled-space sweep over (p_m, p_y) for the Y-decohered ground state."""
+    """Sweep over (L_A, p_m, p_y) for the Y-decohered ground state.
+
+    One Pauli-weight plan per window (the whole chain, and A and B for each
+    L_A) serves every (p_m, p_y) point.
+    """
     validate_case2(cfg)
     if ground is None:
         ground, _ = cached_ground_state(cfg.L, method=cfg.method, cache_dir=cfg.cache_dir)
-    sv_pure = pure_supervector(ground.state)
-    all_sites = tuple(range(cfg.L))
     l_a_values = sorted(set(cfg.L_A))
     p_y_values = sorted(set(cfg.p_y))
     p_m_values = sorted(set(cfg.p_m))
 
+    windows = [(0, cfg.L)]
+    for l_a in l_a_values:
+        windows += [(0, l_a), (l_a, cfg.L - l_a)]
+    built = _run_tasks(windows, lambda w: PauliWeightPlan(ground.state, *w), cfg.workers)
+    plans = dict(zip(windows, built))
+    plan_ab = plans[(0, cfg.L)]
+
     points = []
-    for p_y in p_y_values:
-        if p_y > 0.0:
-            sv = apply_lifted_channel(sv_pure, lift_channel(ChannelSpec("Y", p_y, all_sites)))
-        else:
-            sv = sv_pure
-        s_ab = {
-            p_m: generalized_entropy_supervector(sv, all_sites, (), cfg.axis, p_m)
-            for p_m in p_m_values
-        }
-
-        def make_point(task, sv=sv, s_ab=s_ab, p_y=p_y):
-            l_a, p_m = task
-            part = Bipartition(cfg.L, l_a)
-            s_a = generalized_entropy_supervector(sv, part.sites_A, part.sites_B, cfg.axis, p_m)
-            s_b = generalized_entropy_supervector(sv, part.sites_B, part.sites_A, cfg.axis, p_m)
-            return MiPoint(
-                L=cfg.L, L_A=l_a, axis=cfg.axis, p_m=p_m, p_y=p_y,
-                S_A=s_a, S_B=s_b, S_AB=s_ab[p_m], I2=s_a + s_b - s_ab[p_m],
-            )
-
-        tasks = [(l_a, p_m) for l_a in l_a_values for p_m in p_m_values]
-        points.extend(_run_tasks(tasks, make_point, cfg.workers))
+    for l_a in l_a_values:
+        plan_a, plan_b = plans[(0, l_a)], plans[(l_a, cfg.L - l_a)]
+        for p_m in p_m_values:
+            for p_y in p_y_values:
+                s_a, s_b, s_ab = (p.entropy(p_m, p_y) for p in (plan_a, plan_b, plan_ab))
+                points.append(MiPoint(
+                    L=cfg.L, L_A=l_a, axis=cfg.axis, p_m=p_m, p_y=p_y,
+                    S_A=s_a, S_B=s_b, S_AB=s_ab, I2=s_a + s_b - s_ab,
+                ))
 
     points.sort(key=_point_sort_key)
     window = effective_window(cfg)

@@ -25,7 +25,8 @@ _LANCZOS_TOL = 1e-10  # relative Ritz tolerance; 1e-12 costs ~25% more matvecs a
 _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
 
 CACHE_MAGIC = b"TFGS"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+_CACHE_HEADER = struct.Struct("<4sIId8s")  # magic, version, L, energy, method
 
 
 class LanczosError(RuntimeError):
@@ -49,9 +50,12 @@ class TfimModel:
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """`method` names the solver that produced the state ("" if unknown)."""
+
     energy: float
     state: np.ndarray
     residual: float
+    method: str = ""
 
 
 @lru_cache(maxsize=None)
@@ -181,11 +185,12 @@ def ground_state(model: TfimModel, method="lanczos") -> GroundStateResult:
     residual = float(np.linalg.norm(hpsi - energy * psi))
     if residual > _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
-    return GroundStateResult(energy=energy, state=psi, residual=residual)
+    return GroundStateResult(energy=energy, state=psi, residual=residual, method=method)
 
 
 def save_ground_state(path, result: GroundStateResult):
-    """Write the binary cache record: magic, version u32, L u32, energy f64, amplitudes.
+    """Write the binary cache record: magic, version u32, L u32, energy f64,
+    method (8 ASCII bytes, NUL-padded), amplitudes.
 
     The record goes to a temporary file in the target's directory and is then
     renamed over `path`, so a failed or interrupted write leaves any old record intact.
@@ -194,7 +199,11 @@ def save_ground_state(path, result: GroundStateResult):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(struct.pack("<4sIId", CACHE_MAGIC, CACHE_VERSION, L, result.energy))
+            fh.write(
+                _CACHE_HEADER.pack(
+                    CACHE_MAGIC, CACHE_VERSION, L, result.energy, result.method.encode("ascii")
+                )
+            )
             fh.write(np.ascontiguousarray(result.state, dtype="<c16").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -205,10 +214,10 @@ def save_ground_state(path, result: GroundStateResult):
 def load_ground_state(path) -> GroundStateResult:
     """Read a cache record back; recomputes the residual as an integrity check."""
     with open(path, "rb") as fh:
-        head = fh.read(20)
-        if len(head) != 20:
+        head = fh.read(_CACHE_HEADER.size)
+        if len(head) != _CACHE_HEADER.size:
             raise ValueError(f"{path}: truncated header")
-        magic, version, L, energy = struct.unpack("<4sIId", head)
+        magic, version, L, energy, method = _CACHE_HEADER.unpack(head)
         if magic != CACHE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != CACHE_VERSION:
@@ -220,7 +229,9 @@ def load_ground_state(path) -> GroundStateResult:
     state = state.astype(complex)
     hpsi = apply_hamiltonian(TfimModel(L), state)
     residual = float(np.linalg.norm(hpsi - energy * state))
-    return GroundStateResult(energy=energy, state=state, residual=residual)
+    return GroundStateResult(
+        energy=energy, state=state, residual=residual, method=method.rstrip(b"\0").decode("ascii")
+    )
 
 
 def cache_path(cache_dir, L):

@@ -1,0 +1,25 @@
+"""Smoke test: every narrative demo runs to completion from a clean directory."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS, "no demos/*.py found"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

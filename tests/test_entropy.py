@@ -4,10 +4,15 @@ import pytest
 from conftest import SEED, bell_state, ghz_state, plus_state, random_state, zero_state
 from renyimi import (
     Bipartition,
+    ChannelSpec,
     GsePlan,
     MiPlan,
+    PauliWeightPlan,
+    apply_lifted_channel,
     build_mi_plans,
     conjectured_cn,
+    generalized_entropy_supervector,
+    lift_channel,
     marginal_probabilities,
     pure_supervector,
     r2gse_pure,
@@ -16,6 +21,7 @@ from renyimi import (
     renyi2_ee,
     renyi2_shannon_entropy,
 )
+from renyimi.channels import y_decohere_dense
 from renyimi.oracle import partial_trace_dense, density_from_state, r2gse_dense
 from renyimi.spin import rotate_to_basis
 
@@ -208,6 +214,63 @@ def test_build_mi_plans_matches_direct_plan(critical):
         shared = plans[l_a].point(0.15)
         assert abs(direct.I2 - shared.I2) < 1e-12
         assert direct.L_A == shared.L_A == l_a
+
+
+def _dense_window_entropy(rho, L, start, length, p_m):
+    # oracle composition for the windows a bipartition can name
+    if length == L:
+        return r2gse_dense(rho, Bipartition(L, 1), "Z", p_m, subsystem="AB")
+    if start == 0:
+        return r2gse_dense(rho, Bipartition(L, length), "Z", p_m, subsystem="A")
+    assert start + length == L
+    return r2gse_dense(rho, Bipartition(L, start), "Z", p_m, subsystem="B")
+
+
+@pytest.mark.parametrize("kind, L", [("random", 6), ("random", 8), ("critical", 8)])
+def test_pauli_weight_plan_matches_oracles(critical, kind, L):
+    # windows: at start 0, interior, ending at site L-1, whole chain
+    windows = ((0, 3), (2, 3), (L - 4, 4), (0, L))
+    if kind == "random":
+        psi = random_state(L, np.random.default_rng(SEED + L))
+    else:
+        psi = critical(L)
+        assert not np.any(psi.imag)
+    plans = {w: PauliWeightPlan(psi, *w) for w in windows}
+    rho = density_from_state(psi)
+    sv_pure = pure_supervector(psi)
+    worst_dense, worst_sv = 0.0, 0.0
+    for p_y in (0.0, 0.3, 0.45):
+        rho_y = y_decohere_dense(rho, p_y)
+        sv = apply_lifted_channel(sv_pure, lift_channel(ChannelSpec("Y", p_y, tuple(range(L)))))
+        for (start, length), plan in plans.items():
+            window = tuple(range(start, start + length))
+            rest = tuple(j for j in range(L) if j not in window)
+            for p_m in (0.0, 0.2, 0.5):
+                value = plan.entropy(p_m, p_y)
+                ref_sv = generalized_entropy_supervector(sv, window, rest, "Z", p_m)
+                worst_sv = max(worst_sv, abs(value - ref_sv))
+                if start == 0 or start + length == L:
+                    ref = _dense_window_entropy(rho_y, L, start, length, p_m)
+                    worst_dense = max(worst_dense, abs(value - ref))
+    assert worst_dense <= 1e-12
+    assert worst_sv <= 1e-12
+
+
+def test_pauli_weight_plan_at_zero_decoherence_matches_gse_plan(critical):
+    psi = critical(10)
+    for start, length in ((0, 4), (3, 5), (0, 10)):
+        plan = PauliWeightPlan(psi, start, length)
+        gse = GsePlan(psi, start, length, "Z")
+        for p_m in (0.0, 0.1, 0.5):
+            assert abs(plan.entropy(p_m, 0.0) - gse.entropy(p_m)) < 1e-12
+
+
+def test_pauli_weight_plan_strength_out_of_range(critical):
+    plan = PauliWeightPlan(critical(6), 0, 3)
+    with pytest.raises(ValueError, match="p_y"):
+        plan.entropy(0.1, 0.7)
+    with pytest.raises(ValueError, match="p_m"):
+        plan.entropy(-0.1, 0.2)
 
 
 def test_conjectured_cn():

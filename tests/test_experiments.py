@@ -3,8 +3,18 @@ import os
 import numpy as np
 import pytest
 
-from renyimi import cli, experiments
+from renyimi import (
+    Bipartition,
+    ChannelSpec,
+    apply_lifted_channel,
+    cli,
+    experiments,
+    generalized_entropy_supervector,
+    lift_channel,
+    pure_supervector,
+)
 from renyimi.experiments import (
+    CASE2_MAX_SITES,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -95,7 +105,11 @@ def test_case_preconditions(tmp_path):
     with pytest.raises(ConfigError, match="axis = Z"):
         run_case2(small_cfg(tmp_path, axis="X", p_y=(0.1,)))
     with pytest.raises(ConfigError, match="capped"):
-        run_case2(small_cfg(tmp_path, L=13, L_A=(4, 5, 6), window=(4, 6), p_y=(0.1,)))
+        run_case2(
+            small_cfg(
+                tmp_path, L=CASE2_MAX_SITES + 1, L_A=(4, 5, 6), window=(4, 6), p_y=(0.1,)
+            )
+        )
     with pytest.raises(ConfigError, match="distinct scaling"):
         run_case1(small_cfg(tmp_path, L_A=(3, 5), window=(3, 5)))
 
@@ -133,7 +147,18 @@ def test_cached_ground_state_recovers_from_truncated_energy(tmp_path):
     result, hit = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
     assert not hit
     assert result.residual <= 1e-8
-    assert os.path.getsize(path) == 20 + 16 * 2**6
+    assert os.path.getsize(path) == 28 + 16 * 2**6
+
+
+@pytest.mark.parametrize("first, second", [("lanczos", "dense"), ("dense", "lanczos")])
+def test_cached_ground_state_misses_on_other_method(tmp_path, first, second):
+    cached_ground_state(8, method=first, cache_dir=str(tmp_path))
+    result, hit = cached_ground_state(8, method=second, cache_dir=str(tmp_path))
+    assert not hit
+    assert result.method == second
+    again, hit = cached_ground_state(8, method=second, cache_dir=str(tmp_path))
+    assert hit
+    assert np.array_equal(again.state, result.state)
 
 
 def test_run_case1_outputs(tmp_path):
@@ -211,6 +236,56 @@ def test_run_case2_small_grid(tmp_path):
             assert abs(p.I2 - pure[(p.L_A, p.p_m)]) < 1e-10
 
 
+def _doubled_case2_rows(state, cfg):
+    # the doubled-space sweep that run_case2 replaced, kept as its reference
+    L = cfg.L
+    all_sites = tuple(range(L))
+    sv_pure = pure_supervector(state)
+    rows = {}
+    for p_y in cfg.p_y:
+        sv = apply_lifted_channel(sv_pure, lift_channel(ChannelSpec("Y", p_y, all_sites)))
+        for p_m in cfg.p_m:
+            s_ab = generalized_entropy_supervector(sv, all_sites, (), "Z", p_m)
+            for l_a in cfg.L_A:
+                part = Bipartition(L, l_a)
+                s_a = generalized_entropy_supervector(sv, part.sites_A, part.sites_B, "Z", p_m)
+                s_b = generalized_entropy_supervector(sv, part.sites_B, part.sites_A, "Z", p_m)
+                rows[(l_a, p_m, p_y)] = (s_a, s_b, s_ab, s_a + s_b - s_ab)
+    return rows
+
+
+def test_run_case2_matches_doubled_path_L9(tmp_path):
+    cfg = small_cfg(
+        tmp_path, L=9, method="lanczos", L_A=(3, 4, 5, 6), window=(3, 6),
+        p_m=(0.0, 0.2, 0.5), p_y=(0.0, 0.3, 0.45),
+    )
+    ground, _ = cached_ground_state(9, method="lanczos", cache_dir=cfg.cache_dir)
+    points, _ = run_case2(cfg, ground=ground)
+    ref = _doubled_case2_rows(ground.state, cfg)
+    assert len(points) == len(ref)
+    worst = 0.0
+    for p in points:
+        expect = ref[(p.L_A, p.p_m, p.p_y)]
+        worst = max(worst, max(abs(a - b) for a, b in zip((p.S_A, p.S_B, p.S_AB, p.I2), expect)))
+    assert worst <= 1e-12
+
+
+def test_run_case2_csvs_do_not_depend_on_worker_count(tmp_path):
+    outputs = []
+    for workers in (1, 2):
+        cfg = small_cfg(
+            tmp_path, L=8, L_A=(2, 3, 4, 5, 6), p_m=(0.0, 0.3, 0.5), p_y=(0.0, 0.2, 0.45),
+            workers=workers, out=str(tmp_path / f"points_w{workers}.csv"),
+        )
+        points, fits = run_case2(cfg)
+        write_points_csv(cfg.out, points)
+        experiments.write_fits_csv(experiments.fits_csv_path(cfg.out), fits)
+        outputs.append(
+            [open(path, "rb").read() for path in (cfg.out, experiments.fits_csv_path(cfg.out))]
+        )
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_ground_and_case1(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
@@ -241,6 +316,18 @@ def test_cli_case2(tmp_path):
     )
     assert cli.main(["case2", "--config", str(cfg_file)]) == 0
     assert os.path.exists(tmp_path / "c2.csv")
+
+
+def test_cli_case2_above_cap_exits_2(tmp_path, capsys):
+    L = CASE2_MAX_SITES + 1
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        f"L = {L}\naxis = Z\np_m = 0.0, 0.5\np_y = 0.0, 0.2\nL_A = 4:{L - 4}\n"
+        f"out = {tmp_path / 'c2.csv'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    assert cli.main(["case2", "--config", str(cfg_file)]) == 2
+    assert "capped" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cache")
 
 
 def test_cli_config_error_exit_code(tmp_path):

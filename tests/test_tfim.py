@@ -162,19 +162,31 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_file_byte_layout(tmp_path):
-    # magic, version u32, L u32, energy f64, then (re, im) f64 pairs, little-endian
+    # magic, version u32, L u32, energy f64, method 8 bytes NUL-padded,
+    # then (re, im) f64 pairs, little-endian
     res = ground_state(TfimModel(3), method="dense")
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     raw = path.read_bytes()
     assert raw[:4] == b"TFGS"
     version, L = struct.unpack("<II", raw[4:12])
-    assert (version, L) == (1, 3)
+    assert (version, L) == (2, 3)
     (energy,) = struct.unpack("<d", raw[12:20])
     assert energy == res.energy
-    re0, im0 = struct.unpack("<dd", raw[20:36])
+    assert raw[20:28] == b"dense\0\0\0"
+    re0, im0 = struct.unpack("<dd", raw[28:44])
     assert complex(re0, im0) == res.state[0]
-    assert len(raw) == 20 + 16 * 2**3
+    assert len(raw) == 28 + 16 * 2**3
+    assert load_ground_state(path).method == "dense"
+
+
+def test_cache_rejects_version_1_record(tmp_path):
+    res = ground_state(TfimModel(3), method="dense")
+    path = tmp_path / "gs.bin"
+    old = struct.pack("<4sIId", b"TFGS", 1, 3, res.energy)
+    path.write_bytes(old + np.ascontiguousarray(res.state, dtype="<c16").tobytes())
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        load_ground_state(path)
 
 
 def test_cache_rejects_bad_magic(tmp_path):
