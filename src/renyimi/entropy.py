@@ -27,6 +27,14 @@ every strength afterwards is an O(window) dot product.
 
 At p = 0 all of them reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
+
+A state with no imaginary part after the basis rotation (the real ground
+state on the Z and X axes) runs every plan in real arithmetic; only the Y
+axis needs complex numbers.  An L_A sweep reads the windows (0, L_A),
+(L_A, L - L_A) and the whole chain; `sweep_plans` builds one plan per
+distinct window, and on a translation-invariant state the B window of L_A
+is the start-0 window of length L - L_A, so a symmetric sweep builds each
+length once.
 """
 
 from __future__ import annotations
@@ -68,6 +76,22 @@ def _fwht_inplace(arr, n_bits, axis=-1):
         np.subtract(x, hi, out=hi)
 
 
+def _real_if_exact(state):
+    """The amplitudes as contiguous float64 when no imaginary part is set, else as given."""
+    psi = np.asarray(state)
+    if np.iscomplexobj(psi) and not np.any(psi.imag):
+        return np.ascontiguousarray(psi.real)
+    return psi
+
+
+def _abs2(z):
+    if z.dtype.kind == "f":
+        return z * z
+    out = z.real**2
+    out += z.imag**2
+    return out
+
+
 def _parity_bins(n):
     return np.bitwise_count(np.arange(n, dtype=np.uint64)).astype(np.int64)
 
@@ -91,8 +115,7 @@ class _DenseGramPlan:
         block = max(1, _BLOCK_ELEMENTS // na)
         for r0 in range(0, na, block):
             r1 = min(na, r0 + block)
-            gb = coeff[r0:r1] @ coeff_h
-            wb = np.abs(gb) ** 2
+            wb = _abs2(coeff[r0:r1] @ coeff_h)
             cols = delta[r0:r1, None] ^ delta[None, :]
             g += np.take_along_axis(wb, cols, axis=1).sum(axis=0)
         pc = np.bitwise_count(delta.astype(np.uint64)).astype(np.int64)
@@ -132,7 +155,7 @@ class _LowRankPlan:
             c1 = min(ks.size, c0 + block)
             w = vectors[ks[c0:c1]] * vectors[ls[c0:c1]].conj()
             _fwht_inplace(w, self.n_bits)
-            power = pair_w[c0:c1] @ np.abs(w) ** 2
+            power = pair_w[c0:c1] @ _abs2(w)
             spectrum += np.bincount(pc, weights=power, minlength=self.n_bits + 1)
         self.spectrum = spectrum / na
 
@@ -188,9 +211,9 @@ class GsePlan:
         self.window = (start, length)
         self.axis = axis
         self.algorithm = _resolve_algorithm(algorithm, length, L)
-        rot = rotate_to_basis(state, axis)
+        rot = _real_if_exact(rotate_to_basis(state, axis))
         if self.algorithm == "rank1_full":
-            self._impl = _FullChainPlan(np.abs(rot) ** 2)
+            self._impl = _FullChainPlan(_abs2(rot))
         else:
             coeff = window_coefficient_matrix(rot, start, length)
             if self.algorithm == "dense_gram":
@@ -240,9 +263,7 @@ class PauliWeightPlan:
     """
 
     def __init__(self, state, start, length):
-        psi = np.asarray(state)
-        if not np.any(psi.imag):
-            psi = psi.real
+        psi = _real_if_exact(state)
         self.window = (start, length)
         coeff = window_coefficient_matrix(psi, start, length)
         coeff_c = coeff.conj()
@@ -260,8 +281,7 @@ class PauliWeightPlan:
             n_y = np.bitwise_count(labels[:, None] & xs).astype(np.int64)
             # bin (|x| - n_y, n_y, |z| - n_y) of the (k, k, k) histogram
             idx = weight[:, None] + weight[xs] * (k * k) + n_y * (k - k * k - 1)
-            power = g * g if g.dtype.kind == "f" else g.real**2 + g.imag**2
-            hist += np.bincount(idx.ravel(), weights=power.ravel(), minlength=k**3)
+            hist += np.bincount(idx.ravel(), weights=_abs2(g).ravel(), minlength=k**3)
         self.histogram = hist.reshape(k, k, k) / dim
 
     def purity(self, p_m, p_y):
@@ -330,22 +350,20 @@ class MiPlan:
 
     Rotates the state once; `point(p_m)` assembles a MiPoint and is cheap
     across a strength grid.  For sweeps over several L_A values use
-    `build_mi_plans`, which shares the rotation and the whole-chain plan.
+    `build_mi_plans`, which shares the rotation and the window plans.
     """
 
     def __init__(self, state, part: Bipartition, axis):
-        check_axis(axis)
         if num_sites(state) != part.L:
             raise ValueError("state length does not match bipartition")
-        rot = rotate_to_basis(state, axis)
-        self._assemble(part, axis, rot, GsePlan(rot, 0, part.L, "Z"))
+        self._assemble(part, axis, _gse_sweep_plans(state, [part.L_A], axis))
 
-    def _assemble(self, part, axis, rotated, plan_ab):
+    def _assemble(self, part, axis, plans):
         self.part = part
         self.axis = axis
-        self._plan_a = GsePlan(rotated, 0, part.L_A, "Z")
-        self._plan_b = GsePlan(rotated, part.L_A, part.L_B, "Z")
-        self._plan_ab = plan_ab
+        self._plan_a = plans[(0, part.L_A)]
+        self._plan_b = plans[(part.L_A, part.L_B)]
+        self._plan_ab = plans[(0, part.L)]
 
     def point(self, p_m, p_y=0.0) -> MiPoint:
         s_a = self._plan_a.entropy(p_m)
@@ -364,25 +382,72 @@ class MiPlan:
         )
 
 
-def build_mi_plans(state, L_A_values, axis, workers=1):
-    """MiPlans for several bipartitions of one state, sharing the basis
-    rotation and the whole-chain plan; returns {L_A: MiPlan}."""
+def is_translation_invariant(state):
+    """True when the one-site shift T of the ring fixes the state, |T psi - psi| <= 1e-12."""
+    psi = np.asarray(state)
+    # (bit L-1, bits 0..L-2) -> (bits 0..L-2, bit L-1): site j moves to j+1 mod L
+    shifted = psi.reshape(2, -1).T.reshape(-1)
+    return float(np.linalg.norm(shifted - psi)) <= 1e-12
+
+
+def sweep_plans(state, L_A_values, make_plan, workers=1):
+    """One plan per distinct window of an L_A sweep, keyed by each window it serves.
+
+    The sweep reads the windows (start, length) = (0, L), and (0, L_A) and
+    (L_A, L - L_A) for each L_A.  On a translation-invariant state the B
+    window has the reduced density matrix of the start-0 window of the same
+    length, so that one plan serves both; any other state keeps its own B
+    window.  `make_plan(state, start, length)` builds a plan; with workers > 1
+    the builds share a thread pool.  Returns {(start, length): plan}.
+    """
     L = num_sites(state)
-    rot = rotate_to_basis(state, axis)
-    plan_ab = GsePlan(rot, 0, L, "Z")
+    invariant = is_translation_invariant(state)
+    source = {(0, L): (0, L)}
+    for l_a in L_A_values:
+        source[(0, l_a)] = (0, l_a)
+        source[(l_a, L - l_a)] = (0, L - l_a) if invariant else (l_a, L - l_a)
+    # largest first: the pool ends on short builds, and the peak resident set
+    # stays that of the largest plan (smallest first raised it 7% at L=14, Y axis)
+    windows = sorted(set(source.values()), key=lambda w: (-w[1], w[0]))
 
-    def build(l_a):
-        plan = MiPlan.__new__(MiPlan)
-        plan._assemble(Bipartition(L, l_a), axis, rot, plan_ab)
-        return l_a, plan
+    def build(window):
+        return make_plan(state, *window)
 
-    values = sorted(set(int(v) for v in L_A_values))
     if workers <= 1:
-        return dict(build(v) for v in values)
-    from concurrent.futures import ThreadPoolExecutor
+        built = [build(w) for w in windows]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(build, values))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            built = list(pool.map(build, windows))
+    plans = dict(zip(windows, built))
+    return {w: plans[src] for w, src in source.items()}
+
+
+def _gse_sweep_plans(state, L_A_values, axis, workers=1):
+    # one shared rotation, then Z-axis window plans; GsePlan is looked up at
+    # each call, so a subclass swapped in for it (a tracer's) builds them all
+    check_axis(axis)
+    rot = _real_if_exact(rotate_to_basis(state, axis))
+    return sweep_plans(rot, L_A_values, lambda s, a, n: GsePlan(s, a, n, "Z"), workers)
+
+
+def build_mi_plans(state, L_A_values, axis, workers=1):
+    """MiPlans for several bipartitions of one state; returns {L_A: MiPlan}.
+
+    The basis rotation is shared and `sweep_plans` builds one GsePlan per
+    distinct window: the whole-chain plan serves every L_A, and on a
+    translation-invariant state the B plan of L_A is the A plan of L - L_A.
+    """
+    L = num_sites(state)
+    parts = [Bipartition(L, v) for v in sorted(set(int(v) for v in L_A_values))]
+    plans = _gse_sweep_plans(state, [p.L_A for p in parts], axis, workers)
+    result = {}
+    for part in parts:
+        plan = MiPlan.__new__(MiPlan)
+        plan._assemble(part, axis, plans)
+        result[part.L_A] = plan
+    return result
 
 
 def r2gsmi(state_or_supervector, part: Bipartition, axis, p_m, p_y=0.0) -> MiPoint:

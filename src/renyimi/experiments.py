@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import MiPoint, PauliWeightPlan, build_mi_plans
+from .entropy import MiPoint, PauliWeightPlan, build_mi_plans, sweep_plans
 from .scaling import default_window, fit_cft, scaling_variable
 from .spin import AXES
 from .tfim import (
@@ -295,8 +295,8 @@ def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
 def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     """Sweep over (L_A, p_m, p_y) for the Y-decohered ground state.
 
-    One Pauli-weight plan per window (the whole chain, and A and B for each
-    L_A) serves every (p_m, p_y) point.
+    One Pauli-weight plan per distinct window (the whole chain, and A and B
+    for each L_A; see `sweep_plans`) serves every (p_m, p_y) point.
     """
     validate_case2(cfg)
     if ground is None:
@@ -305,11 +305,7 @@ def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     p_y_values = sorted(set(cfg.p_y))
     p_m_values = sorted(set(cfg.p_m))
 
-    windows = [(0, cfg.L)]
-    for l_a in l_a_values:
-        windows += [(0, l_a), (l_a, cfg.L - l_a)]
-    built = _run_tasks(windows, lambda w: PauliWeightPlan(ground.state, *w), cfg.workers)
-    plans = dict(zip(windows, built))
+    plans = sweep_plans(ground.state, l_a_values, PauliWeightPlan, cfg.workers)
     plan_ab = plans[(0, cfg.L)]
 
     points = []
@@ -365,8 +361,7 @@ def write_points_csv(path, points):
                 for v in (p.L, p.L_A, p.axis, p.p_m, p.p_y, p.S_A, p.S_B, p.S_AB, p.I2)
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_fits_csv(path, fits):
@@ -376,8 +371,25 @@ def write_fits_csv(path, fits):
         lines.append(
             ",".join(_fmt(v) for v in (f.axis, f.p_m, f.p_y, f.c2, f.b2, f.rms, window))
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_text_atomic(path, text):
+    """Write `text` to a new file beside `path`, then rename it over `path`, so a
+    failed or interrupted write leaves any old file intact.
+
+    The file is created with mode 0666 minus the umask, as a plain open()
+    would, not with the 0600 of tempfile.mkstemp.
+    """
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_points_csv(path):

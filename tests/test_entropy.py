@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SEED, bell_state, ghz_state, plus_state, random_state, zero_state
 from renyimi import (
@@ -21,8 +23,10 @@ from renyimi import (
     renyi2_ee,
     renyi2_shannon_entropy,
 )
+from renyimi import entropy
 from renyimi.channels import y_decohere_dense
 from renyimi.oracle import partial_trace_dense, density_from_state, r2gse_dense
+from renyimi.entropy import is_translation_invariant, sweep_plans
 from renyimi.spin import rotate_to_basis
 
 LOG2 = np.log(2.0)
@@ -214,6 +218,84 @@ def test_build_mi_plans_matches_direct_plan(critical):
         shared = plans[l_a].point(0.15)
         assert abs(direct.I2 - shared.I2) < 1e-12
         assert direct.L_A == shared.L_A == l_a
+
+
+# fixed examples, no example database: the suite stays deterministic
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+strengths = st.floats(0.0, 0.5)
+
+
+@st.composite
+def windows(draw, min_L=3, max_L=10):
+    L = draw(st.integers(min_L, max_L))
+    length = draw(st.integers(1, L))
+    return L, draw(st.integers(0, L - length)), length
+
+
+@PROPERTY
+@given(window=windows(), theta=st.floats(0.1, 3.0), axis=st.sampled_from(["X", "Z"]),
+       p_m=strengths)
+def test_gse_plan_real_path_matches_complex_path(critical, window, theta, axis, p_m):
+    # the phase leaves every entropy alone but keeps the rotated state complex
+    L, start, length = window
+    psi = critical(L)
+    phased = np.exp(1j * theta) * psi
+    assert np.any(rotate_to_basis(phased, axis).imag)
+    algorithms = ["rank1_full"] if length == L else []
+    algorithms += ["low_rank"] + (["dense_gram"] if length <= entropy.DENSE_GRAM_MAX_SITES else [])
+    for algorithm in algorithms:
+        real = GsePlan(psi, start, length, axis, algorithm=algorithm)
+        cplx = GsePlan(phased, start, length, axis, algorithm=algorithm)
+        assert abs(real.entropy(p_m) - cplx.entropy(p_m)) <= 1e-12
+
+
+@PROPERTY
+@given(L=st.integers(3, 10), data=st.data(), axis=st.sampled_from(["X", "Y", "Z"]),
+       p_m=strengths)
+def test_build_mi_plans_matches_per_window_plans(critical, L, data, axis, p_m):
+    l_a = data.draw(st.integers(1, L - 1))
+    psi = critical(L)
+    rot = rotate_to_basis(psi, axis)
+    assert is_translation_invariant(rot)
+    plans = build_mi_plans(psi, [l_a, L - l_a], axis)
+    # on the invariant state the B window of L_A is the A window of L - L_A
+    assert plans[l_a]._plan_b is plans[L - l_a]._plan_a
+    pt = plans[l_a].point(p_m)
+    assert abs(pt.S_A - GsePlan(rot, 0, l_a, "Z").entropy(p_m)) <= 1e-12
+    assert abs(pt.S_B - GsePlan(rot, l_a, L - l_a, "Z").entropy(p_m)) <= 1e-12
+    assert abs(pt.S_AB - GsePlan(rot, 0, L, "Z").entropy(p_m)) <= 1e-12
+
+
+@PROPERTY
+@given(L=st.integers(3, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       axis=st.sampled_from(["X", "Y", "Z"]))
+def test_non_invariant_state_keeps_its_own_b_window(L, data, seed, axis):
+    l_a = data.draw(st.integers(1, L - 1))
+    psi = random_state(L, np.random.default_rng(seed))
+    assert not is_translation_invariant(psi)
+    plans = sweep_plans(psi, [l_a], PauliWeightPlan)
+    assert all(plan.window == window for window, plan in plans.items())
+    rot = rotate_to_basis(psi, axis)
+    s_b = build_mi_plans(psi, [l_a], axis)[l_a].point(0.25).S_B
+    assert abs(s_b - GsePlan(rot, l_a, L - l_a, "Z").entropy(0.25)) <= 1e-12
+    # the start-0 window of the same length is a different subsystem here
+    assert abs(s_b - GsePlan(rot, 0, L - l_a, "Z").entropy(0.25)) > 1e-6
+
+
+def test_symmetric_sweep_builds_each_window_once(critical, monkeypatch):
+    # plans are built through the module-global GsePlan, as a tracer sees them
+    built = []
+
+    class Recording(entropy.GsePlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self.window, self.algorithm))
+
+    monkeypatch.setattr(entropy, "GsePlan", Recording)
+    build_mi_plans(critical(10), range(2, 9), "Z")
+    assert sorted(built) == sorted(
+        [((0, n), "dense_gram") for n in range(2, 9)] + [((0, 10), "rank1_full")]
+    )
 
 
 def _dense_window_entropy(rho, L, start, length, p_m):

@@ -196,12 +196,66 @@ def test_case1_csv_format_and_determinism(tmp_path):
     assert fit_lines[2].split(",")[-1] == "2:6"
 
 
+def _csv_bytes(cfg, points, fits):
+    write_points_csv(cfg.out, points)
+    experiments.write_fits_csv(experiments.fits_csv_path(cfg.out), fits)
+    return [open(path, "rb").read() for path in (cfg.out, experiments.fits_csv_path(cfg.out))]
+
+
 def test_worker_count_does_not_change_results(tmp_path):
-    serial, _ = run_case1(small_cfg(tmp_path))
-    threaded, _ = run_case1(small_cfg(tmp_path, workers=3))
-    for a, b in zip(serial, threaded):
-        assert a.L_A == b.L_A and a.p_m == b.p_m
-        assert abs(a.I2 - b.I2) < 1e-13
+    outputs = []
+    for workers in (1, 3):
+        cfg = small_cfg(tmp_path, workers=workers, out=str(tmp_path / f"points_w{workers}.csv"))
+        outputs.append(_csv_bytes(cfg, *run_case1(cfg)))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("writer", ["points", "fits"])
+def test_failed_csv_write_keeps_old_file(tmp_path, monkeypatch, writer):
+    cfg = small_cfg(tmp_path)
+    points, fits = run_case1(cfg)
+    path = cfg.out if writer == "points" else experiments.fits_csv_path(cfg.out)
+
+    def write():
+        if writer == "points":
+            write_points_csv(path, points)
+        else:
+            experiments.write_fits_csv(path, fits)
+
+    write()
+    old = open(path, "rb").read()
+    real_open = open
+
+    def open_failing_mid_write(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        real_write = fh.write
+
+        def write_half(text):
+            real_write(text[: len(text) // 2])
+            fh.flush()
+            raise OSError(28, "No space left on device")
+
+        fh.write = write_half
+        return fh
+
+    monkeypatch.setattr(experiments, "open", open_failing_mid_write, raising=False)
+    points, fits = points[:1], fits[:1]
+    with pytest.raises(OSError, match="No space"):
+        write()
+    monkeypatch.undo()
+    assert open(path, "rb").read() == old
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+def test_csv_files_get_the_mode_of_a_plain_open(tmp_path):
+    cfg = small_cfg(tmp_path)
+    points, fits = run_case1(cfg)
+    fits_path = experiments.fits_csv_path(cfg.out)
+    _csv_bytes(cfg, points, fits)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("x\n")
+    for path in (cfg.out, fits_path):
+        assert os.stat(path).st_mode & 0o777 == os.stat(plain).st_mode & 0o777
 
 
 def test_points_csv_roundtrip(tmp_path):
@@ -277,12 +331,7 @@ def test_run_case2_csvs_do_not_depend_on_worker_count(tmp_path):
             tmp_path, L=8, L_A=(2, 3, 4, 5, 6), p_m=(0.0, 0.3, 0.5), p_y=(0.0, 0.2, 0.45),
             workers=workers, out=str(tmp_path / f"points_w{workers}.csv"),
         )
-        points, fits = run_case2(cfg)
-        write_points_csv(cfg.out, points)
-        experiments.write_fits_csv(experiments.fits_csv_path(cfg.out), fits)
-        outputs.append(
-            [open(path, "rb").read() for path in (cfg.out, experiments.fits_csv_path(cfg.out))]
-        )
+        outputs.append(_csv_bytes(cfg, *run_case2(cfg)))
     assert outputs[0] == outputs[1]
 
 
