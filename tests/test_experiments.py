@@ -214,15 +214,11 @@ def test_worker_count_does_not_change_results(tmp_path):
 def test_failed_csv_write_keeps_old_file(tmp_path, monkeypatch, writer):
     cfg = small_cfg(tmp_path)
     points, fits = run_case1(cfg)
-    path = cfg.out if writer == "points" else experiments.fits_csv_path(cfg.out)
-
-    def write():
-        if writer == "points":
-            write_points_csv(path, points)
-        else:
-            experiments.write_fits_csv(path, fits)
-
-    write()
+    if writer == "points":
+        path, write, rows = cfg.out, write_points_csv, points
+    else:
+        path, write, rows = experiments.fits_csv_path(cfg.out), experiments.write_fits_csv, fits
+    write(path, rows)
     old = open(path, "rb").read()
     real_open = open
 
@@ -239,9 +235,8 @@ def test_failed_csv_write_keeps_old_file(tmp_path, monkeypatch, writer):
         return fh
 
     monkeypatch.setattr(experiments, "open", open_failing_mid_write, raising=False)
-    points, fits = points[:1], fits[:1]
     with pytest.raises(OSError, match="No space"):
-        write()
+        write(path, rows[:1])
     monkeypatch.undo()
     assert open(path, "rb").read() == old
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
@@ -249,12 +244,10 @@ def test_failed_csv_write_keeps_old_file(tmp_path, monkeypatch, writer):
 
 def test_csv_files_get_the_mode_of_a_plain_open(tmp_path):
     cfg = small_cfg(tmp_path)
-    points, fits = run_case1(cfg)
-    fits_path = experiments.fits_csv_path(cfg.out)
-    _csv_bytes(cfg, points, fits)
+    _csv_bytes(cfg, *run_case1(cfg))
     plain = tmp_path / "plain.csv"
     plain.write_text("x\n")
-    for path in (cfg.out, fits_path):
+    for path in (cfg.out, experiments.fits_csv_path(cfg.out)):
         assert os.stat(path).st_mode & 0o777 == os.stat(plain).st_mode & 0o777
 
 
