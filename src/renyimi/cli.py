@@ -72,17 +72,21 @@ def _cmd_ground(args) -> int:
     return 0
 
 
-def _write_outputs(cfg, points, fits):
-    experiments.write_points_csv(cfg.out, points)
-    fits_path = experiments.fits_csv_path(cfg.out)
-    experiments.write_fits_csv(fits_path, fits)
-    print(f"wrote {len(points)} points to {cfg.out}")
-    print(f"wrote {len(fits)} fits to {fits_path}")
+def _print_fits(fits, path):
+    print(f"wrote {len(fits)} fits to {path}")
     for f in fits:
         print(
             f"axis={f.axis} p_m={f.p_m!r} p_y={f.p_y!r} "
             f"c2={f.c2:.4f} b2={f.b2:.4f} rms={f.rms:.2e}"
         )
+
+
+def _write_outputs(cfg, points, fits):
+    experiments.write_points_csv(cfg.out, points)
+    fits_path = experiments.fits_csv_path(cfg.out)
+    experiments.write_fits_csv(fits_path, fits)
+    print(f"wrote {len(points)} points to {cfg.out}")
+    _print_fits(fits, fits_path)
 
 
 def _cmd_case1(args) -> int:
@@ -105,12 +109,7 @@ def _cmd_fit(args) -> int:
     fits = experiments.fit_points(points, window=window)
     out = args.out if args.out else experiments.fits_csv_path(args.csv)
     experiments.write_fits_csv(out, fits)
-    print(f"wrote {len(fits)} fits to {out}")
-    for f in fits:
-        print(
-            f"axis={f.axis} p_m={f.p_m!r} p_y={f.p_y!r} "
-            f"c2={f.c2:.4f} b2={f.b2:.4f} rms={f.rms:.2e}"
-        )
+    _print_fits(fits, out)
     return 0
 
 

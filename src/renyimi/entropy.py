@@ -9,23 +9,25 @@ reduced purity is
 
     Tr[rho_A^2] = sum_{a,a'} |G[a,a']|^2 * lam^(2 ham(a,a'))
 
-where ham counts differing window bits.  Three evaluation strategies are
-implemented behind one plan interface:
+where ham counts differing window bits.  Two kernels are implemented
+behind one plan interface:
 
   * dense_gram: bin |G|^2 by Hamming distance once, then every p is a
     length-(L_A+1) dot product.  Needs the 2^L_A square Gram matrix.
   * low_rank: expand G through the Schmidt vectors; cost is governed by
     the Schmidt rank, which is bounded by the complement dimension.
-  * rank1_full: the whole-chain case, where G = psi psi+ is rank one and
-    the purity is a quadratic form of the outcome distribution under the
-    Kronecker kernel prod_j [[1, lam^2], [lam^2, 1]].
+
+The algorithm name rank1_full is the whole chain on low_rank: there G =
+psi psi+ has Schmidt rank chi = 1 and the purity is a quadratic form of
+the outcome distribution under the Kronecker kernel
+prod_j [[1, lam^2], [lam^2, 1]].
 
 The Kronecker kernel diagonalizes in the Walsh-Hadamard basis with
-eigenvalue (1+mu)^(n-d) (1-mu)^d on parity sector d (mu = lam^2), so the
-rank-structured paths store a popcount-binned power spectrum once and
-every strength afterwards is an O(window) dot product.
+eigenvalue (1+mu)^(n-d) (1-mu)^d on parity sector d (mu = lam^2), so
+low_rank stores a popcount-binned power spectrum once and every strength
+afterwards is an O(window) dot product.
 
-At p = 0 all of them reduce to the Renyi-2 entanglement entropy, at
+At p = 0 both reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
 
 A state with no imaginary part after the basis rotation (the real ground
@@ -43,11 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doubled import generalized_entropy_supervector
 from .spin import (
     Bipartition,
     check_axis,
-    coefficient_matrix,
     num_sites,
     rotate_to_basis,
     schmidt,
@@ -96,13 +96,6 @@ def _parity_bins(n):
     return np.bitwise_count(np.arange(n, dtype=np.uint64)).astype(np.int64)
 
 
-def _spectrum_purity(spectrum, n_bits, lam):
-    # spectrum[d] carries the 1/2^n normalization already
-    mu = lam * lam
-    d = np.arange(n_bits + 1, dtype=np.float64)
-    return float(spectrum @ ((1.0 + mu) ** (n_bits - d) * (1.0 - mu) ** d))
-
-
 class _DenseGramPlan:
     """|G|^2 binned by window Hamming distance; purity(p) is then O(L_A)."""
 
@@ -118,8 +111,7 @@ class _DenseGramPlan:
             wb = _abs2(coeff[r0:r1] @ coeff_h)
             cols = delta[r0:r1, None] ^ delta[None, :]
             g += np.take_along_axis(wb, cols, axis=1).sum(axis=0)
-        pc = np.bitwise_count(delta.astype(np.uint64)).astype(np.int64)
-        self.binned = np.bincount(pc, weights=g, minlength=self.n_bits + 1)
+        self.binned = np.bincount(_parity_bins(na), weights=g, minlength=self.n_bits + 1)
 
     def purity(self, lam):
         mu = lam * lam
@@ -160,23 +152,10 @@ class _LowRankPlan:
         self.spectrum = spectrum / na
 
     def purity(self, lam):
-        return _spectrum_purity(self.spectrum, self.n_bits, lam)
-
-
-class _FullChainPlan:
-    """Whole-chain dephasing: purity = q^T K q with q the outcome distribution."""
-
-    def __init__(self, probs):
-        self.n_bits = len(probs).bit_length() - 1
-        f = np.array(probs, dtype=np.float64)
-        _fwht_inplace(f, self.n_bits)
-        self.spectrum = (
-            np.bincount(_parity_bins(len(probs)), weights=f**2, minlength=self.n_bits + 1)
-            / len(probs)
-        )
-
-    def purity(self, lam):
-        return _spectrum_purity(self.spectrum, self.n_bits, lam)
+        # spectrum[d] carries the 1/2^n normalization already
+        mu = lam * lam
+        d = np.arange(self.n_bits + 1, dtype=np.float64)
+        return float(self.spectrum @ ((1.0 + mu) ** (self.n_bits - d) * (1.0 - mu) ** d))
 
 
 def _resolve_algorithm(algorithm, length, L):
@@ -212,14 +191,9 @@ class GsePlan:
         self.axis = axis
         self.algorithm = _resolve_algorithm(algorithm, length, L)
         rot = _real_if_exact(rotate_to_basis(state, axis))
-        if self.algorithm == "rank1_full":
-            self._impl = _FullChainPlan(_abs2(rot))
-        else:
-            coeff = window_coefficient_matrix(rot, start, length)
-            if self.algorithm == "dense_gram":
-                self._impl = _DenseGramPlan(coeff)
-            else:
-                self._impl = _LowRankPlan(coeff)
+        coeff = window_coefficient_matrix(rot, start, length)
+        kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
+        self._impl = kernel(coeff)
 
     def purity(self, p_m):
         return self._impl.purity(_contraction(p_m, "p_m"))
@@ -296,17 +270,20 @@ class PauliWeightPlan:
         return _entropy_of(self.purity(p_m, p_y))
 
 
+def _check_length(state, part: Bipartition):
+    if len(state) != 2**part.L:
+        raise ValueError(f"state length {len(state)} is not 2^L for L={part.L}")
+
+
+def _window_marginals(rot, start, length):
+    """Outcome distribution of the sites [start, start+length) of a rotated state."""
+    return np.sum(_abs2(window_coefficient_matrix(rot, start, length)), axis=1)
+
+
 def marginal_probabilities(state, part: Bipartition, axis):
     """Outcome distribution of subsystem A in the product eigenbasis of `axis`."""
-    rot = rotate_to_basis(state, axis)
-    c = coefficient_matrix(rot, part)
-    return np.sum(np.abs(c) ** 2, axis=1)
-
-
-def _window_outcome_purity(rot_state, start, length):
-    c = window_coefficient_matrix(rot_state, start, length)
-    p = np.sum(np.abs(c) ** 2, axis=1)
-    return float(np.sum(p**2))
+    _check_length(state, part)
+    return _window_marginals(rotate_to_basis(state, axis), 0, part.L_A)
 
 
 def renyi2_shannon_entropy(state, part: Bipartition, axis):
@@ -325,7 +302,8 @@ def r2gse_pure(state, part: Bipartition, axis, p_m, algorithm="auto"):
     """Renyi-2 entropy of subsystem A after strength-p_m dephasing of A.
 
     Computed without forming the full density matrix; `algorithm` selects
-    among dense_gram, low_rank and rank1_full (auto picks by window size).
+    the dense_gram or the low_rank kernel (auto picks by window size);
+    rank1_full names low_rank on the whole chain.
     """
     return GsePlan(state, 0, part.L_A, axis, algorithm=algorithm).entropy(p_m)
 
@@ -346,26 +324,21 @@ class MiPoint:
 
 
 class MiPlan:
-    """Plans for S_A, S_B and S_AB of one pure state and bipartition.
+    """The S_A, S_B and S_AB plans of one bipartition; built by `build_mi_plans`.
 
-    Rotates the state once; `point(p_m)` assembles a MiPoint and is cheap
-    across a strength grid.  For sweeps over several L_A values use
-    `build_mi_plans`, which shares the rotation and the window plans.
+    `plans` maps each window (start, length) to its GsePlan, as `sweep_plans`
+    returns it; `point(p_m)` assembles a MiPoint and is cheap across a
+    strength grid.
     """
 
-    def __init__(self, state, part: Bipartition, axis):
-        if num_sites(state) != part.L:
-            raise ValueError("state length does not match bipartition")
-        self._assemble(part, axis, _gse_sweep_plans(state, [part.L_A], axis))
-
-    def _assemble(self, part, axis, plans):
+    def __init__(self, part: Bipartition, axis, plans):
         self.part = part
         self.axis = axis
         self._plan_a = plans[(0, part.L_A)]
         self._plan_b = plans[(part.L_A, part.L_B)]
         self._plan_ab = plans[(0, part.L)]
 
-    def point(self, p_m, p_y=0.0) -> MiPoint:
+    def point(self, p_m) -> MiPoint:
         s_a = self._plan_a.entropy(p_m)
         s_b = self._plan_b.entropy(p_m)
         s_ab = self._plan_ab.entropy(p_m)
@@ -374,7 +347,7 @@ class MiPlan:
             L_A=self.part.L_A,
             axis=self.axis,
             p_m=float(p_m),
-            p_y=float(p_y),
+            p_y=0.0,
             S_A=s_a,
             S_B=s_b,
             S_AB=s_ab,
@@ -424,14 +397,6 @@ def sweep_plans(state, L_A_values, make_plan, workers=1):
     return {w: plans[src] for w, src in source.items()}
 
 
-def _gse_sweep_plans(state, L_A_values, axis, workers=1):
-    # one shared rotation, then Z-axis window plans; GsePlan is looked up at
-    # each call, so a subclass swapped in for it (a tracer's) builds them all
-    check_axis(axis)
-    rot = _real_if_exact(rotate_to_basis(state, axis))
-    return sweep_plans(rot, L_A_values, lambda s, a, n: GsePlan(s, a, n, "Z"), workers)
-
-
 def build_mi_plans(state, L_A_values, axis, workers=1):
     """MiPlans for several bipartitions of one state; returns {L_A: MiPlan}.
 
@@ -441,45 +406,23 @@ def build_mi_plans(state, L_A_values, axis, workers=1):
     """
     L = num_sites(state)
     parts = [Bipartition(L, v) for v in sorted(set(int(v) for v in L_A_values))]
-    plans = _gse_sweep_plans(state, [p.L_A for p in parts], axis, workers)
-    result = {}
-    for part in parts:
-        plan = MiPlan.__new__(MiPlan)
-        plan._assemble(part, axis, plans)
-        result[part.L_A] = plan
-    return result
-
-
-def r2gsmi(state_or_supervector, part: Bipartition, axis, p_m, p_y=0.0) -> MiPoint:
-    """Generalized mutual information S_A + S_B - S_AB at strength p_m.
-
-    Accepts a pure state (length 2^L, fast pure-state algorithms) or a
-    vectorized density matrix (length 4^L, doubled-space path).  `p_y` is
-    metadata stamped on the returned point; the decoherence itself must
-    already be baked into a supervector input.
-    """
-    arr = np.asarray(state_or_supervector)
-    if len(arr) == 2**part.L:
-        return MiPlan(arr, part, axis).point(p_m, p_y=p_y)
-    if len(arr) == 4**part.L:
-        s_a = generalized_entropy_supervector(arr, part.sites_A, part.sites_B, axis, p_m)
-        s_b = generalized_entropy_supervector(arr, part.sites_B, part.sites_A, axis, p_m)
-        s_ab = generalized_entropy_supervector(arr, tuple(range(part.L)), (), axis, p_m)
-        return MiPoint(
-            L=part.L,
-            L_A=part.L_A,
-            axis=axis,
-            p_m=float(p_m),
-            p_y=float(p_y),
-            S_A=s_a,
-            S_B=s_b,
-            S_AB=s_ab,
-            I2=s_a + s_b - s_ab,
-        )
-    raise ValueError(
-        f"input length {len(arr)} matches neither a state (2^{part.L}) nor a "
-        f"supervector (4^{part.L})"
+    rot = _real_if_exact(rotate_to_basis(state, axis))
+    # Z-axis window plans of the rotated state; GsePlan is looked up at each
+    # call, so a subclass swapped in for it (a tracer's) builds them all
+    plans = sweep_plans(
+        rot, [p.L_A for p in parts], lambda s, a, n: GsePlan(s, a, n, "Z"), workers
     )
+    return {p.L_A: MiPlan(p, axis, plans) for p in parts}
+
+
+def r2gsmi(state, part: Bipartition, axis, p_m) -> MiPoint:
+    """Generalized mutual information S_A + S_B - S_AB of a pure state at strength p_m.
+
+    `state` holds the 2^L amplitudes of the chain; the point comes from the
+    window plans of `build_mi_plans`.
+    """
+    _check_length(state, part)
+    return build_mi_plans(state, [part.L_A], axis)[part.L_A].point(p_m)
 
 
 def r2smi(state, part: Bipartition, axis):
@@ -488,10 +431,12 @@ def r2smi(state, part: Bipartition, axis):
     Equals r2gsmi at p_m = 1/2, where the dephasing acts as a non-selective
     projective measurement.
     """
+    _check_length(state, part)
     rot = rotate_to_basis(state, axis)
-    s_a = -np.log(_window_outcome_purity(rot, 0, part.L_A))
-    s_b = -np.log(_window_outcome_purity(rot, part.L_A, part.L_B))
-    s_ab = -np.log(float(np.sum(np.abs(rot) ** 4)))
+    s_a, s_b, s_ab = (
+        -np.log(np.sum(_window_marginals(rot, start, length) ** 2))
+        for start, length in ((0, part.L_A), (part.L_A, part.L_B), (0, part.L))
+    )
     return float(s_a + s_b - s_ab)
 
 

@@ -9,7 +9,6 @@ workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -252,18 +251,7 @@ def cached_ground_state(L, method="lanczos", cache_dir="cache"):
     return result, False
 
 
-def _point_sort_key(pt: MiPoint):
-    return (pt.L, pt.axis, pt.p_m, pt.p_y, pt.L_A)
-
-
-def _run_tasks(tasks, func, workers):
-    if workers <= 1:
-        return [func(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, tasks))
-
-
-def _fit_group(points, L, window):
+def _fit_group(points, window):
     lo, hi = window
     data = [(p.L, p.L_A, p.I2) for p in points if lo <= p.L_A <= hi]
     return fit_cft(data)
@@ -275,21 +263,10 @@ def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     if ground is None:
         ground, _ = cached_ground_state(cfg.L, method=cfg.method, cache_dir=cfg.cache_dir)
     l_a_values = sorted(set(cfg.L_A))
-    p_m_values = sorted(set(cfg.p_m))
     plans = build_mi_plans(ground.state, l_a_values, cfg.axis, workers=cfg.workers)
-    tasks = [(l_a, p_m) for l_a in l_a_values for p_m in p_m_values]
-    points = _run_tasks(tasks, lambda t: plans[t[0]].point(t[1]), cfg.workers)
-    points.sort(key=_point_sort_key)
-
-    window = effective_window(cfg)
-    fits = []
-    for p_m in p_m_values:
-        group = [p for p in points if p.p_m == p_m]
-        res = _fit_group(group, cfg.L, window)
-        fits.append(
-            FitRow(cfg.axis, p_m, 0.0, res.c2, res.b2, res.rms, window)
-        )
-    return points, fits
+    # rows in (p_m, L_A) order, the order of the points CSV
+    points = [plans[l_a].point(p_m) for p_m in sorted(set(cfg.p_m)) for l_a in l_a_values]
+    return points, fit_points(points, effective_window(cfg))
 
 
 def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
@@ -302,32 +279,21 @@ def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     if ground is None:
         ground, _ = cached_ground_state(cfg.L, method=cfg.method, cache_dir=cfg.cache_dir)
     l_a_values = sorted(set(cfg.L_A))
-    p_y_values = sorted(set(cfg.p_y))
-    p_m_values = sorted(set(cfg.p_m))
-
     plans = sweep_plans(ground.state, l_a_values, PauliWeightPlan, cfg.workers)
-    plan_ab = plans[(0, cfg.L)]
 
+    # rows in (p_m, p_y, L_A) order, the order of the points CSV
     points = []
-    for l_a in l_a_values:
-        plan_a, plan_b = plans[(0, l_a)], plans[(l_a, cfg.L - l_a)]
-        for p_m in p_m_values:
-            for p_y in p_y_values:
-                s_a, s_b, s_ab = (p.entropy(p_m, p_y) for p in (plan_a, plan_b, plan_ab))
+    for p_m in sorted(set(cfg.p_m)):
+        for p_y in sorted(set(cfg.p_y)):
+            for l_a in l_a_values:
+                s_a, s_b, s_ab = (
+                    plans[w].entropy(p_m, p_y) for w in ((0, l_a), (l_a, cfg.L - l_a), (0, cfg.L))
+                )
                 points.append(MiPoint(
                     L=cfg.L, L_A=l_a, axis=cfg.axis, p_m=p_m, p_y=p_y,
                     S_A=s_a, S_B=s_b, S_AB=s_ab, I2=s_a + s_b - s_ab,
                 ))
-
-    points.sort(key=_point_sort_key)
-    window = effective_window(cfg)
-    fits = []
-    for p_m in p_m_values:
-        for p_y in p_y_values:
-            group = [p for p in points if p.p_m == p_m and p.p_y == p_y]
-            res = _fit_group(group, cfg.L, window)
-            fits.append(FitRow(cfg.axis, p_m, p_y, res.c2, res.b2, res.rms, window))
-    return points, fits
+    return points, fit_points(points, effective_window(cfg))
 
 
 def fit_points(points, window=None):
@@ -338,9 +304,8 @@ def fit_points(points, window=None):
     fits = []
     for (axis, p_m, p_y) in sorted(groups):
         group = groups[(axis, p_m, p_y)]
-        L = group[0].L
-        win = window if window else default_window(L)
-        res = _fit_group(group, L, win)
+        win = window if window else default_window(group[0].L)
+        res = _fit_group(group, win)
         fits.append(FitRow(axis, p_m, p_y, res.c2, res.b2, res.rms, win))
     return fits
 

@@ -72,13 +72,15 @@ def apply_pauli(state, axis, site):
 def rotate_to_basis(state, axis):
     """Re-express amplitudes in the product eigenbasis of the given axis.
 
-    Z is the computational basis (identity).  For X and Y the adjoint of
-    the fixed eigenvector matrix is applied at every site; the map is
-    unitary, so the norm is preserved.
+    Z is the computational basis: the amplitudes come back as given
+    (`np.asarray`, no copy, dtype kept), so callers must not write to them.
+    For X and Y the adjoint of the fixed eigenvector matrix is applied at
+    every site into a new complex array; the map is unitary, so the norm is
+    preserved.
     """
     check_axis(axis)
     if axis == "Z":
-        return np.array(state, dtype=complex)
+        return np.asarray(state)
     gate = BASIS_COLUMNS[axis].conj().T
     out = np.asarray(state, dtype=complex)
     for site in range(num_sites(state)):

@@ -8,7 +8,6 @@ from renyimi import (
     Bipartition,
     ChannelSpec,
     GsePlan,
-    MiPlan,
     PauliWeightPlan,
     apply_lifted_channel,
     build_mi_plans,
@@ -101,13 +100,15 @@ def test_gse_algorithms_agree_with_oracle(critical, L_A, p_m):
 
 
 def test_full_chain_plans_agree(critical):
+    # Y is the axis where the whole-chain low_rank plan runs complex pair vectors
     psi = critical(8)
     part = Bipartition(8, 3)
-    for p_m in (0.0, 0.2, 0.5):
-        oracle = r2gse_dense(psi, part, "Z", p_m, subsystem="AB")
-        for algorithm in ("rank1_full", "dense_gram", "low_rank"):
-            plan = GsePlan(psi, 0, 8, "Z", algorithm=algorithm)
-            assert abs(plan.entropy(p_m) - oracle) < 1e-10
+    for axis in ("X", "Y", "Z"):
+        for p_m in (0.0, 0.2, 0.5):
+            oracle = r2gse_dense(psi, part, axis, p_m, subsystem="AB")
+            for algorithm in ("rank1_full", "dense_gram", "low_rank"):
+                plan = GsePlan(psi, 0, 8, axis, algorithm=algorithm)
+                assert abs(plan.entropy(p_m) - oracle) < 1e-10
 
 
 def test_algorithm_size_mismatch_rejected():
@@ -163,17 +164,23 @@ def test_r2gsmi_unmeasured_is_twice_the_ee(critical):
 
 
 def test_r2gsmi_supervector_input_matches_pure_path(critical):
+    # the doubled-space oracle on the pure state's supervector
     psi = critical(6)
     part = Bipartition(6, 2)
     pure_pt = r2gsmi(psi, part, "Z", 0.2)
-    sv_pt = r2gsmi(pure_supervector(psi), part, "Z", 0.2)
-    assert abs(pure_pt.I2 - sv_pt.I2) < 1e-10
-    assert abs(pure_pt.S_AB - sv_pt.S_AB) < 1e-10
+    sv = pure_supervector(psi)
+    s_a = generalized_entropy_supervector(sv, part.sites_A, part.sites_B, "Z", 0.2)
+    s_b = generalized_entropy_supervector(sv, part.sites_B, part.sites_A, "Z", 0.2)
+    s_ab = generalized_entropy_supervector(sv, tuple(range(part.L)), (), "Z", 0.2)
+    assert abs(pure_pt.I2 - (s_a + s_b - s_ab)) < 1e-10
+    assert abs(pure_pt.S_AB - s_ab) < 1e-10
 
 
 def test_r2gsmi_rejects_bad_length():
-    with pytest.raises(ValueError):
-        r2gsmi(np.zeros(32, dtype=complex), Bipartition(4, 2), "Z", 0.1)
+    # 4^L is a supervector's length; r2gsmi takes pure states only
+    for length in (32, 4**4):
+        with pytest.raises(ValueError):
+            r2gsmi(np.zeros(length, dtype=complex), Bipartition(4, 2), "Z", 0.1)
 
 
 def test_mipoint_identity_exact(critical):
@@ -214,7 +221,7 @@ def test_build_mi_plans_matches_direct_plan(critical):
     psi = critical(8)
     plans = build_mi_plans(psi, [2, 3], "X")
     for l_a in (2, 3):
-        direct = MiPlan(psi, Bipartition(8, l_a), "X").point(0.15)
+        direct = r2gsmi(psi, Bipartition(8, l_a), "X", 0.15)
         shared = plans[l_a].point(0.15)
         assert abs(direct.I2 - shared.I2) < 1e-12
         assert direct.L_A == shared.L_A == l_a

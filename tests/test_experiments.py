@@ -252,13 +252,14 @@ def test_csv_files_get_the_mode_of_a_plain_open(tmp_path):
 
 
 def test_points_csv_roundtrip(tmp_path):
-    cfg = small_cfg(tmp_path)
-    points, fits = run_case1(cfg)
-    write_points_csv(cfg.out, points)
-    loaded = read_points_csv(cfg.out)
-    assert loaded == points  # repr round-trips floats exactly
-    refit = fit_points(loaded, window=cfg.window)
-    assert refit[0].c2 == fits[0].c2
+    case1 = small_cfg(tmp_path)
+    case2 = small_cfg(tmp_path, L=6, L_A=(2, 3, 4), window=(2, 4), p_y=(0.0, 0.2))
+    for cfg, run in ((case1, run_case1), (case2, run_case2)):
+        points, fits = run(cfg)
+        write_points_csv(cfg.out, points)
+        loaded = read_points_csv(cfg.out)
+        assert loaded == points  # repr round-trips floats exactly
+        assert fit_points(loaded, window=cfg.window) == fits
 
 
 def test_run_case2_small_grid(tmp_path):

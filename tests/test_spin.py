@@ -52,6 +52,14 @@ def test_rotate_z_is_identity():
     assert np.array_equal(rotate_to_basis(psi, "Z"), psi)
 
 
+def test_rotate_z_shares_memory_with_real_state():
+    # the computational basis needs no copy, and a real state stays real
+    psi = random_state(4, np.random.default_rng(SEED)).real.copy()
+    rot = rotate_to_basis(psi, "Z")
+    assert rot.dtype == np.float64
+    assert np.shares_memory(rot, psi)
+
+
 def test_rotate_x_maps_plus_state_to_origin():
     L = 4
     plus = np.full(2**L, 2.0 ** (-L / 2), dtype=complex)
