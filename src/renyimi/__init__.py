@@ -60,7 +60,6 @@ from .tfim import (
     ground_state,
     load_ground_state,
     save_ground_state,
-    symmetrize_translation,
     translate,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "save_ground_state",
     "scaling_variable",
     "schmidt",
-    "symmetrize_translation",
     "translate",
     "vectorize",
     "window_coefficient_matrix",

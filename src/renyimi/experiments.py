@@ -235,7 +235,8 @@ def cached_ground_state(L, method="lanczos", cache_dir="cache"):
     """Ground state with on-disk reuse; returns (result, cache_hit).
 
     A record written by the other solver is a miss: the dense and Lanczos
-    states differ in their last digits.
+    states differ in their last digits.  So is a record of another format
+    version, such as version 2 with complex amplitudes; it is overwritten.
     """
     path = cache_path(cache_dir, L)
     if os.path.exists(path):

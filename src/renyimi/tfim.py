@@ -1,8 +1,13 @@
 """Critical transverse-field Ising chain, H = -sum_j (Z_j Z_{j+1} + X_j), periodic.
 
-Ground states come from ARPACK's implicitly restarted Lanczos method
-(scipy `eigsh` on the matrix-free matvec, fixed start vector, so results
-are bit-reproducible) or from a dense eigensolve at oracle sizes.
+The ground state lies in the momentum-0, spin-flip-even (prod X = +1)
+sector.  method="lanczos" builds that sector from orbit representatives
+(about 2^L / 2L states), solves it with ARPACK's implicitly restarted
+Lanczos method (scipy `eigsh`, fixed start vector, so results are
+bit-reproducible) and expands the result to the 2^L amplitudes, so the
+state is real and exactly shift- and flip-invariant by construction.
+method="dense" diagonalises the full 2^L matrix at oracle sizes,
+independently of the sector.  Both return float64 states.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from .spin import num_sites
 LANCZOS_MAX_SITES = 24
 DENSE_MAX_SITES = 12
 _LANCZOS_SEED = 8899
-_LANCZOS_NCV = 20  # ARPACK basis: 20 vectors of length 2^L
-_LANCZOS_TOL = 1e-10  # relative Ritz tolerance; 1e-12 costs ~25% more matvecs at L=20
+_SECTOR_DENSE_DIM = 64  # smaller sectors take a dense eigh (eigsh needs k < dim)
+_LANCZOS_TOL = 1e-10  # relative Ritz tolerance: 92 sector matvecs at L=20, 110 at 1e-12
 _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
 
 CACHE_MAGIC = b"TFGS"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _CACHE_HEADER = struct.Struct("<4sIId8s")  # magic, version, L, energy, method
 
 
@@ -61,9 +66,9 @@ class GroundStateResult:
 @lru_cache(maxsize=None)
 def _bond_diagonal(L):
     # -sum_j z_j z_{j+1} = -(L - 2 * #antiparallel bonds), periodic wrap
-    n = np.arange(2**L, dtype=np.int64)
+    n = np.arange(2**L, dtype=np.int32)
     rot = (n >> 1) | ((n & 1) << (L - 1))
-    flips = np.bitwise_count((n ^ rot).astype(np.uint64)).astype(np.float64)
+    flips = np.bitwise_count(n ^ rot).astype(np.float64)
     d = 2.0 * flips - float(L)
     d.setflags(write=False)
     return d
@@ -105,68 +110,101 @@ def translate(state, shift=1):
     return np.asarray(state)[src]
 
 
-def symmetrize_translation(state):
-    """Project onto the translation-symmetric (momentum-zero) sector.
+def _sector_basis(L):
+    """Momentum-0, flip-even basis: representatives, sector index of every state, orbit sizes.
 
-    The critical ground state lives in this sector; projecting an
-    approximate eigenvector removes the symmetry-breaking part of the
-    solver error.
+    rep(s) is the least of the L cyclic shifts of s and of its complement;
+    s is a representative when rep(s) == s.  Index tables are int32, which
+    holds every basis state up to L = 30.
     """
-    L = num_sites(state)
-    acc = np.array(state)
-    shifted = np.asarray(state)
-    for _ in range(L - 1):
-        shifted = translate(shifted, 1)
-        acc += shifted
-    nrm = np.linalg.norm(acc)
-    if nrm < 1e-8:
-        raise LanczosError("state has no weight in the translation-symmetric sector")
-    return acc / nrm
+    mask = 2**L - 1
+    cur = np.arange(2**L, dtype=np.int32)
+    rep = np.full_like(cur, mask)
+    tmp = np.empty_like(cur)
+    for _ in range(L):
+        np.minimum(rep, cur, out=rep)
+        np.bitwise_xor(cur, mask, out=tmp)
+        np.minimum(rep, tmp, out=rep)
+        # rotate cur by one site in place; after L rotations it is 0 .. 2^L - 1 again
+        np.bitwise_and(cur, 1, out=tmp)
+        tmp <<= L - 1
+        cur >>= 1
+        cur |= tmp
+    reps = np.flatnonzero(rep == cur).astype(np.int32)
+    tmp[reps] = np.arange(len(reps), dtype=np.int32)
+    sidx = np.take(tmp, rep, out=cur)
+    return reps, sidx, np.bincount(sidx, minlength=len(reps))
+
+
+def _sector_hamiltonian(L, reps, sidx, orbit):
+    """H on the normalised orbit sums, as a real CSR matrix with L + 1 entries per row.
+
+    Row i holds the diagonal and, for each site flip j, -sqrt(N_i / N_k) at
+    k = sidx[reps[i] ^ 1 << j].  That is column i of H, equal to row i as H
+    is symmetric; a flip that reaches the same orbit twice leaves two entries
+    that every product sums.
+    """
+    from scipy.sparse import csr_matrix
+
+    dim = len(reps)
+    sq = np.sqrt(orbit.astype(np.float64))
+    cols = np.empty((dim, L + 1), dtype=np.int32)
+    vals = np.empty((dim, L + 1))
+    cols[:, 0] = np.arange(dim)
+    vals[:, 0] = _bond_diagonal(L)[reps]
+    for j in range(L):
+        k = sidx[reps ^ (1 << j)]
+        cols[:, j + 1] = k
+        vals[:, j + 1] = -sq / sq[k]
+    indptr = np.arange(0, dim * (L + 1) + 1, L + 1, dtype=np.int32)
+    return csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(dim, dim))
 
 
 def _lanczos_lowest(model):
-    """Lowest eigenvector from ARPACK's implicitly restarted Lanczos (`eigsh`).
+    """Lowest eigenvector, solved in the momentum-0, flip-even sector and expanded to 2^L.
 
-    Aborts if the Ritz gap is below 1e-10: the critical chain has a unique
-    ground state, so a collapsed gap signals a broken iteration, not physics.
+    The sector holds the ground state of the critical ring.  ARPACK's
+    implicitly restarted Lanczos (`eigsh`) solves it; sectors below
+    _SECTOR_DENSE_DIM states take a dense `eigh`.  Aborts if the gap to the
+    next sector level is below 1e-10: the critical chain has a unique ground
+    state, so a collapsed gap signals a broken iteration, not physics.
     """
     # imported here: scipy.linalg costs ~0.3 s to import, and warm cached runs never solve
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    n = 2**model.L
-    # apply_hamiltonian is looked up per call, so a wrapper around it sees every matvec;
-    # flattening keeps a (n, 1) input from broadcasting against the bond diagonal
-    op = LinearOperator(
-        (n, n), matvec=lambda v: apply_hamiltonian(model, v.reshape(-1)), dtype=np.float64
-    )
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    try:
-        theta, vecs = eigsh(
-            op, k=2, which="SA", v0=v0, ncv=min(_LANCZOS_NCV, n), tol=_LANCZOS_TOL
-        )
-    except ArpackNoConvergence as exc:
-        raise LanczosError(f"no convergence: {exc}") from exc
+    reps, sidx, orbit = _sector_basis(model.L)
+    h = _sector_hamiltonian(model.L, reps, sidx, orbit)
+    if len(reps) < _SECTOR_DENSE_DIM:
+        theta, vecs = np.linalg.eigh(h.toarray())
+    else:
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(reps))
+        try:
+            theta, vecs = eigsh(h, k=2, which="SA", v0=v0, tol=_LANCZOS_TOL)
+        except ArpackNoConvergence as exc:
+            raise LanczosError(f"no convergence: {exc}") from exc
     if theta[1] - theta[0] < 1e-10:
         raise LanczosError(
             f"Ritz gap {theta[1] - theta[0]:.3e} below 1e-10; refusing to "
             "return a possibly mixed eigenvector"
         )
-    return vecs[:, 0]
+    return (vecs[:, 0] / np.sqrt(orbit))[sidx]
 
 
 def ground_state(model: TfimModel, method="lanczos") -> GroundStateResult:
     """Lowest eigenpair of the chain.
 
     method="lanczos" (3 <= L <= 24) or "dense" (L <= 12).  The returned
-    state is translation-symmetrized, normalized, and phase-fixed so the
-    largest-magnitude amplitude is real positive; the residual satisfies
+    state is real (float64), normalized, and sign-fixed so the
+    largest-magnitude amplitude is positive; the residual satisfies
     ||H psi - E psi|| <= 1e-8.
     """
     L = model.L
     if method == "dense":
         if L > DENSE_MAX_SITES:
             raise ValueError(f"dense path capped at L <= {DENSE_MAX_SITES}")
-        _, evecs = np.linalg.eigh(dense_hamiltonian(model))
+        from scipy.linalg import eigh
+
+        _, evecs = eigh(dense_hamiltonian(model), subset_by_index=[0, 0])
         psi = evecs[:, 0]
     elif method == "lanczos":
         if L < 3:
@@ -177,12 +215,12 @@ def ground_state(model: TfimModel, method="lanczos") -> GroundStateResult:
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    psi = symmetrize_translation(psi.astype(complex))
-    big = int(np.argmax(np.abs(psi)))
-    psi *= np.conj(psi[big]) / np.abs(psi[big])
+    psi /= np.linalg.norm(psi)
+    psi *= np.sign(psi[np.argmax(np.abs(psi))])
     hpsi = apply_hamiltonian(model, psi)
-    energy = float(np.real(np.vdot(psi, hpsi)))
-    residual = float(np.linalg.norm(hpsi - energy * psi))
+    energy = float(psi @ hpsi)
+    hpsi -= energy * psi
+    residual = float(np.linalg.norm(hpsi))
     if residual > _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
     return GroundStateResult(energy=energy, state=psi, residual=residual, method=method)
@@ -190,12 +228,14 @@ def ground_state(model: TfimModel, method="lanczos") -> GroundStateResult:
 
 def save_ground_state(path, result: GroundStateResult):
     """Write the binary cache record: magic, version u32, L u32, energy f64,
-    method (8 ASCII bytes, NUL-padded), amplitudes.
+    method (8 ASCII bytes, NUL-padded), real amplitudes as f64.
 
     The record goes to a temporary file in the target's directory and is then
     renamed over `path`, so a failed or interrupted write leaves any old record intact.
     """
     L = num_sites(result.state)
+    if np.iscomplexobj(result.state):
+        raise ValueError("cache records hold real amplitudes; the state is complex")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -204,7 +244,7 @@ def save_ground_state(path, result: GroundStateResult):
                     CACHE_MAGIC, CACHE_VERSION, L, result.energy, result.method.encode("ascii")
                 )
             )
-            fh.write(np.ascontiguousarray(result.state, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(result.state, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -222,11 +262,9 @@ def load_ground_state(path) -> GroundStateResult:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != CACHE_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        data = fh.read()
-    state = np.frombuffer(data, dtype="<c16")
+        state = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
     if len(state) != 2**L:
         raise ValueError(f"{path}: expected 2^{L} amplitudes, found {len(state)}")
-    state = state.astype(complex)
     hpsi = apply_hamiltonian(TfimModel(L), state)
     residual = float(np.linalg.norm(hpsi - energy * state))
     return GroundStateResult(

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -147,7 +148,24 @@ def test_cached_ground_state_recovers_from_truncated_energy(tmp_path):
     result, hit = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
     assert not hit
     assert result.residual <= 1e-8
-    assert os.path.getsize(path) == 28 + 16 * 2**6
+    assert os.path.getsize(path) == 28 + 8 * 2**6
+
+
+def test_cached_ground_state_rewrites_version_2_record(tmp_path):
+    # version 2 stored complex128 amplitudes; such a record is recomputed and overwritten
+    fresh, _ = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    path = experiments.cache_path(str(tmp_path), 6)
+    head = struct.pack("<4sIId8s", b"TFGS", 2, 6, fresh.energy, b"dense")
+    with open(path, "wb") as fh:
+        fh.write(head + np.ascontiguousarray(fresh.state, dtype="<c16").tobytes())
+    result, hit = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    assert not hit
+    assert result.state.dtype == np.float64
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert struct.unpack("<I", raw[4:8]) == (3,)
+    assert len(raw) == 28 + 8 * 2**6
+    assert cached_ground_state(6, method="dense", cache_dir=str(tmp_path))[1]
 
 
 @pytest.mark.parametrize("first, second", [("lanczos", "dense"), ("dense", "lanczos")])

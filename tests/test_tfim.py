@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from renyimi import (
     ground_state,
     load_ground_state,
     save_ground_state,
-    symmetrize_translation,
     translate,
 )
-from renyimi.tfim import dense_hamiltonian
+from renyimi.tfim import _SECTOR_DENSE_DIM, _sector_basis, dense_hamiltonian
 
 
 def test_apply_h_on_all_zeros_L4():
@@ -88,16 +88,34 @@ def test_arpack_no_convergence_raises_lanczos_error(monkeypatch):
         raise sla.ArpackNoConvergence("stub", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(sla, "eigsh", no_convergence)
+    L = 12  # smaller sectors take the dense eigh and never reach eigsh
+    assert len(_sector_basis(L)[0]) >= _SECTOR_DENSE_DIM
     with pytest.raises(LanczosError):
-        ground_state(TfimModel(6), method="lanczos")
+        ground_state(TfimModel(L), method="lanczos")
 
 
-@pytest.mark.parametrize("L", [8, 10])
+def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def degenerate(h, k, **kwargs):
+        return np.full(k, -1.0), np.eye(h.shape[0], k)
+
+    monkeypatch.setattr(sla, "eigsh", degenerate)
+    with pytest.raises(LanczosError, match="Ritz gap"):
+        ground_state(TfimModel(12), method="lanczos")
+
+
+@lru_cache(maxsize=None)
+def _solve(L, method):
+    return ground_state(TfimModel(L), method=method)
+
+
+@pytest.mark.parametrize("L", [8, 10, 12])
 def test_lanczos_agrees_with_dense(L):
-    dense = ground_state(TfimModel(L), method="dense")
-    lanc = ground_state(TfimModel(L), method="lanczos")
-    assert abs(dense.energy - lanc.energy) < 1e-8
-    assert 1.0 - abs(np.vdot(dense.state, lanc.state)) < 1e-6
+    # the dense oracle diagonalises the full 2^L matrix, independently of the sector
+    dense, lanc = _solve(L, "dense"), _solve(L, "lanczos")
+    assert abs(dense.energy - lanc.energy) < 1e-10
+    assert dense.state @ lanc.state >= 1.0 - 1e-12
 
 
 def test_residual_bound_L12():
@@ -109,11 +127,11 @@ def test_residual_bound_L12():
 
 @pytest.mark.parametrize(
     "method, L",
-    [("dense", L) for L in range(2, 13)] + [("lanczos", L) for L in range(3, 17)],
+    [("dense", L) for L in range(2, 13)] + [("lanczos", L) for L in range(3, 21)],
 )
 def test_energy_matches_closed_form(method, L):
     # exact ring energy of the critical chain; L=2 gives -2 sqrt(2), the doubled bond
-    res = ground_state(TfimModel(L), method=method)
+    res = _solve(L, method)
     assert abs(res.energy + 2.0 / np.sin(np.pi / (2 * L))) <= 1e-10
 
 
@@ -145,10 +163,28 @@ def test_ground_state_is_translation_invariant():
     assert np.max(np.abs(translate(res.state, 3) - res.state)) < 1e-12
 
 
-def test_symmetrize_translation_fixed_point():
-    res = ground_state(TfimModel(6), method="dense")
-    again = symmetrize_translation(res.state)
-    assert np.max(np.abs(again - res.state)) < 1e-13
+@pytest.mark.parametrize("L", [7, 12, 16])
+def test_lanczos_state_is_shift_and_flip_invariant(L):
+    # odd and even L, dense-sector and eigsh solves; state index s ^ (2^L - 1) is 2^L - 1 - s
+    psi = _solve(L, "lanczos").state
+    assert np.max(np.abs(translate(psi, 1) - psi)) <= 1e-12
+    assert np.max(np.abs(psi[::-1] - psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("method, L", [("dense", 6), ("lanczos", 6), ("lanczos", 14)])
+def test_ground_state_is_float64(method, L):
+    assert _solve(L, method).state.dtype == np.float64
+
+
+def test_sector_basis_counts_every_state_once():
+    # orbit sizes of the shift-and-flip group add up to the whole space
+    L = 10
+    reps, sidx, orbit = _sector_basis(L)
+    assert orbit.sum() == 2**L
+    assert np.array_equal(sidx[reps], np.arange(len(reps)))
+    assert np.array_equal(sidx[reps ^ (2**L - 1)], np.arange(len(reps)))  # flip: same orbit
+    assert np.array_equal(sidx[(reps >> 1) | ((reps & 1) << (L - 1))], np.arange(len(reps)))
+    assert np.all(2 * L % orbit == 0)  # each orbit size divides the group order 2L
 
 
 def test_cache_roundtrip(tmp_path):
@@ -163,20 +199,20 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_file_byte_layout(tmp_path):
     # magic, version u32, L u32, energy f64, method 8 bytes NUL-padded,
-    # then (re, im) f64 pairs, little-endian
+    # then real f64 amplitudes, little-endian
     res = ground_state(TfimModel(3), method="dense")
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     raw = path.read_bytes()
     assert raw[:4] == b"TFGS"
     version, L = struct.unpack("<II", raw[4:12])
-    assert (version, L) == (2, 3)
+    assert (version, L) == (3, 3)
     (energy,) = struct.unpack("<d", raw[12:20])
     assert energy == res.energy
     assert raw[20:28] == b"dense\0\0\0"
-    re0, im0 = struct.unpack("<dd", raw[28:44])
-    assert complex(re0, im0) == res.state[0]
-    assert len(raw) == 28 + 16 * 2**3
+    (amp0,) = struct.unpack("<d", raw[28:36])
+    assert amp0 == res.state[0]
+    assert len(raw) == 28 + 8 * 2**3
     assert load_ground_state(path).method == "dense"
 
 
@@ -187,6 +223,14 @@ def test_cache_rejects_version_1_record(tmp_path):
     path.write_bytes(old + np.ascontiguousarray(res.state, dtype="<c16").tobytes())
     with pytest.raises(ValueError, match="unsupported version 1"):
         load_ground_state(path)
+
+
+def test_cache_refuses_complex_state(tmp_path):
+    path = tmp_path / "gs.bin"
+    bad = GroundStateResult(energy=0.0, state=np.full(8, 1j / np.sqrt(8)), residual=0.0)
+    with pytest.raises(ValueError, match="real amplitudes"):
+        save_ground_state(path, bad)
+    assert not path.exists()
 
 
 def test_cache_rejects_bad_magic(tmp_path):
