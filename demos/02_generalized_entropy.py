@@ -19,7 +19,7 @@ from renyimi import (
 )
 
 L = 12
-psi = ground_state(TfimModel(L), method="lanczos").state
+psi = ground_state(TfimModel(L)).state
 part = Bipartition(L, L // 2)
 
 print("=" * 70)

@@ -17,7 +17,7 @@ from renyimi import (
 )
 
 L = 14
-psi = ground_state(TfimModel(L), method="lanczos").state
+psi = ground_state(TfimModel(L)).state
 window = default_window(L)
 l_a_values = list(range(window[0], window[1] + 1))
 print(f"L = {L}, fit window L_A in [{window[0]}, {window[1]}]")

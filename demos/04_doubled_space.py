@@ -64,7 +64,7 @@ print("=" * 70)
 print("Subsystem entropy of a decohered critical chain")
 print("=" * 70)
 L = 6
-psi = ground_state(TfimModel(L), method="dense").state
+psi = ground_state(TfimModel(L)).state
 part = Bipartition(L, 3)
 sv = pure_supervector(psi)
 for p_y in (0.0, 0.2, 0.4):

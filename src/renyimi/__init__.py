@@ -3,14 +3,15 @@ measurement and decoherence.
 
 Library layout:
   spin        bit-encoded states, Pauli actions, bipartitions, Schmidt data
-  tfim        critical transverse-field Ising chain and ground-state solvers
+  tfim        critical transverse-field Ising chain and its ground-state solver
   channels    single-site Pauli dephasing channels on dense density matrices
   doubled     Choi supervector engine (vectorized channels, depolarizers);
               the oracle for case 2, which runs on entropy.PauliWeightPlan
   entropy     subsystem entropies, generalized entropies, mutual information,
               Pauli-weight plans for Z-dephased and Y-decohered windows
   scaling     chord-length scaling fit and central-charge extraction
-  oracle      brute-force dense references used as test ground truth
+  oracle      brute-force dense references used as test ground truth,
+              the full-space dense ground state among them
   experiments sweeps, ground-state caching and CSV output
   cli         command-line driver (ground / case1 / case2 / fit)
 """

@@ -60,9 +60,7 @@ def _overrides(args):
 
 def _cmd_ground(args) -> int:
     cfg = experiments.load_config(args.config, _overrides(args))
-    result, hit = experiments.cached_ground_state(
-        cfg.L, method=cfg.method, cache_dir=cfg.cache_dir
-    )
+    result, hit = experiments.cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
     path = experiments.cache_path(cfg.cache_dir, cfg.L)
     print(f"L = {cfg.L}")
     print(f"E0 = {result.energy!r}")

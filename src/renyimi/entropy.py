@@ -10,7 +10,7 @@ reduced purity is
     Tr[rho_A^2] = sum_{a,a'} |G[a,a']|^2 * lam^(2 ham(a,a'))
 
 where ham counts differing window bits.  Two kernels are implemented
-behind one plan interface:
+behind one plan interface, and the window size picks one:
 
   * dense_gram: bin |G|^2 by Hamming distance once, then every p is a
     length-(L_A+1) dot product.  Needs the 2^L_A square Gram matrix.
@@ -55,7 +55,6 @@ from .spin import (
 )
 
 DENSE_GRAM_MAX_SITES = 13
-ALGORITHMS = ("auto", "dense_gram", "low_rank", "rank1_full")
 
 _BLOCK_ELEMENTS = 1 << 22  # working-set bound for blocked kernels
 # X-string blocks of the Pauli-weight histogram: 1 MiB of float64 keeps the
@@ -158,38 +157,28 @@ class _LowRankPlan:
         return float(self.spectrum @ ((1.0 + mu) ** (self.n_bits - d) * (1.0 - mu) ** d))
 
 
-def _resolve_algorithm(algorithm, length, L):
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if algorithm == "auto":
-        if length == L:
-            return "rank1_full"
-        return "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
-    if algorithm == "rank1_full" and length != L:
-        raise ValueError("rank1_full applies only to the whole chain")
-    if algorithm == "dense_gram" and length > DENSE_GRAM_MAX_SITES:
-        raise ValueError(
-            f"dense_gram is capped at window size {DENSE_GRAM_MAX_SITES}, got {length}"
-        )
-    return algorithm
-
-
 class GsePlan:
     """Reusable evaluator of the dephased-subsystem Renyi-2 entropy.
 
     Bound to one pure state, one contiguous site window and one axis; the
     expensive state-dependent work happens once in the constructor and
-    `entropy(p_m)` is then cheap across a strength grid.  Thread-safe after
-    construction (evaluation only reads the stored arrays).
+    `entropy(p_m)` is then cheap across a strength grid.  The window size
+    picks the kernel, named in `algorithm`: rank1_full (low_rank on the
+    whole chain), dense_gram up to DENSE_GRAM_MAX_SITES sites, low_rank
+    above.  Thread-safe after construction (evaluation only reads the
+    stored arrays).
     """
 
-    def __init__(self, state, start, length, axis, algorithm="auto"):
+    def __init__(self, state, start, length, axis):
         check_axis(axis)
         L = num_sites(state)
         self.L = L
         self.window = (start, length)
         self.axis = axis
-        self.algorithm = _resolve_algorithm(algorithm, length, L)
+        if length == L:
+            self.algorithm = "rank1_full"
+        else:
+            self.algorithm = "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
         rot = _real_if_exact(rotate_to_basis(state, axis))
         coeff = window_coefficient_matrix(rot, start, length)
         kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
@@ -298,14 +287,13 @@ def renyi2_ee(state, part: Bipartition):
     return float(-np.log(np.sum(s**4)))
 
 
-def r2gse_pure(state, part: Bipartition, axis, p_m, algorithm="auto"):
+def r2gse_pure(state, part: Bipartition, axis, p_m):
     """Renyi-2 entropy of subsystem A after strength-p_m dephasing of A.
 
-    Computed without forming the full density matrix; `algorithm` selects
-    the dense_gram or the low_rank kernel (auto picks by window size);
-    rank1_full names low_rank on the whole chain.
+    Computed without forming the full density matrix, by the kernel that
+    `GsePlan` picks for a window of L_A sites.
     """
-    return GsePlan(state, 0, part.L_A, axis, algorithm=algorithm).entropy(p_m)
+    return GsePlan(state, 0, part.L_A, axis).entropy(p_m)
 
 
 @dataclass(frozen=True)

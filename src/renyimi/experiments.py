@@ -3,7 +3,7 @@
 Config files are plain `key = value` lines with `#` comments; lists are
 comma-separated and integer ranges may be written lo:hi (inclusive).
 Recognized keys: L, method, axis, p_m, p_y, L_A, window, out, cache_dir,
-workers.
+workers.  `method` accepts only `lanczos`, the sector solver every run uses.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     L: int
-    method: str = "lanczos"
     axis: str = "Z"
     p_m: tuple = (0.0,)
     p_y: tuple = ()
@@ -135,14 +134,15 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         L = int(raw["L"])
     except ValueError as exc:
         raise ConfigError(f"L: not an integer: {raw['L']!r}") from exc
-    if L < 2:
-        raise ConfigError(f"L must be >= 2, got {L}")
+    if L < 3:
+        raise ConfigError(f"L must be >= 3, got {L}")
+    if raw.get("method", "lanczos") != "lanczos":
+        raise ConfigError(
+            f"method must be lanczos, got {raw['method']!r}; the full-space "
+            "dense solver is renyimi.oracle.dense_ground_state"
+        )
 
     cfg = ExperimentConfig(L=L)
-    if "method" in raw:
-        if raw["method"] not in ("lanczos", "dense"):
-            raise ConfigError(f"method must be lanczos or dense, got {raw['method']!r}")
-        cfg = replace(cfg, method=raw["method"])
     if "axis" in raw:
         if raw["axis"] not in AXES:
             raise ConfigError(f"axis must be one of {AXES}, got {raw['axis']!r}")
@@ -179,8 +179,6 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         lo, hi = cfg.window
         if not (0 < lo <= hi < cfg.L):
             raise ConfigError(f"window {lo}:{hi} outside (0, {cfg.L})")
-    if cfg.method == "lanczos" and cfg.L < 3:
-        raise ConfigError("lanczos needs L >= 3; use method = dense for L = 2")
     return cfg
 
 
@@ -207,9 +205,16 @@ def _check_fittable(cfg: ExperimentConfig):
         )
 
 
-def validate_case1(cfg: ExperimentConfig):
+def _check_out(cfg: ExperimentConfig, case):
     if not cfg.out:
-        raise ConfigError("case1 requires an output path (out = ... or --out)")
+        raise ConfigError(f"{case} requires an output path (out = ... or --out)")
+    out_dir = os.path.dirname(os.path.abspath(cfg.out))
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir} does not exist")
+
+
+def validate_case1(cfg: ExperimentConfig):
+    _check_out(cfg, "case1")
     if not cfg.L_A:
         raise ConfigError("case1 requires an L_A list")
     if cfg.p_y and set(cfg.p_y) != {0.0}:
@@ -218,8 +223,7 @@ def validate_case1(cfg: ExperimentConfig):
 
 
 def validate_case2(cfg: ExperimentConfig):
-    if not cfg.out:
-        raise ConfigError("case2 requires an output path (out = ... or --out)")
+    _check_out(cfg, "case2")
     if not cfg.L_A:
         raise ConfigError("case2 requires an L_A list")
     if not cfg.p_y:
@@ -231,22 +235,21 @@ def validate_case2(cfg: ExperimentConfig):
     _check_fittable(cfg)
 
 
-def cached_ground_state(L, method="lanczos", cache_dir="cache"):
+def cached_ground_state(L, cache_dir="cache"):
     """Ground state with on-disk reuse; returns (result, cache_hit).
 
-    A record written by the other solver is a miss: the dense and Lanczos
-    states differ in their last digits.  So is a record of another format
-    version, such as version 2 with complex amplitudes; it is overwritten.
+    A record of another format version, such as version 3 with the solver
+    name in its header, is a miss; it is overwritten.
     """
     path = cache_path(cache_dir, L)
     if os.path.exists(path):
         try:
             result = load_ground_state(path)
-            if len(result.state) == 2**L and result.residual <= 1e-8 and result.method == method:
+            if len(result.state) == 2**L and result.residual <= 1e-8:
                 return result, True
         except (ValueError, OSError):
             pass  # stale or foreign file: recompute and overwrite
-    result = ground_state(TfimModel(L), method=method)
+    result = ground_state(TfimModel(L))
     os.makedirs(cache_dir, exist_ok=True)
     save_ground_state(path, result)
     return result, False
@@ -262,7 +265,7 @@ def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     """Pure-state sweep over (L_A, p_m); returns (points, fit rows)."""
     validate_case1(cfg)
     if ground is None:
-        ground, _ = cached_ground_state(cfg.L, method=cfg.method, cache_dir=cfg.cache_dir)
+        ground, _ = cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
     l_a_values = sorted(set(cfg.L_A))
     plans = build_mi_plans(ground.state, l_a_values, cfg.axis, workers=cfg.workers)
     # rows in (p_m, L_A) order, the order of the points CSV
@@ -278,7 +281,7 @@ def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     """
     validate_case2(cfg)
     if ground is None:
-        ground, _ = cached_ground_state(cfg.L, method=cfg.method, cache_dir=cfg.cache_dir)
+        ground, _ = cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
     l_a_values = sorted(set(cfg.L_A))
     plans = sweep_plans(ground.state, l_a_values, PauliWeightPlan, cfg.workers)
 
@@ -360,21 +363,22 @@ def _write_text_atomic(path, text):
 
 def read_points_csv(path):
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read points CSV {path}: {exc}") from exc
     if not rows or rows[0].split(",") != list(POINT_COLUMNS):
         raise ConfigError(f"{path}: not a points CSV (bad header)")
     for row in rows[1:]:
         tok = row.split(",")
         if len(tok) != len(POINT_COLUMNS):
             raise ConfigError(f"{path}: malformed row {row!r}")
-        points.append(
-            MiPoint(
-                L=int(tok[0]), L_A=int(tok[1]), axis=tok[2],
-                p_m=float(tok[3]), p_y=float(tok[4]),
-                S_A=float(tok[5]), S_B=float(tok[6]), S_AB=float(tok[7]), I2=float(tok[8]),
-            )
-        )
+        try:  # fields in MiPoint order: L, L_A, axis, then six floats
+            fields = [int(tok[0]), int(tok[1]), tok[2]] + [float(t) for t in tok[3:]]
+        except ValueError as exc:
+            raise ConfigError(f"{path}: non-numeric field in row {row!r}") from exc
+        points.append(MiPoint(*fields))
     return points
 
 

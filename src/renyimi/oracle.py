@@ -1,22 +1,53 @@
 """Brute-force dense reference implementations, used in tests as ground truth.
 
 Everything here favors being obviously correct over being fast and is
-hard-capped at L <= 8.
+hard-capped at L <= 8, except the full-space ground-state solver, which
+checks the sector solver of `tfim` up to L = 12.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .channels import ChannelSpec, apply_channel_dense
 from .spin import Bipartition
 
 ORACLE_MAX_SITES = 8
+DENSE_MAX_SITES = 12
 
 
 def _check_cap(L):
     if L > ORACLE_MAX_SITES:
         raise ValueError(f"oracle paths are capped at L <= {ORACLE_MAX_SITES}, got L={L}")
+
+
+def dense_hamiltonian(L):
+    """Explicit 2^L x 2^L matrix of H = -sum_j (Z_j Z_{j+1} + X_j), periodic.
+
+    The diagonal is summed bond by bond; at L=2 the periodic sum counts the
+    single bond twice.
+    """
+    if L > DENSE_MAX_SITES:
+        raise ValueError(f"dense Hamiltonian capped at L <= {DENSE_MAX_SITES}")
+    idx = np.arange(2**L)
+    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(L)) & 1)  # z[s, j] = +-1
+    h = np.diag(-np.sum(z * np.roll(z, -1, axis=1), axis=1))
+    for j in range(L):
+        h[idx, idx ^ (1 << j)] -= 1.0
+    return h
+
+
+def dense_ground_state(L):
+    """(E0, psi) from the full 2^L matrix, independent of any symmetry sector.
+
+    psi is real, normalized and sign-fixed so its largest-magnitude
+    amplitude is positive, as `tfim.ground_state` returns it.
+    """
+    w, v = eigh(dense_hamiltonian(L), subset_by_index=[0, 0])
+    psi = v[:, 0] / np.linalg.norm(v[:, 0])
+    psi *= np.sign(psi[np.argmax(np.abs(psi))])
+    return float(w[0]), psi
 
 
 def density_from_state(state):

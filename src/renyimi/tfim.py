@@ -1,13 +1,12 @@
 """Critical transverse-field Ising chain, H = -sum_j (Z_j Z_{j+1} + X_j), periodic.
 
 The ground state lies in the momentum-0, spin-flip-even (prod X = +1)
-sector.  method="lanczos" builds that sector from orbit representatives
+sector.  `ground_state` builds that sector from orbit representatives
 (about 2^L / 2L states), solves it with ARPACK's implicitly restarted
 Lanczos method (scipy `eigsh`, fixed start vector, so results are
-bit-reproducible) and expands the result to the 2^L amplitudes, so the
-state is real and exactly shift- and flip-invariant by construction.
-method="dense" diagonalises the full 2^L matrix at oracle sizes,
-independently of the sector.  Both return float64 states.
+bit-reproducible) and expands the result to the 2^L float64 amplitudes, so
+the state is real and exactly shift- and flip-invariant by construction.
+The independent full-space check is `renyimi.oracle.dense_ground_state`.
 """
 
 from __future__ import annotations
@@ -23,15 +22,14 @@ import numpy as np
 from .spin import num_sites
 
 LANCZOS_MAX_SITES = 24
-DENSE_MAX_SITES = 12
 _LANCZOS_SEED = 8899
 _SECTOR_DENSE_DIM = 64  # smaller sectors take a dense eigh (eigsh needs k < dim)
 _LANCZOS_TOL = 1e-10  # relative Ritz tolerance: 92 sector matvecs at L=20, 110 at 1e-12
 _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
 
 CACHE_MAGIC = b"TFGS"
-CACHE_VERSION = 3
-_CACHE_HEADER = struct.Struct("<4sIId8s")  # magic, version, L, energy, method
+CACHE_VERSION = 4
+_CACHE_HEADER = struct.Struct("<4sIId")  # magic, version, L, energy
 
 
 class LanczosError(RuntimeError):
@@ -42,8 +40,7 @@ class LanczosError(RuntimeError):
 class TfimModel:
     """Periodic chain of L sites, couplings fixed at unit strength.
 
-    L=2 double-counts the single bond and is only meaningful in the dense
-    oracle path.
+    L=2 double-counts the single bond; only the dense oracle solves it.
     """
 
     L: int
@@ -55,12 +52,9 @@ class TfimModel:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """`method` names the solver that produced the state ("" if unknown)."""
-
     energy: float
     state: np.ndarray
     residual: float
-    method: str = ""
 
 
 @lru_cache(maxsize=None)
@@ -82,21 +76,10 @@ def apply_hamiltonian(model: TfimModel, state):
     psi = np.asarray(state)
     out = _bond_diagonal(L) * psi
     for j in range(L):
-        out -= psi.reshape(2 ** (L - 1 - j), 2, 2**j)[:, ::-1, :].reshape(-1)
+        # flip bit j: subtract the bit-reversed view in place, with no 2^L copy
+        o = out.reshape(2 ** (L - 1 - j), 2, 2**j)
+        np.subtract(o, psi.reshape(o.shape)[:, ::-1, :], out=o)
     return out
-
-
-def dense_hamiltonian(model: TfimModel):
-    """Explicit 2^L x 2^L matrix; oracle scale only."""
-    L = model.L
-    if L > DENSE_MAX_SITES:
-        raise ValueError(f"dense Hamiltonian capped at L <= {DENSE_MAX_SITES}")
-    dim = 2**L
-    h = np.diag(_bond_diagonal(L)).copy()
-    idx = np.arange(dim)
-    for j in range(L):
-        h[idx, idx ^ (1 << j)] -= 1.0
-    return h
 
 
 def translate(state, shift=1):
@@ -190,31 +173,19 @@ def _lanczos_lowest(model):
     return (vecs[:, 0] / np.sqrt(orbit))[sidx]
 
 
-def ground_state(model: TfimModel, method="lanczos") -> GroundStateResult:
-    """Lowest eigenpair of the chain.
+def ground_state(model: TfimModel) -> GroundStateResult:
+    """Lowest eigenpair of the chain, solved in its symmetry sector (3 <= L <= 24).
 
-    method="lanczos" (3 <= L <= 24) or "dense" (L <= 12).  The returned
-    state is real (float64), normalized, and sign-fixed so the
+    The returned state is real (float64), normalized, and sign-fixed so the
     largest-magnitude amplitude is positive; the residual satisfies
     ||H psi - E psi|| <= 1e-8.
     """
     L = model.L
-    if method == "dense":
-        if L > DENSE_MAX_SITES:
-            raise ValueError(f"dense path capped at L <= {DENSE_MAX_SITES}")
-        from scipy.linalg import eigh
-
-        _, evecs = eigh(dense_hamiltonian(model), subset_by_index=[0, 0])
-        psi = evecs[:, 0]
-    elif method == "lanczos":
-        if L < 3:
-            raise ValueError("lanczos path needs L >= 3 (L=2 double-counts the bond)")
-        if L > LANCZOS_MAX_SITES:
-            raise ValueError(f"lanczos path capped at L <= {LANCZOS_MAX_SITES}")
-        psi = _lanczos_lowest(model)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    if L < 3:
+        raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
+    if L > LANCZOS_MAX_SITES:
+        raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
+    psi = _lanczos_lowest(model)
     psi /= np.linalg.norm(psi)
     psi *= np.sign(psi[np.argmax(np.abs(psi))])
     hpsi = apply_hamiltonian(model, psi)
@@ -223,12 +194,12 @@ def ground_state(model: TfimModel, method="lanczos") -> GroundStateResult:
     residual = float(np.linalg.norm(hpsi))
     if residual > _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
-    return GroundStateResult(energy=energy, state=psi, residual=residual, method=method)
+    return GroundStateResult(energy=energy, state=psi, residual=residual)
 
 
 def save_ground_state(path, result: GroundStateResult):
     """Write the binary cache record: magic, version u32, L u32, energy f64,
-    method (8 ASCII bytes, NUL-padded), real amplitudes as f64.
+    real amplitudes as f64.
 
     The record goes to a temporary file in the target's directory and is then
     renamed over `path`, so a failed or interrupted write leaves any old record intact.
@@ -239,11 +210,7 @@ def save_ground_state(path, result: GroundStateResult):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(
-                _CACHE_HEADER.pack(
-                    CACHE_MAGIC, CACHE_VERSION, L, result.energy, result.method.encode("ascii")
-                )
-            )
+            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, L, result.energy))
             fh.write(np.ascontiguousarray(result.state, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -257,7 +224,7 @@ def load_ground_state(path) -> GroundStateResult:
         head = fh.read(_CACHE_HEADER.size)
         if len(head) != _CACHE_HEADER.size:
             raise ValueError(f"{path}: truncated header")
-        magic, version, L, energy, method = _CACHE_HEADER.unpack(head)
+        magic, version, L, energy = _CACHE_HEADER.unpack(head)
         if magic != CACHE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != CACHE_VERSION:
@@ -267,9 +234,7 @@ def load_ground_state(path) -> GroundStateResult:
         raise ValueError(f"{path}: expected 2^{L} amplitudes, found {len(state)}")
     hpsi = apply_hamiltonian(TfimModel(L), state)
     residual = float(np.linalg.norm(hpsi - energy * state))
-    return GroundStateResult(
-        energy=energy, state=state, residual=residual, method=method.rstrip(b"\0").decode("ascii")
-    )
+    return GroundStateResult(energy=energy, state=state, residual=residual)
 
 
 def cache_path(cache_dir, L):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from renyimi import TfimModel, ground_state
+from renyimi import TfimModel, ground_state, rotate_to_basis, window_coefficient_matrix
+from renyimi import entropy
 
 SEED = 20250810
 
@@ -38,6 +39,17 @@ def bell_state():
     return ghz_state(2)
 
 
+def kernel_entropy(kernel, state, start, length, axis, p_m):
+    """Dephased Renyi-2 entropy of a window from one plan kernel, past GsePlan's size rule.
+
+    `kernel` is entropy._DenseGramPlan or entropy._LowRankPlan; the state is
+    rotated and made real where exact, as GsePlan does.
+    """
+    rot = entropy._real_if_exact(rotate_to_basis(state, axis))
+    plan = kernel(window_coefficient_matrix(rot, start, length))
+    return entropy._entropy_of(plan.purity(entropy._contraction(p_m, "p_m")))
+
+
 @pytest.fixture(scope="session")
 def critical():
     """Factory for cached critical ground states keyed by L."""
@@ -45,8 +57,7 @@ def critical():
 
     def get(L):
         if L not in cache:
-            method = "dense" if L <= 10 else "lanczos"
-            cache[L] = ground_state(TfimModel(L), method=method).state
+            cache[L] = ground_state(TfimModel(L)).state
         return cache[L]
 
     return get

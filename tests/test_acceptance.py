@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SEED, ghz_state, random_density, random_state, zero_state
+from conftest import SEED, ghz_state, kernel_entropy, random_density, random_state, zero_state
 from renyimi import (
     Bipartition,
     ChannelSpec,
@@ -21,6 +21,7 @@ from renyimi import (
     apply_lifted_channel,
     depolarize_subsystem,
     devectorize,
+    entropy,
     fit_cft,
     lift_channel,
     pure_supervector,
@@ -51,7 +52,7 @@ def shared(tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("cache"))
     out_dir = tmp_path_factory.mktemp("out")
     t0 = time.perf_counter()
-    gs20, _ = cached_ground_state(20, method="lanczos", cache_dir=cache_dir)
+    gs20, _ = cached_ground_state(20, cache_dir=cache_dir)
     gs_elapsed = time.perf_counter() - t0
     return {"cache": cache_dir, "out": out_dir, "gs20": gs20, "gs_elapsed": gs_elapsed}
 
@@ -59,7 +60,6 @@ def shared(tmp_path_factory):
 def _case1_cfg(shared, name, axis, p_m, window=(6, 14)):
     return ExperimentConfig(
         L=20,
-        method="lanczos",
         axis=axis,
         p_m=tuple(p_m),
         L_A=tuple(range(window[0], window[1] + 1)),
@@ -126,7 +126,6 @@ def test_criterion_4_x_axis_flat(shared):
 def test_criterion_5_decohered_map(shared):
     cfg = ExperimentConfig(
         L=10,
-        method="lanczos",
         axis="Z",
         p_m=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
         p_y=(0.0, 0.1, 0.2, 0.3, 0.4, 0.45),
@@ -184,8 +183,8 @@ def test_criterion_7_path_equivalence(critical):
         part = Bipartition(8, l_a)
         for p_m in (0.0, 0.1, 0.25, 0.5):
             values = [
-                r2gse_pure(psi, part, "Z", p_m, algorithm="dense_gram"),
-                r2gse_pure(psi, part, "Z", p_m, algorithm="low_rank"),
+                kernel_entropy(entropy._DenseGramPlan, psi, 0, l_a, "Z", p_m),
+                kernel_entropy(entropy._LowRankPlan, psi, 0, l_a, "Z", p_m),
                 r2gse_supervector(sv, part, "Z", p_m),
                 r2gse_dense(psi, part, "Z", p_m),
             ]
@@ -194,9 +193,9 @@ def test_criterion_7_path_equivalence(critical):
     part = Bipartition(8, 4)
     for p_m in (0.0, 0.1, 0.25, 0.5):
         values = [
-            GsePlan(psi, 0, 8, "Z", algorithm="rank1_full").entropy(p_m),
-            GsePlan(psi, 0, 8, "Z", algorithm="dense_gram").entropy(p_m),
-            GsePlan(psi, 0, 8, "Z", algorithm="low_rank").entropy(p_m),
+            GsePlan(psi, 0, 8, "Z").entropy(p_m),  # the size rule picks rank1_full
+            kernel_entropy(entropy._DenseGramPlan, psi, 0, 8, "Z", p_m),
+            kernel_entropy(entropy._LowRankPlan, psi, 0, 8, "Z", p_m),
             r2gse_dense(psi, part, "Z", p_m, subsystem="AB"),
         ]
         worst = max(worst, max(values) - min(values))

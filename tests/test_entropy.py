@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, bell_state, ghz_state, plus_state, random_state, zero_state
+from conftest import (
+    SEED,
+    bell_state,
+    ghz_state,
+    kernel_entropy,
+    plus_state,
+    random_state,
+    zero_state,
+)
 from renyimi import (
     Bipartition,
     ChannelSpec,
@@ -95,8 +103,8 @@ def test_gse_algorithms_agree_with_oracle(critical, L_A, p_m):
     psi = critical(8)
     part = Bipartition(8, L_A)
     oracle = r2gse_dense(psi, part, "Z", p_m)
-    for algorithm in ("dense_gram", "low_rank"):
-        assert abs(r2gse_pure(psi, part, "Z", p_m, algorithm=algorithm) - oracle) < 1e-10
+    for kernel in (entropy._DenseGramPlan, entropy._LowRankPlan):
+        assert abs(kernel_entropy(kernel, psi, 0, L_A, "Z", p_m) - oracle) < 1e-10
 
 
 def test_full_chain_plans_agree(critical):
@@ -106,20 +114,27 @@ def test_full_chain_plans_agree(critical):
     for axis in ("X", "Y", "Z"):
         for p_m in (0.0, 0.2, 0.5):
             oracle = r2gse_dense(psi, part, axis, p_m, subsystem="AB")
-            for algorithm in ("rank1_full", "dense_gram", "low_rank"):
-                plan = GsePlan(psi, 0, 8, axis, algorithm=algorithm)
-                assert abs(plan.entropy(p_m) - oracle) < 1e-10
+            plan = GsePlan(psi, 0, 8, axis)
+            assert plan.algorithm == "rank1_full"
+            assert abs(plan.entropy(p_m) - oracle) < 1e-10
+            for kernel in (entropy._DenseGramPlan, entropy._LowRankPlan):
+                assert abs(kernel_entropy(kernel, psi, 0, 8, axis, p_m) - oracle) < 1e-10
 
 
-def test_algorithm_size_mismatch_rejected():
-    rng = np.random.default_rng(SEED)
-    with pytest.raises(ValueError):
-        r2gse_pure(random_state(4, rng), Bipartition(4, 2), "Z", 0.1, algorithm="rank1_full")
-    psi15 = random_state(15, rng)
-    with pytest.raises(ValueError):
-        r2gse_pure(psi15, Bipartition(15, 14), "Z", 0.1, algorithm="dense_gram")
-    with pytest.raises(ValueError):
-        r2gse_pure(psi15, Bipartition(15, 2), "Z", 0.1, algorithm="newton")
+def test_window_size_picks_the_kernel(critical, monkeypatch):
+    # a cap of 3 sites at L = 6 puts every branch of the rule in reach of the oracle
+    monkeypatch.setattr(entropy, "DENSE_GRAM_MAX_SITES", 3)
+    psi = critical(6)
+    rules = {3: "dense_gram", 4: "low_rank", 6: "rank1_full"}
+    for length, algorithm in rules.items():
+        plan = GsePlan(psi, 0, length, "Z")
+        assert plan.algorithm == algorithm
+        for p_m in (0.0, 0.2, 0.5):
+            if length == 6:
+                oracle = r2gse_dense(psi, Bipartition(6, 3), "Z", p_m, subsystem="AB")
+            else:
+                oracle = r2gse_dense(psi, Bipartition(6, length), "Z", p_m)
+            assert abs(plan.entropy(p_m) - oracle) < 1e-10
 
 
 def test_gse_strength_out_of_range():
@@ -248,10 +263,10 @@ def test_gse_plan_real_path_matches_complex_path(critical, window, theta, axis, 
     psi = critical(L)
     phased = np.exp(1j * theta) * psi
     assert np.any(rotate_to_basis(phased, axis).imag)
-    for algorithm in ["dense_gram", "low_rank"] + (["rank1_full"] if length == L else []):
-        real = GsePlan(psi, start, length, axis, algorithm=algorithm)
-        cplx = GsePlan(phased, start, length, axis, algorithm=algorithm)
-        assert abs(real.entropy(p_m) - cplx.entropy(p_m)) <= 1e-12
+    for kernel in (entropy._DenseGramPlan, entropy._LowRankPlan):
+        real = kernel_entropy(kernel, psi, start, length, axis, p_m)
+        cplx = kernel_entropy(kernel, phased, start, length, axis, p_m)
+        assert abs(real - cplx) <= 1e-12
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from renyimi.experiments import (
 CONFIG_TEXT = """
 # small pure-state sweep
 L = 8
-method = dense
+method = lanczos
 axis = Z
 p_m = 0.0, 0.25, 0.5
 L_A = 2:6
@@ -43,7 +44,6 @@ workers = 2
 def small_cfg(tmp_path, **kw):
     base = dict(
         L=8,
-        method="dense",
         axis="Z",
         p_m=(0.0, 0.25, 0.5),
         L_A=(2, 3, 4, 5, 6),
@@ -94,8 +94,21 @@ def test_build_config_validation():
         build_config({"L": "8", "workers": "0"})
     with pytest.raises(ConfigError, match="window"):
         build_config({"L": "8", "window": "0:9"})
-    with pytest.raises(ConfigError, match="dense for L = 2"):
-        build_config({"L": "2", "method": "lanczos"})
+    with pytest.raises(ConfigError, match="L must be >= 3"):
+        build_config({"L": "2"})
+
+
+def test_config_accepts_only_the_sector_solver(tmp_path, capsys):
+    assert build_config({"L": "8", "method": "lanczos"}) == build_config({"L": "8"})
+    with pytest.raises(ConfigError, match="oracle.dense_ground_state"):
+        build_config({"L": "8", "method": "dense"})
+    with pytest.raises(ConfigError, match="L must be >= 3"):
+        build_config({"L": "2"})
+    cfg_file = tmp_path / "dense.cfg"
+    cfg_file.write_text(f"L = 6\nmethod = dense\ncache_dir = {tmp_path / 'cache'}\n")
+    assert cli.main(["ground", "--config", str(cfg_file)]) == 2
+    assert "oracle.dense_ground_state" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cache")
 
 
 def test_case_preconditions(tmp_path):
@@ -116,67 +129,70 @@ def test_case_preconditions(tmp_path):
 
 
 def test_cached_ground_state_energy_matches_dense(tmp_path):
-    from renyimi import TfimModel, ground_state
+    from renyimi.oracle import dense_ground_state
 
-    cached, _ = cached_ground_state(8, method="lanczos", cache_dir=str(tmp_path))
-    dense = ground_state(TfimModel(8), method="dense")
-    assert abs(cached.energy - dense.energy) < 1e-8
+    cached, _ = cached_ground_state(8, cache_dir=str(tmp_path))
+    energy, _ = dense_ground_state(8)
+    assert abs(cached.energy - energy) < 1e-8
 
 
 def test_cached_ground_state_roundtrip(tmp_path):
-    first, hit_a = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
-    second, hit_b = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    first, hit_a = cached_ground_state(6, cache_dir=str(tmp_path))
+    second, hit_b = cached_ground_state(6, cache_dir=str(tmp_path))
     assert (hit_a, hit_b) == (False, True)
     assert np.array_equal(first.state, second.state)
 
 
 def test_cached_ground_state_recovers_from_corruption(tmp_path):
-    cached_ground_state(5, method="dense", cache_dir=str(tmp_path))
+    cached_ground_state(5, cache_dir=str(tmp_path))
     path = experiments.cache_path(str(tmp_path), 5)
     with open(path, "wb") as fh:
         fh.write(b"garbage")
-    result, hit = cached_ground_state(5, method="dense", cache_dir=str(tmp_path))
+    result, hit = cached_ground_state(5, cache_dir=str(tmp_path))
     assert not hit
     assert result.residual <= 1e-8
 
 
 def test_cached_ground_state_recovers_from_truncated_energy(tmp_path):
-    cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    cached_ground_state(6, cache_dir=str(tmp_path))
     path = experiments.cache_path(str(tmp_path), 6)
     with open(path, "r+b") as fh:
         fh.truncate(15)  # ends inside the 8-byte energy field
-    result, hit = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    result, hit = cached_ground_state(6, cache_dir=str(tmp_path))
     assert not hit
     assert result.residual <= 1e-8
-    assert os.path.getsize(path) == 28 + 8 * 2**6
+    assert os.path.getsize(path) == 20 + 8 * 2**6
 
 
 def test_cached_ground_state_rewrites_version_2_record(tmp_path):
     # version 2 stored complex128 amplitudes; such a record is recomputed and overwritten
-    fresh, _ = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    fresh, _ = cached_ground_state(6, cache_dir=str(tmp_path))
     path = experiments.cache_path(str(tmp_path), 6)
     head = struct.pack("<4sIId8s", b"TFGS", 2, 6, fresh.energy, b"dense")
     with open(path, "wb") as fh:
         fh.write(head + np.ascontiguousarray(fresh.state, dtype="<c16").tobytes())
-    result, hit = cached_ground_state(6, method="dense", cache_dir=str(tmp_path))
+    result, hit = cached_ground_state(6, cache_dir=str(tmp_path))
     assert not hit
     assert result.state.dtype == np.float64
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    assert struct.unpack("<I", raw[4:8]) == (3,)
-    assert len(raw) == 28 + 8 * 2**6
-    assert cached_ground_state(6, method="dense", cache_dir=str(tmp_path))[1]
+    raw = Path(path).read_bytes()
+    assert struct.unpack("<I", raw[4:8]) == (4,)
+    assert len(raw) == 20 + 8 * 2**6
+    assert cached_ground_state(6, cache_dir=str(tmp_path))[1]
 
 
-@pytest.mark.parametrize("first, second", [("lanczos", "dense"), ("dense", "lanczos")])
-def test_cached_ground_state_misses_on_other_method(tmp_path, first, second):
-    cached_ground_state(8, method=first, cache_dir=str(tmp_path))
-    result, hit = cached_ground_state(8, method=second, cache_dir=str(tmp_path))
+def test_cached_ground_state_rewrites_version_3_record(tmp_path):
+    # version 3 held the solver name in 8 header bytes; such a record is recomputed
+    fresh, _ = cached_ground_state(6, cache_dir=str(tmp_path))
+    path = experiments.cache_path(str(tmp_path), 6)
+    head = struct.pack("<4sIId8s", b"TFGS", 3, 6, fresh.energy, b"lanczos")
+    Path(path).write_bytes(head + np.ascontiguousarray(fresh.state, dtype="<f8").tobytes())
+    result, hit = cached_ground_state(6, cache_dir=str(tmp_path))
     assert not hit
-    assert result.method == second
-    again, hit = cached_ground_state(8, method=second, cache_dir=str(tmp_path))
-    assert hit
-    assert np.array_equal(again.state, result.state)
+    assert np.array_equal(result.state, fresh.state)
+    raw = Path(path).read_bytes()
+    assert struct.unpack("<4sIId", raw[:20]) == (b"TFGS", 4, 6, fresh.energy)
+    assert len(raw) == 20 + 8 * 2**6
+    assert cached_ground_state(6, cache_dir=str(tmp_path))[1]
 
 
 def test_run_case1_outputs(tmp_path):
@@ -202,10 +218,10 @@ def test_case1_csv_format_and_determinism(tmp_path):
     assert lines[1] == "L,L_A,axis,p_m,p_y,S_A,S_B,S_AB,I2"
     assert len(lines) == 2 + len(points)
 
-    first = open(cfg.out, "rb").read()
+    first = Path(cfg.out).read_bytes()
     points2, _ = run_case1(cfg)
     write_points_csv(cfg.out, points2)
-    assert open(cfg.out, "rb").read() == first
+    assert Path(cfg.out).read_bytes() == first
 
     with open(experiments.fits_csv_path(cfg.out)) as fh:
         fit_lines = fh.read().splitlines()
@@ -217,7 +233,7 @@ def test_case1_csv_format_and_determinism(tmp_path):
 def _csv_bytes(cfg, points, fits):
     write_points_csv(cfg.out, points)
     experiments.write_fits_csv(experiments.fits_csv_path(cfg.out), fits)
-    return [open(path, "rb").read() for path in (cfg.out, experiments.fits_csv_path(cfg.out))]
+    return [Path(path).read_bytes() for path in (cfg.out, experiments.fits_csv_path(cfg.out))]
 
 
 def test_worker_count_does_not_change_results(tmp_path):
@@ -237,7 +253,7 @@ def test_failed_csv_write_keeps_old_file(tmp_path, monkeypatch, writer):
     else:
         path, write, rows = experiments.fits_csv_path(cfg.out), experiments.write_fits_csv, fits
     write(path, rows)
-    old = open(path, "rb").read()
+    old = Path(path).read_bytes()
     real_open = open
 
     def open_failing_mid_write(*args, **kwargs):
@@ -256,7 +272,7 @@ def test_failed_csv_write_keeps_old_file(tmp_path, monkeypatch, writer):
     with pytest.raises(OSError, match="No space"):
         write(path, rows[:1])
     monkeypatch.undo()
-    assert open(path, "rb").read() == old
+    assert Path(path).read_bytes() == old
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
@@ -322,10 +338,10 @@ def _doubled_case2_rows(state, cfg):
 
 def test_run_case2_matches_doubled_path_L9(tmp_path):
     cfg = small_cfg(
-        tmp_path, L=9, method="lanczos", L_A=(3, 4, 5, 6), window=(3, 6),
+        tmp_path, L=9, L_A=(3, 4, 5, 6), window=(3, 6),
         p_m=(0.0, 0.2, 0.5), p_y=(0.0, 0.3, 0.45),
     )
-    ground, _ = cached_ground_state(9, method="lanczos", cache_dir=cfg.cache_dir)
+    ground, _ = cached_ground_state(9, cache_dir=cfg.cache_dir)
     points, _ = run_case2(cfg, ground=ground)
     ref = _doubled_case2_rows(ground.state, cfg)
     assert len(points) == len(ref)
@@ -350,7 +366,7 @@ def test_run_case2_csvs_do_not_depend_on_worker_count(tmp_path):
 def test_cli_ground_and_case1(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
-        "L = 6\nmethod = dense\naxis = Z\np_m = 0.0, 0.5\nL_A = 2:4\nwindow = 2:4\n"
+        "L = 6\naxis = Z\np_m = 0.0, 0.5\nL_A = 2:4\nwindow = 2:4\n"
         f"out = {tmp_path / 'pts.csv'}\ncache_dir = {tmp_path / 'cache'}\n"
     )
     assert cli.main(["ground", "--config", str(cfg_file)]) == 0
@@ -371,7 +387,7 @@ def test_cli_ground_and_case1(tmp_path, capsys):
 def test_cli_case2(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
-        "L = 6\nmethod = dense\naxis = Z\np_m = 0.0, 0.5\np_y = 0.0, 0.2\n"
+        "L = 6\naxis = Z\np_m = 0.0, 0.5\np_y = 0.0, 0.2\n"
         f"L_A = 2:4\nwindow = 2:4\nout = {tmp_path / 'c2.csv'}\n"
         f"cache_dir = {tmp_path / 'cache'}\n"
     )
@@ -397,6 +413,37 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["ground", "--config", str(cfg_file)]) == 2
     missing = tmp_path / "missing.cfg"
     assert cli.main(["ground", "--config", str(missing)]) == 2
+
+
+def test_cli_fit_missing_csv_exits_2(tmp_path, capsys):
+    assert cli.main(["fit", str(tmp_path / "missing.csv")]) == 2
+    assert "cannot read points CSV" in capsys.readouterr().err
+
+
+def test_cli_fit_non_numeric_field_exits_2(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    points, _ = run_case1(small_cfg(tmp_path))
+    write_points_csv(csv, points)
+    lines = csv.read_text().splitlines()
+    bad = lines[3].replace(lines[3].split(",")[5], "nan-ish")
+    csv.write_text("\n".join(lines[:3] + [bad] + lines[4:]) + "\n")
+    assert cli.main(["fit", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "non-numeric" in err and bad in err
+
+
+@pytest.mark.parametrize("command", ["case1", "case2"])
+def test_cli_out_in_missing_directory_exits_2_before_the_solve(tmp_path, capsys, command):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "L = 6\naxis = Z\np_m = 0.0, 0.5\np_y = 0.0, 0.2\nL_A = 2:4\nwindow = 2:4\n"
+        f"out = {tmp_path / 'no_such_dir' / 'pts.csv'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    if command == "case1":
+        cfg_file.write_text(cfg_file.read_text().replace("p_y = 0.0, 0.2\n", ""))
+    assert cli.main([command, "--config", str(cfg_file)]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cache")
 
 
 def test_cli_numeric_failure_exit_code(tmp_path):

@@ -18,7 +18,8 @@ from renyimi import (
     save_ground_state,
     translate,
 )
-from renyimi.tfim import _SECTOR_DENSE_DIM, _sector_basis, dense_hamiltonian
+from renyimi.oracle import dense_ground_state, dense_hamiltonian
+from renyimi.tfim import _SECTOR_DENSE_DIM, _sector_basis
 
 
 def test_apply_h_on_all_zeros_L4():
@@ -58,7 +59,7 @@ def test_apply_h_length_mismatch():
 
 def test_dense_matches_matvec():
     m = TfimModel(5)
-    h = dense_hamiltonian(m)
+    h = dense_hamiltonian(5)
     rng = np.random.default_rng(SEED + 1)
     psi = random_state(5, rng)
     assert np.max(np.abs(h @ psi - apply_hamiltonian(m, psi))) < 1e-12
@@ -66,18 +67,13 @@ def test_dense_matches_matvec():
 
 def test_L2_dense_energy():
     # single bond counted twice by the periodic sum: E0 = -2 sqrt(2)
-    res = ground_state(TfimModel(2), method="dense")
-    assert abs(res.energy - (-2.0 * np.sqrt(2.0))) < 1e-12
+    energy, _ = dense_ground_state(2)
+    assert abs(energy - (-2.0 * np.sqrt(2.0))) < 1e-12
 
 
 def test_lanczos_rejects_L2():
     with pytest.raises(ValueError):
-        ground_state(TfimModel(2), method="lanczos")
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        ground_state(TfimModel(4), method="qmc")
+        ground_state(TfimModel(2))
 
 
 def test_arpack_no_convergence_raises_lanczos_error(monkeypatch):
@@ -91,7 +87,7 @@ def test_arpack_no_convergence_raises_lanczos_error(monkeypatch):
     L = 12  # smaller sectors take the dense eigh and never reach eigsh
     assert len(_sector_basis(L)[0]) >= _SECTOR_DENSE_DIM
     with pytest.raises(LanczosError):
-        ground_state(TfimModel(L), method="lanczos")
+        ground_state(TfimModel(L))
 
 
 def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
@@ -102,24 +98,28 @@ def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
 
     monkeypatch.setattr(sla, "eigsh", degenerate)
     with pytest.raises(LanczosError, match="Ritz gap"):
-        ground_state(TfimModel(12), method="lanczos")
+        ground_state(TfimModel(12))
 
 
 @lru_cache(maxsize=None)
 def _solve(L, method):
-    return ground_state(TfimModel(L), method=method)
+    """(energy, state) from the sector solver ("lanczos") or the dense oracle ("dense")."""
+    if method == "dense":
+        return dense_ground_state(L)
+    res = ground_state(TfimModel(L))
+    return res.energy, res.state
 
 
 @pytest.mark.parametrize("L", [8, 10, 12])
 def test_lanczos_agrees_with_dense(L):
     # the dense oracle diagonalises the full 2^L matrix, independently of the sector
-    dense, lanc = _solve(L, "dense"), _solve(L, "lanczos")
-    assert abs(dense.energy - lanc.energy) < 1e-10
-    assert dense.state @ lanc.state >= 1.0 - 1e-12
+    (e_dense, psi_dense), (e_lanc, psi_lanc) = _solve(L, "dense"), _solve(L, "lanczos")
+    assert abs(e_dense - e_lanc) < 1e-10
+    assert psi_dense @ psi_lanc >= 1.0 - 1e-12
 
 
 def test_residual_bound_L12():
-    res = ground_state(TfimModel(12), method="lanczos")
+    res = ground_state(TfimModel(12))
     assert res.residual <= 1e-8
     hpsi = apply_hamiltonian(TfimModel(12), res.state)
     assert np.linalg.norm(hpsi - res.energy * res.state) <= 1e-8
@@ -131,22 +131,22 @@ def test_residual_bound_L12():
 )
 def test_energy_matches_closed_form(method, L):
     # exact ring energy of the critical chain; L=2 gives -2 sqrt(2), the doubled bond
-    res = _solve(L, method)
-    assert abs(res.energy + 2.0 / np.sin(np.pi / (2 * L))) <= 1e-10
+    energy, _ = _solve(L, method)
+    assert abs(energy + 2.0 / np.sin(np.pi / (2 * L))) <= 1e-10
 
 
 def test_ground_state_is_reproducible():
-    a = ground_state(TfimModel(8), method="lanczos")
-    b = ground_state(TfimModel(8), method="lanczos")
+    a = ground_state(TfimModel(8))
+    b = ground_state(TfimModel(8))
     assert a.energy == b.energy
     assert np.array_equal(a.state, b.state)
 
 
 def test_phase_fix_largest_amplitude_real_positive():
-    res = ground_state(TfimModel(6), method="dense")
-    big = np.argmax(np.abs(res.state))
-    assert res.state[big].imag == pytest.approx(0.0, abs=1e-14)
-    assert res.state[big].real > 0
+    for _, psi in (_solve(6, "dense"), _solve(6, "lanczos")):
+        big = np.argmax(np.abs(psi))
+        assert psi[big].imag == pytest.approx(0.0, abs=1e-14)
+        assert psi[big].real > 0
 
 
 def test_translation_commutes_with_h():
@@ -159,21 +159,21 @@ def test_translation_commutes_with_h():
 
 
 def test_ground_state_is_translation_invariant():
-    res = ground_state(TfimModel(8), method="lanczos")
+    res = ground_state(TfimModel(8))
     assert np.max(np.abs(translate(res.state, 3) - res.state)) < 1e-12
 
 
 @pytest.mark.parametrize("L", [7, 12, 16])
 def test_lanczos_state_is_shift_and_flip_invariant(L):
     # odd and even L, dense-sector and eigsh solves; state index s ^ (2^L - 1) is 2^L - 1 - s
-    psi = _solve(L, "lanczos").state
+    _, psi = _solve(L, "lanczos")
     assert np.max(np.abs(translate(psi, 1) - psi)) <= 1e-12
     assert np.max(np.abs(psi[::-1] - psi)) <= 1e-12
 
 
 @pytest.mark.parametrize("method, L", [("dense", 6), ("lanczos", 6), ("lanczos", 14)])
 def test_ground_state_is_float64(method, L):
-    assert _solve(L, method).state.dtype == np.float64
+    assert _solve(L, method)[1].dtype == np.float64
 
 
 def test_sector_basis_counts_every_state_once():
@@ -188,7 +188,7 @@ def test_sector_basis_counts_every_state_once():
 
 
 def test_cache_roundtrip(tmp_path):
-    res = ground_state(TfimModel(6), method="dense")
+    res = ground_state(TfimModel(6))
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     loaded = load_ground_state(path)
@@ -198,26 +198,23 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_file_byte_layout(tmp_path):
-    # magic, version u32, L u32, energy f64, method 8 bytes NUL-padded,
-    # then real f64 amplitudes, little-endian
-    res = ground_state(TfimModel(3), method="dense")
+    # magic, version u32, L u32, energy f64, then real f64 amplitudes, little-endian
+    res = ground_state(TfimModel(3))
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     raw = path.read_bytes()
     assert raw[:4] == b"TFGS"
     version, L = struct.unpack("<II", raw[4:12])
-    assert (version, L) == (3, 3)
+    assert (version, L) == (4, 3)
     (energy,) = struct.unpack("<d", raw[12:20])
     assert energy == res.energy
-    assert raw[20:28] == b"dense\0\0\0"
-    (amp0,) = struct.unpack("<d", raw[28:36])
+    (amp0,) = struct.unpack("<d", raw[20:28])
     assert amp0 == res.state[0]
-    assert len(raw) == 28 + 8 * 2**3
-    assert load_ground_state(path).method == "dense"
+    assert len(raw) == 20 + 8 * 2**3
 
 
 def test_cache_rejects_version_1_record(tmp_path):
-    res = ground_state(TfimModel(3), method="dense")
+    res = ground_state(TfimModel(3))
     path = tmp_path / "gs.bin"
     old = struct.pack("<4sIId", b"TFGS", 1, 3, res.energy)
     path.write_bytes(old + np.ascontiguousarray(res.state, dtype="<c16").tobytes())
@@ -241,7 +238,7 @@ def test_cache_rejects_bad_magic(tmp_path):
 
 
 def test_cache_rejects_truncated_file(tmp_path):
-    res = ground_state(TfimModel(4), method="dense")
+    res = ground_state(TfimModel(4))
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     data = path.read_bytes()
@@ -253,7 +250,7 @@ def test_cache_rejects_truncated_file(tmp_path):
 
 def test_failed_cache_write_keeps_old_record(tmp_path):
     path = tmp_path / "gs.bin"
-    save_ground_state(path, ground_state(TfimModel(3), method="dense"))
+    save_ground_state(path, ground_state(TfimModel(3)))
     before = path.read_bytes()
     bad = GroundStateResult(energy=0.0, state=np.array([object()] * 8), residual=0.0)
     with pytest.raises(TypeError):
@@ -263,10 +260,12 @@ def test_failed_cache_write_keeps_old_record(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.linalg takes ~0.3 s to import and only a cold solve needs it
+    # scipy.linalg takes ~0.3 s to import and only a cold solve needs it;
+    # the dense oracle is for tests and never runs behind the CLI
     code = (
         "import sys, renyimi.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m == 'renyimi.oracle'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
