@@ -13,7 +13,9 @@ where ham counts differing window bits.  Two kernels are implemented
 behind one plan interface, and the window size picks one:
 
   * dense_gram: bin |G|^2 by Hamming distance once, then every p is a
-    length-(L_A+1) dot product.  Needs the 2^L_A square Gram matrix.
+    length-(L_A+1) dot product.  Needs the 2^L_A square Gram matrix, built
+    in aligned blocks of rows; an XOR fold sums each block's |G|^2 by
+    a ^ a' with O(2^L_A) additions per row and no index array.
   * low_rank: expand G through the Schmidt vectors; cost is governed by
     the Schmidt rank, which is bounded by the complement dimension.
 
@@ -26,6 +28,16 @@ The Kronecker kernel diagonalizes in the Walsh-Hadamard basis with
 eigenvalue (1+mu)^(n-d) (1-mu)^d on parity sector d (mu = lam^2), so
 low_rank stores a popcount-binned power spectrum once and every strength
 afterwards is an O(window) dot product.
+
+A rotated state with psi(a~) = +-psi(a), a~ the complement of every bit
+(the Z-axis ground state, which lies in the prod X = +1 sector), has
+G[a~, a'~] = G[a, a'] on every window.  Both kernels then work on half the
+window configurations: dense_gram computes the rows with top window bit 0
+and doubles, low_rank splits G into its flip-even and flip-odd sectors
+and transforms pair vectors of definite parity over n - 1 bits.  The
+check `is_flip_symmetric` runs once per rotated state (`build_mi_plans`
+shares its answer among all the windows it builds); any other state
+(the X and Y axes, random states) keeps the full kernels.
 
 At p = 0 both reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
@@ -56,10 +68,13 @@ from .spin import (
 
 DENSE_GRAM_MAX_SITES = 13
 
-_BLOCK_ELEMENTS = 1 << 22  # working-set bound for blocked kernels
-# X-string blocks of the Pauli-weight histogram: 1 MiB of float64 keeps the
-# transform's passes in a core's L2 cache, twice as fast as 1 << 22 at L=12
-_PAULI_BLOCK_ELEMENTS = 1 << 17
+_BLOCK_ELEMENTS = 1 << 22  # working-set bound of a dense_gram row block
+# Walsh-Hadamard blocks (X-strings of the Pauli-weight histogram, pair vectors
+# of low_rank): 1 MiB of float64 keeps the transform's passes in a core's L2
+# cache, twice as fast as 1 << 22 for the histogram at L=12 and 1.7x for the
+# 14-site low_rank plan at L=20
+_FWHT_BLOCK_ELEMENTS = 1 << 17
+_SQRT_HALF = np.sqrt(0.5)
 
 
 def _fwht_inplace(arr, n_bits, axis=-1):
@@ -95,22 +110,56 @@ def _parity_bins(n):
     return np.bitwise_count(np.arange(n, dtype=np.uint64)).astype(np.int64)
 
 
-class _DenseGramPlan:
-    """|G|^2 binned by window Hamming distance; purity(p) is then O(L_A)."""
+def _xor_fold(m):
+    """f[q, e] = sum_i m[i, q*block + (i ^ e)] of a (block, nq*block) array, block = 2^k.
 
-    def __init__(self, coeff):
+    Folds the top bit of the row and column offsets at a time: the pairs
+    with equal bits add into the e-bit-0 half, the unequal ones into the
+    e-bit-1 half.  Each pass writes into the rows of the bit-0 half of the
+    last, so `m` is overwritten and the result is a view of it.
+    """
+    block = m.shape[0]
+    f = m.reshape(block, -1, 1, block)  # (row offset, column block, e so far, column offset)
+    while f.shape[0] > 1:
+        n, nq, ne, _ = f.shape
+        h = n // 2
+        v = f.reshape(2, h, nq, ne, 2, h)
+        v[0, :, :, :, 0] += v[1, :, :, :, 1]
+        v[0, :, :, :, 1] += v[1, :, :, :, 0]
+        f = v[0].reshape(h, nq, 2 * ne, h)
+    return f.reshape(-1, block)
+
+
+class _DenseGramPlan:
+    """|G|^2 binned by window Hamming distance; purity(p) is then O(L_A).
+
+    g[d] = sum_a |G[a, a^d]|^2 is accumulated over aligned blocks of 2^k
+    rows: on a block starting at row r0 the column of (i, c) is
+    (r0/2^k ^ q) 2^k + (i ^ e) with d = q 2^k + e, so `_xor_fold` sums the
+    block's |G|^2 into its (q, e) layout and the result lands on the column
+    blocks (r0/2^k) ^ q, with no index array.  When the flip fixes the state
+    up to sign, G[a~, a'~] = G[a, a'] (a~ the complement of a), so only the
+    rows with the top window bit 0 are computed and g is doubled.
+    """
+
+    def __init__(self, coeff, flip):
         na = coeff.shape[0]
         self.n_bits = na.bit_length() - 1
-        delta = np.arange(na, dtype=np.int64)
-        g = np.zeros(na)
+        rows = na // 2 if flip else na
+        block = min(rows, 1 << (max(1, _BLOCK_ELEMENTS // na).bit_length() - 1))
+        nq = na // block
+        g = np.zeros((nq, block))
         coeff_h = coeff.conj().T
-        block = max(1, _BLOCK_ELEMENTS // na)
-        for r0 in range(0, na, block):
-            r1 = min(na, r0 + block)
-            wb = _abs2(coeff[r0:r1] @ coeff_h)
-            cols = delta[r0:r1, None] ^ delta[None, :]
-            g += np.take_along_axis(wb, cols, axis=1).sum(axis=0)
-        self.binned = np.bincount(_parity_bins(na), weights=g, minlength=self.n_bits + 1)
+        for r0 in range(0, rows, block):
+            gram = coeff[r0 : r0 + block] @ coeff_h
+            # the product is a fresh array, so a real one is squared in place
+            m = np.square(gram, out=gram) if gram.dtype.kind == "f" else _abs2(gram)
+            g[(r0 // block) ^ np.arange(nq)] += _xor_fold(m)
+        if flip:
+            g *= 2.0
+        self.binned = np.bincount(
+            _parity_bins(na), weights=g.reshape(-1), minlength=self.n_bits + 1
+        )
 
     def purity(self, lam):
         mu = lam * lam
@@ -124,30 +173,54 @@ class _LowRankPlan:
     w_kl[a] = u_k[a] conj(u_l[a]); their Walsh-Hadamard power spectra,
     binned by parity sector, are accumulated once (O(chi^2 L_A 2^L_A),
     chi bounded by the complement dimension).
+
+    When the flip fixes the state up to sign, the rows (C[a] +- C[a~])/sqrt(2)
+    over the a with top window bit 0 span orthogonal sectors of G, so two
+    half-height SVDs replace the full one (truncated against the largest
+    singular value of both).  The pair vector of two sector vectors is even
+    under a -> a~, or odd when exactly one of them is odd; its transform
+    vanishes unless |k| has that parity, and there it equals the (n-1)-bit
+    transform of x_k conj(x_l) (x the sector vectors, over the a with top
+    bit 0) at the low bits k' of k.  So the power of k' is binned at
+    |k'| + ((|k'| + parity) mod 2).
     """
 
-    def __init__(self, coeff):
+    def __init__(self, coeff, flip):
         na = coeff.shape[0]
         self.n_bits = na.bit_length() - 1
-        u, s, _ = np.linalg.svd(coeff, full_matrices=False)
-        if s.size and s[0] > 0:
-            keep = s > 1e-12 * s[0]
+        if flip:
+            half, rev = coeff[: na // 2], coeff[na // 2 :][::-1]
+            sectors = ((half + rev) * _SQRT_HALF, (half - rev) * _SQRT_HALF)
         else:
-            keep = slice(0, 1)
-        vectors = np.ascontiguousarray(u[:, keep].T)  # (chi, 2^L_A)
-        weights2 = s[keep] ** 2
-        chi = weights2.size
-        ks, ls = np.triu_indices(chi)
-        pair_w = weights2[ks] * weights2[ls] * np.where(ks == ls, 1.0, 2.0)
-        pc = _parity_bins(na)
+            sectors = (coeff,)
+        svds = [np.linalg.svd(c, full_matrices=False)[:2] for c in sectors]
+        s_max = max(s[0] for _, s in svds)
+        vectors, weights2, parity = [], [], []
+        for sector, (u, s) in enumerate(svds):
+            keep = s > 1e-12 * s_max
+            vectors.append(u[:, keep].T)
+            weights2.append(s[keep] ** 2)
+            parity.append(np.full(np.count_nonzero(keep), sector))
+        vectors = np.ascontiguousarray(np.concatenate(vectors))  # (chi, m)
+        weights2, parity = np.concatenate(weights2), np.concatenate(parity)
+        m = vectors.shape[1]
+        bits = m.bit_length() - 1
+        pc = _parity_bins(m)
+        ks, ls = np.triu_indices(weights2.size)
+        pair_parity = parity[ks] ^ parity[ls]
         spectrum = np.zeros(self.n_bits + 1)
-        block = max(1, _BLOCK_ELEMENTS // na)
-        for c0 in range(0, ks.size, block):
-            c1 = min(ks.size, c0 + block)
-            w = vectors[ks[c0:c1]] * vectors[ls[c0:c1]].conj()
-            _fwht_inplace(w, self.n_bits)
-            power = pair_w[c0:c1] @ _abs2(w)
-            spectrum += np.bincount(pc, weights=power, minlength=self.n_bits + 1)
+        block = max(1, _FWHT_BLOCK_ELEMENTS // m)
+        for p in (0, 1) if flip else (0,):
+            kp, lp = ks[pair_parity == p], ls[pair_parity == p]
+            pair_w = weights2[kp] * weights2[lp] * np.where(kp == lp, 1.0, 2.0)
+            power = np.zeros(m)
+            for c0 in range(0, kp.size, block):
+                c1 = min(kp.size, c0 + block)
+                w = vectors[kp[c0:c1]] * vectors[lp[c0:c1]].conj()
+                _fwht_inplace(w, bits)
+                power += pair_w[c0:c1] @ _abs2(w)
+            bins = pc + ((pc + p) & 1) if flip else pc
+            spectrum += np.bincount(bins, weights=power, minlength=self.n_bits + 1)
         self.spectrum = spectrum / na
 
     def purity(self, lam):
@@ -165,11 +238,15 @@ class GsePlan:
     `entropy(p_m)` is then cheap across a strength grid.  The window size
     picks the kernel, named in `algorithm`: rank1_full (low_rank on the
     whole chain), dense_gram up to DENSE_GRAM_MAX_SITES sites, low_rank
-    above.  Thread-safe after construction (evaluation only reads the
-    stored arrays).
+    above.  `flip_halved` tells whether the rotated state passed the flip
+    check of `is_flip_symmetric`, so that the kernel worked on half the
+    window configurations.  `build_mi_plans` runs that check once for all
+    the windows of its rotated state and hands the answer in as `_flip`.
+    Thread-safe after construction (evaluation only reads the stored
+    arrays).
     """
 
-    def __init__(self, state, start, length, axis):
+    def __init__(self, state, start, length, axis, *, _flip=None):
         check_axis(axis)
         L = num_sites(state)
         self.L = L
@@ -180,9 +257,14 @@ class GsePlan:
         else:
             self.algorithm = "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
         rot = _real_if_exact(rotate_to_basis(state, axis))
+        self._flip = is_flip_symmetric(rot) if _flip is None else _flip
         coeff = window_coefficient_matrix(rot, start, length)
         kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
-        self._impl = kernel(coeff)
+        self._impl = kernel(coeff, self._flip)
+
+    @property
+    def flip_halved(self):
+        return self._flip
 
     def purity(self, p_m):
         return self._impl.purity(_contraction(p_m, "p_m"))
@@ -235,7 +317,7 @@ class PauliWeightPlan:
         labels = np.arange(dim)
         weight = _parity_bins(dim)
         hist = np.zeros(k**3)
-        block = max(1, _PAULI_BLOCK_ELEMENTS // coeff.size)
+        block = max(1, _FWHT_BLOCK_ELEMENTS // coeff.size)
         for x0 in range(0, dim, block):
             xs = labels[x0 : x0 + block]
             # g[a, x] for a block of x; the transform runs down the columns
@@ -351,6 +433,16 @@ def is_translation_invariant(state):
     return float(np.linalg.norm(shifted - psi)) <= 1e-12
 
 
+def is_flip_symmetric(state):
+    """True when the global flip fixes the state up to sign, |psi(a~) -+ psi(a)| <= 1e-12.
+
+    a~ is the complement of every bit of a, so psi(a~) is `psi[::-1]`.
+    """
+    psi = np.asarray(state)
+    rev = psi[::-1]
+    return any(float(np.linalg.norm(rev - sign * psi)) <= 1e-12 for sign in (1.0, -1.0))
+
+
 def sweep_plans(state, L_A_values, make_plan, workers=1):
     """One plan per distinct window of an L_A sweep, keyed by each window it serves.
 
@@ -395,10 +487,11 @@ def build_mi_plans(state, L_A_values, axis, workers=1):
     L = num_sites(state)
     parts = [Bipartition(L, v) for v in sorted(set(int(v) for v in L_A_values))]
     rot = _real_if_exact(rotate_to_basis(state, axis))
+    flip = is_flip_symmetric(rot)
     # Z-axis window plans of the rotated state; GsePlan is looked up at each
     # call, so a subclass swapped in for it (a tracer's) builds them all
     plans = sweep_plans(
-        rot, [p.L_A for p in parts], lambda s, a, n: GsePlan(s, a, n, "Z"), workers
+        rot, [p.L_A for p in parts], lambda s, a, n: GsePlan(s, a, n, "Z", _flip=flip), workers
     )
     return {p.L_A: MiPlan(p, axis, plans) for p in parts}
 

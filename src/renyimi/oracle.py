@@ -2,7 +2,8 @@
 
 Everything here favors being obviously correct over being fast and is
 hard-capped at L <= 8, except the full-space ground-state solver, which
-checks the sector solver of `tfim` up to L = 12.
+checks the sector solver of `tfim` up to L = 12, and the free-fermion
+entropies, which cost O(L^3) and anchor the window plans at any L.
 """
 
 from __future__ import annotations
@@ -48,6 +49,42 @@ def dense_ground_state(L):
     psi = v[:, 0] / np.linalg.norm(v[:, 0])
     psi *= np.sign(psi[np.argmax(np.abs(psi))])
     return float(w[0]), psi
+
+
+def majorana_couplings(L):
+    """Real antisymmetric 2L x 2L coupling matrix of the critical ring's Majoranas.
+
+    With g_{2j} = (prod_{k<j} X_k) Z_j and g_{2j+1} = (prod_{k<j} X_k) Y_j,
+    X_j = i g_{2j} g_{2j+1} and Z_j Z_{j+1} = i g_{2j+1} g_{2j+2}, so every
+    bond between neighbouring Majoranas couples with +1; the ground state
+    lies in the prod X = +1 sector, where the wrap bond g_{2L-1} g_0 takes
+    the opposite sign.  The single-particle energies are the eigenvalues of
+    iA, and E0 = -(sum of the positive ones) = -2/sin(pi/2L).
+    """
+    a = np.zeros((2 * L, 2 * L))
+    k = np.arange(2 * L - 1)
+    a[k, k + 1] = 1.0
+    a[2 * L - 1, 0] = -1.0
+    return a - a.T
+
+
+def free_fermion_renyi2(L):
+    """Renyi-2 entanglement entropy S_2(L_A) of the ring's ground state, indexed by L_A = 0..L.
+
+    The Majorana correlation matrix is M = sign(iA) (A from
+    `majorana_couplings`).  The window [0, L_A) holds the first 2 L_A
+    Majoranas and its state is Gaussian, so with +-nu the eigenvalues of M's
+    leading 2 L_A block, S_2 = -sum_{nu >= 0} ln((1 + nu^2) / 2) (Vidal,
+    Latorre, Rico, Kitaev, PRL 90, 227902 (2003); Peschel, J. Phys. A 36,
+    L205 (2003)).  Shares no code with the state-vector paths.
+    """
+    w, v = np.linalg.eigh(1j * majorana_couplings(L))
+    m = (v * np.sign(w)) @ v.conj().T
+    out = np.zeros(L + 1)
+    for l_a in range(1, L + 1):
+        nu = np.linalg.eigvalsh(m[: 2 * l_a, : 2 * l_a])[l_a:]  # the upper of each +-nu pair
+        out[l_a] = -np.sum(np.log((1.0 + nu**2) / 2.0))
+    return out
 
 
 def density_from_state(state):

@@ -43,10 +43,12 @@ def kernel_entropy(kernel, state, start, length, axis, p_m):
     """Dephased Renyi-2 entropy of a window from one plan kernel, past GsePlan's size rule.
 
     `kernel` is entropy._DenseGramPlan or entropy._LowRankPlan; the state is
-    rotated and made real where exact, as GsePlan does.
+    rotated, made real where exact and checked for flip symmetry, as GsePlan
+    does.
     """
     rot = entropy._real_if_exact(rotate_to_basis(state, axis))
-    plan = kernel(window_coefficient_matrix(rot, start, length))
+    coeff = window_coefficient_matrix(rot, start, length)
+    plan = kernel(coeff, entropy.is_flip_symmetric(rot))
     return entropy._entropy_of(plan.purity(entropy._contraction(p_m, "p_m")))
 
 

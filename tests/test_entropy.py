@@ -33,8 +33,8 @@ from renyimi import (
 from renyimi import entropy
 from renyimi.channels import y_decohere_dense
 from renyimi.oracle import partial_trace_dense, density_from_state, r2gse_dense
-from renyimi.entropy import is_translation_invariant, sweep_plans
-from renyimi.spin import rotate_to_basis
+from renyimi.entropy import is_flip_symmetric, is_translation_invariant, sweep_plans
+from renyimi.spin import rotate_to_basis, window_coefficient_matrix
 
 LOG2 = np.log(2.0)
 
@@ -316,6 +316,82 @@ def test_symmetric_sweep_builds_each_window_once(critical, monkeypatch):
     assert sorted(built) == sorted(
         [((0, n), "dense_gram") for n in range(2, 9)] + [((0, 10), "rank1_full")]
     )
+
+
+def _flip_case_state(critical, L, kind, seed):
+    # the ground state is real and flip-even; the random ones are complex
+    if kind == "critical":
+        return critical(L)
+    v = random_state(L, np.random.default_rng(seed))
+    v = v - v[::-1] if kind == "odd" else v + v[::-1]
+    if kind == "near":
+        v[seed % v.size] += 1e-6
+    return v / np.linalg.norm(v)
+
+
+def _shift_to_start(psi, start):
+    # ring translation taking site `start` to site 0, so the oracle can name the window
+    return np.ascontiguousarray(psi.reshape(-1, 2**start).T).reshape(-1)
+
+
+@pytest.mark.parametrize("kind", ["critical", "even", "odd", "near"])
+@PROPERTY
+@given(L=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+       axis=st.sampled_from(["X", "Y", "Z"]))
+def test_flip_halved_plans_match_oracle(critical, kind, L, seed, axis):
+    psi = _flip_case_state(critical, L, kind, seed)
+    rot = entropy._real_if_exact(rotate_to_basis(psi, axis))
+    flip = is_flip_symmetric(rot)
+    if axis == "Z":
+        # a 1e-6 change of one amplitude breaks the symmetry past the 1e-12 check
+        assert flip == (kind != "near")
+    for length in range(1, L + 1):
+        for start in range(L - length + 1):
+            plan = GsePlan(psi, start, length, axis)
+            assert plan.flip_halved == flip
+            coeff = window_coefficient_matrix(rot, start, length)
+            kernels = [k(coeff, flip) for k in (entropy._DenseGramPlan, entropy._LowRankPlan)]
+            generic = [k(coeff, False) for k in (entropy._DenseGramPlan, entropy._LowRankPlan)]
+            for p_m in (0.0, 0.1, 0.3, 0.5):
+                if length == L:
+                    oracle = r2gse_dense(psi, Bipartition(L, 1), axis, p_m, subsystem="AB")
+                else:
+                    oracle = r2gse_dense(
+                        _shift_to_start(psi, start), Bipartition(L, length), axis, p_m
+                    )
+                assert abs(plan.entropy(p_m) - oracle) < 1e-10
+                lam = entropy._contraction(p_m, "p_m")
+                for k, g in zip(kernels, generic):
+                    value = entropy._entropy_of(k.purity(lam))
+                    assert abs(value - oracle) < 1e-10
+                    # the halved path against the full one on the same window
+                    assert abs(value - entropy._entropy_of(g.purity(lam))) <= 1e-12
+
+
+def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
+    psi = critical(10)
+    assert GsePlan(psi, 0, 4, "Z").flip_halved
+    assert GsePlan(psi, 0, 10, "Z").flip_halved
+    assert not GsePlan(psi, 0, 4, "X").flip_halved
+    assert not GsePlan(psi, 0, 4, "Y").flip_halved
+    assert not GsePlan(random_state(10, np.random.default_rng(SEED + 3)), 0, 4, "Z").flip_halved
+    with pytest.raises(AttributeError):
+        GsePlan(psi, 0, 4, "Z").flip_halved = False
+    checks = []
+
+    def counting(state):
+        checks.append(len(state))
+        return is_flip_symmetric(state)
+
+    monkeypatch.setattr(entropy, "is_flip_symmetric", counting)
+    for axis, halved in (("Z", True), ("X", False)):
+        checks.clear()
+        plans = build_mi_plans(psi, range(2, 9), axis)
+        assert checks == [2**10]
+        built = {id(p): p for mi in plans.values()
+                 for p in (mi._plan_a, mi._plan_b, mi._plan_ab)}
+        assert len(built) == 8
+        assert all(p.flip_halved == halved for p in built.values())
 
 
 def _dense_window_entropy(rho, L, start, length, p_m):

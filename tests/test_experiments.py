@@ -15,6 +15,7 @@ from renyimi import (
     lift_channel,
     pure_supervector,
 )
+from renyimi.oracle import free_fermion_renyi2
 from renyimi.experiments import (
     CASE2_MAX_SITES,
     ConfigError,
@@ -242,6 +243,20 @@ def test_worker_count_does_not_change_results(tmp_path):
         cfg = small_cfg(tmp_path, workers=workers, out=str(tmp_path / f"points_w{workers}.csv"))
         outputs.append(_csv_bytes(cfg, *run_case1(cfg)))
     assert outputs[0] == outputs[1]
+
+
+def test_case1_unmeasured_column_matches_free_fermions(tmp_path):
+    # at p_m = 0 the sweep's entropies are Renyi-2 entanglement entropies, known
+    # exactly from the free-fermion solution: an anchor for the window plans at
+    # production size that does not use them as their own reference
+    cfg = small_cfg(tmp_path, L=20, p_m=(0.0,), L_A=tuple(range(6, 15)), window=(6, 14))
+    points, _ = run_case1(cfg)
+    exact = free_fermion_renyi2(20)
+    assert [p.L_A for p in points] == list(range(6, 15))
+    for p in points:
+        assert abs(p.S_A - exact[p.L_A]) < 1e-10
+        assert abs(p.S_B - exact[20 - p.L_A]) < 1e-10
+        assert abs(p.S_AB) < 1e-12
 
 
 @pytest.mark.parametrize("writer", ["points", "fits"])

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import SEED, bell_state, ghz_state, random_density
-from renyimi import Bipartition
+from renyimi import Bipartition, renyi2_ee
 from renyimi.oracle import (
     density_from_state,
+    dense_ground_state,
+    free_fermion_renyi2,
+    majorana_couplings,
     partial_trace_dense,
     purity_dense,
     purity_from_eigenvalues,
@@ -63,3 +66,18 @@ def test_size_cap_enforced():
 def test_bad_subsystem_rejected():
     with pytest.raises(ValueError):
         r2gse_dense(bell_state(), Bipartition(2, 1), "Z", 0.1, subsystem="C")
+
+
+@pytest.mark.parametrize("L", [3, 8, 20])
+def test_majorana_energy_is_the_closed_form(L):
+    eps = np.linalg.eigvalsh(1j * majorana_couplings(L))
+    assert abs(-np.sum(eps[eps > 0]) + 2.0 / np.sin(np.pi / (2 * L))) < 1e-12
+
+
+def test_free_fermion_renyi2_matches_exact_diagonalisation(critical):
+    # the dense full-space solve at L = 8, the sector solver at L = 12
+    for L, psi in ((8, dense_ground_state(8)[1]), (12, critical(12))):
+        exact = free_fermion_renyi2(L)
+        assert exact[0] == 0.0 and abs(exact[L]) < 1e-12
+        for l_a in range(1, L):
+            assert abs(renyi2_ee(psi, Bipartition(L, l_a)) - exact[l_a]) < 1e-12
