@@ -1,11 +1,16 @@
 """Command-line driver.
 
     renyimi ground --config exp.cfg [--cache-dir DIR]
-    renyimi case1  --config exp.cfg [--out FILE] [--window lo:hi] [--workers N]
-    renyimi case2  --config exp.cfg [--out FILE] [--window lo:hi] [--workers N]
+    renyimi case1  --config exp.cfg [--cache-dir DIR] [--out FILE] [--window lo:hi] [--workers N]
+    renyimi case2  --config exp.cfg [--cache-dir DIR] [--out FILE] [--window lo:hi] [--workers N]
     renyimi fit    points.csv [--window lo:hi] [--out FILE]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Flags override the config's keys.  case1 and case2 share one command: it
+runs `experiments.run_case1` or `run_case2` and writes the points CSV and
+the fits CSV beside it.
+
+Exit codes: 0 success, 2 configuration error (also an L above the sector
+solver's cap, before any solve), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -27,17 +32,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="key = value config file")
-        p.add_argument("--cache-dir", default=None, help="ground-state cache directory")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--workers", type=int, default=None, help="worker thread count")
-        p.add_argument("--window", default=None, help="fit window lo:hi")
+    ground = argparse.ArgumentParser(add_help=False)
+    ground.add_argument("--config", required=True, help="key = value config file")
+    ground.add_argument("--cache-dir", default=None, help="ground-state cache directory")
+    case = argparse.ArgumentParser(add_help=False, parents=[ground])
+    case.add_argument("--out", default=None, help="output CSV path")
+    case.add_argument("--workers", type=int, default=None, help="worker thread count")
+    case.add_argument("--window", default=None, help="fit window lo:hi")
 
-    add_common(sub.add_parser("ground", help="compute and cache the ground state"))
-    add_common(sub.add_parser("case1", help="pure-state (L_A, p_m) sweep and fits"))
-    add_common(sub.add_parser("case2", help="Y-decohered (p_m, p_y) sweep and fits"))
+    sub.add_parser("ground", parents=[ground], help="compute and cache the ground state")
+    sub.add_parser("case1", parents=[case], help="pure-state (L_A, p_m) sweep and fits")
+    sub.add_parser("case2", parents=[case], help="Y-decohered (p_m, p_y) sweep and fits")
     fit = sub.add_parser("fit", help="fit an existing points CSV")
     fit.add_argument("csv", help="points CSV produced by case1/case2")
     fit.add_argument("--window", default=None, help="fit window lo:hi")
@@ -46,16 +51,8 @@ def _build_parser():
 
 
 def _overrides(args):
-    ov = {}
-    if args.cache_dir is not None:
-        ov["cache_dir"] = args.cache_dir
-    if args.out is not None:
-        ov["out"] = args.out
-    if args.workers is not None:
-        ov["workers"] = str(args.workers)
-    if args.window is not None:
-        ov["window"] = args.window
-    return ov
+    # the flags a command has and was given; build_config drops the None ones
+    return {key: getattr(args, key, None) for key in ("cache_dir", "out", "workers", "window")}
 
 
 def _cmd_ground(args) -> int:
@@ -79,25 +76,16 @@ def _print_fits(fits, path):
         )
 
 
-def _write_outputs(cfg, points, fits):
+def _cmd_case(args) -> int:
+    cfg = experiments.load_config(args.config, _overrides(args))
+    # looked up at each call, so a traced or patched runner is the one that runs
+    run = experiments.run_case1 if args.command == "case1" else experiments.run_case2
+    points, fits = run(cfg)
     experiments.write_points_csv(cfg.out, points)
     fits_path = experiments.fits_csv_path(cfg.out)
     experiments.write_fits_csv(fits_path, fits)
     print(f"wrote {len(points)} points to {cfg.out}")
     _print_fits(fits, fits_path)
-
-
-def _cmd_case1(args) -> int:
-    cfg = experiments.load_config(args.config, _overrides(args))
-    points, fits = experiments.run_case1(cfg)
-    _write_outputs(cfg, points, fits)
-    return 0
-
-
-def _cmd_case2(args) -> int:
-    cfg = experiments.load_config(args.config, _overrides(args))
-    points, fits = experiments.run_case2(cfg)
-    _write_outputs(cfg, points, fits)
     return 0
 
 
@@ -113,8 +101,8 @@ def _cmd_fit(args) -> int:
 
 _COMMANDS = {
     "ground": _cmd_ground,
-    "case1": _cmd_case1,
-    "case2": _cmd_case2,
+    "case1": _cmd_case,
+    "case2": _cmd_case,
     "fit": _cmd_fit,
 }
 

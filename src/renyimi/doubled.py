@@ -29,16 +29,6 @@ _CAP_MESSAGE = (
     "use the pure-state algorithms for larger chains"
 )
 
-# Per-site maximal depolarizer (1/4)(IxI + XxX - YxY + ZxZ) on the (u, l)
-# pair; realizes the partial trace, and is a projector.
-DEPOLARIZE_PAIR = 0.25 * (
-    np.eye(4)
-    + np.kron(PAULIS["X"], PAULIS["X"])
-    - np.kron(PAULIS["Y"], PAULIS["Y"])
-    + np.kron(PAULIS["Z"], PAULIS["Z"])
-).real.astype(complex)
-
-
 def supervector_sites(sv) -> int:
     n = len(sv)
     bits = n.bit_length() - 1

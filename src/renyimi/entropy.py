@@ -394,30 +394,32 @@ class MiPoint:
 
 
 class MiPlan:
-    """The S_A, S_B and S_AB plans of one bipartition; built by `build_mi_plans`.
+    """The S_A, S_B and S_AB plans of one bipartition; every sweep's MiPoints come from here.
 
-    `plans` maps each window (start, length) to its GsePlan, as `sweep_plans`
-    returns it; `point(p_m)` assembles a MiPoint and is cheap across a
-    strength grid.
+    `plans` maps each window (start, length) to its plan, as `sweep_plans`
+    returns it: GsePlans (see `build_mi_plans`) or PauliWeightPlans.
+    `point(*strengths)` passes the strengths, (p_m,) or (p_m, p_y), to each
+    plan's `entropy` and is cheap across a strength grid.
     """
 
     def __init__(self, part: Bipartition, axis, plans):
         self.part = part
         self.axis = axis
-        self._plan_a = plans[(0, part.L_A)]
-        self._plan_b = plans[(part.L_A, part.L_B)]
-        self._plan_ab = plans[(0, part.L)]
+        self._plan_a, self._plan_b, self._plan_ab = (
+            plans[w] for w in ((0, part.L_A), (part.L_A, part.L_B), (0, part.L))
+        )
 
-    def point(self, p_m) -> MiPoint:
-        s_a = self._plan_a.entropy(p_m)
-        s_b = self._plan_b.entropy(p_m)
-        s_ab = self._plan_ab.entropy(p_m)
+    def point(self, *strengths) -> MiPoint:
+        s_a, s_b, s_ab = (
+            plan.entropy(*strengths) for plan in (self._plan_a, self._plan_b, self._plan_ab)
+        )
+        p_m, p_y = (*map(float, strengths), 0.0)[:2]  # p_y = 0 on pure-state plans
         return MiPoint(
             L=self.part.L,
             L_A=self.part.L_A,
             axis=self.axis,
-            p_m=float(p_m),
-            p_y=0.0,
+            p_m=p_m,
+            p_y=p_y,
             S_A=s_a,
             S_B=s_b,
             S_AB=s_ab,

@@ -3,22 +3,33 @@
 Config files are plain `key = value` lines with `#` comments; lists are
 comma-separated and integer ranges may be written lo:hi (inclusive).
 Recognized keys: L, method, axis, p_m, p_y, L_A, window, out, cache_dir,
-workers.  `method` accepts only `lanczos`, the sector solver every run uses.
+workers.  `method` accepts only `lanczos`, the sector solver every run uses,
+and L must lie in 3..LANCZOS_MAX_SITES.
+
+Case 1 (pure state, strengths p_m) and case 2 (Y-decohered, strengths
+(p_m, p_y)) differ only in their validation and plan family: both build one
+`MiPlan` per L_A and run the same sweep, in the row order of the points CSV.
+The points and fits CSVs, like the ground-state cache record, are written
+through `tfim.atomic_write`; their columns are the fields of `MiPoint` and
+`FitRow`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import product
 
 import numpy as np
 
-from .entropy import MiPoint, PauliWeightPlan, build_mi_plans, sweep_plans
+from .entropy import MiPlan, MiPoint, PauliWeightPlan, build_mi_plans, sweep_plans
 from .scaling import default_window, fit_cft, scaling_variable
-from .spin import AXES
+from .spin import AXES, Bipartition
 from .tfim import (
+    LANCZOS_MAX_SITES,
     GroundStateResult,
     TfimModel,
+    atomic_write,
     cache_path,
     ground_state,
     load_ground_state,
@@ -28,8 +39,6 @@ from .tfim import (
 # the whole-chain Pauli-weight histogram costs O(L 4^L): about 20 s at L=14
 CASE2_MAX_SITES = 14
 
-POINT_COLUMNS = ("L", "L_A", "axis", "p_m", "p_y", "S_A", "S_B", "S_AB", "I2")
-FIT_COLUMNS = ("axis", "p_m", "p_y", "c2", "b2", "rms", "window")
 _POINTS_PREAMBLE = "# entropies in nats (natural log)"
 _FITS_PREAMBLE = "# fit method: ordinary least squares"
 
@@ -61,6 +70,9 @@ class FitRow:
     rms: float
     window: tuple
 
+
+POINT_COLUMNS = tuple(f.name for f in fields(MiPoint))
+FIT_COLUMNS = tuple(f.name for f in fields(FitRow))
 
 _KEYS = ("L", "method", "axis", "p_m", "p_y", "L_A", "window", "out", "cache_dir", "workers")
 
@@ -136,6 +148,8 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"L: not an integer: {raw['L']!r}") from exc
     if L < 3:
         raise ConfigError(f"L must be >= 3, got {L}")
+    if L > LANCZOS_MAX_SITES:
+        raise ConfigError(f"L must be <= {LANCZOS_MAX_SITES}, the sector solver's cap, got {L}")
     if raw.get("method", "lanczos") != "lanczos":
         raise ConfigError(
             f"method must be lanczos, got {raw['method']!r}; the full-space "
@@ -261,43 +275,46 @@ def _fit_group(points, window):
     return fit_cft(data)
 
 
-def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
-    """Pure-state sweep over (L_A, p_m); returns (points, fit rows)."""
-    validate_case1(cfg)
+def _sweep(cfg: ExperimentConfig, ground, make_plans, grid):
+    """Points over L_A and the strength grid, and their fits, for a validated config.
+
+    `make_plans(state, L_A_values)` returns {L_A: MiPlan}; `grid` holds the
+    strength lists, (p_m,) or (p_m, p_y).  Rows come in (p_m, p_y, L_A)
+    order, the order of the points CSV.
+    """
     if ground is None:
         ground, _ = cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
     l_a_values = sorted(set(cfg.L_A))
-    plans = build_mi_plans(ground.state, l_a_values, cfg.axis, workers=cfg.workers)
-    # rows in (p_m, L_A) order, the order of the points CSV
-    points = [plans[l_a].point(p_m) for p_m in sorted(set(cfg.p_m)) for l_a in l_a_values]
+    plans = make_plans(ground.state, l_a_values)
+    strengths = product(*(sorted(set(values)) for values in grid))
+    points = [plans[l_a].point(*s) for s in strengths for l_a in l_a_values]
     return points, fit_points(points, effective_window(cfg))
+
+
+def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
+    """Pure-state sweep over (L_A, p_m) on GsePlans; returns (points, fit rows)."""
+    validate_case1(cfg)
+    return _sweep(
+        cfg,
+        ground,
+        lambda state, l_a_values: build_mi_plans(state, l_a_values, cfg.axis, workers=cfg.workers),
+        (cfg.p_m,),
+    )
 
 
 def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     """Sweep over (L_A, p_m, p_y) for the Y-decohered ground state.
 
-    One Pauli-weight plan per distinct window (the whole chain, and A and B
+    One PauliWeightPlan per distinct window (the whole chain, and A and B
     for each L_A; see `sweep_plans`) serves every (p_m, p_y) point.
     """
     validate_case2(cfg)
-    if ground is None:
-        ground, _ = cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
-    l_a_values = sorted(set(cfg.L_A))
-    plans = sweep_plans(ground.state, l_a_values, PauliWeightPlan, cfg.workers)
 
-    # rows in (p_m, p_y, L_A) order, the order of the points CSV
-    points = []
-    for p_m in sorted(set(cfg.p_m)):
-        for p_y in sorted(set(cfg.p_y)):
-            for l_a in l_a_values:
-                s_a, s_b, s_ab = (
-                    plans[w].entropy(p_m, p_y) for w in ((0, l_a), (l_a, cfg.L - l_a), (0, cfg.L))
-                )
-                points.append(MiPoint(
-                    L=cfg.L, L_A=l_a, axis=cfg.axis, p_m=p_m, p_y=p_y,
-                    S_A=s_a, S_B=s_b, S_AB=s_ab, I2=s_a + s_b - s_ab,
-                ))
-    return points, fit_points(points, effective_window(cfg))
+    def make_plans(state, l_a_values):
+        plans = sweep_plans(state, l_a_values, PauliWeightPlan, cfg.workers)
+        return {l_a: MiPlan(Bipartition(cfg.L, l_a), cfg.axis, plans) for l_a in l_a_values}
+
+    return _sweep(cfg, ground, make_plans, (cfg.p_m, cfg.p_y))
 
 
 def fit_points(points, window=None):
@@ -315,50 +332,27 @@ def fit_points(points, window=None):
 
 
 def _fmt(value):
-    # shortest round-trip decimal for floats, plain text otherwise
+    # shortest round-trip decimal for floats, lo:hi for a window, plain text otherwise
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, tuple):
+        return f"{value[0]}:{value[1]}"
     return str(value)
 
 
+def _write_csv(path, preamble, columns, rows):
+    with atomic_write(path) as fh:
+        fh.write(f"{preamble}\n{','.join(columns)}\n".encode())
+        for row in rows:
+            fh.write((",".join(_fmt(getattr(row, c)) for c in columns) + "\n").encode())
+
+
 def write_points_csv(path, points):
-    lines = [_POINTS_PREAMBLE, ",".join(POINT_COLUMNS)]
-    for p in points:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (p.L, p.L_A, p.axis, p.p_m, p.p_y, p.S_A, p.S_B, p.S_AB, p.I2)
-            )
-        )
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, _POINTS_PREAMBLE, POINT_COLUMNS, points)
 
 
 def write_fits_csv(path, fits):
-    lines = [_FITS_PREAMBLE, ",".join(FIT_COLUMNS)]
-    for f in fits:
-        window = f"{f.window[0]}:{f.window[1]}"
-        lines.append(
-            ",".join(_fmt(v) for v in (f.axis, f.p_m, f.p_y, f.c2, f.b2, f.rms, window))
-        )
-    _write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _write_text_atomic(path, text):
-    """Write `text` to a new file beside `path`, then rename it over `path`, so a
-    failed or interrupted write leaves any old file intact.
-
-    The file is created with mode 0666 minus the umask, as a plain open()
-    would, not with the 0600 of tempfile.mkstemp.
-    """
-    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _write_csv(path, _FITS_PREAMBLE, FIT_COLUMNS, fits)
 
 
 def read_points_csv(path):
@@ -375,10 +369,10 @@ def read_points_csv(path):
         if len(tok) != len(POINT_COLUMNS):
             raise ConfigError(f"{path}: malformed row {row!r}")
         try:  # fields in MiPoint order: L, L_A, axis, then six floats
-            fields = [int(tok[0]), int(tok[1]), tok[2]] + [float(t) for t in tok[3:]]
+            values = [int(tok[0]), int(tok[1]), tok[2]] + [float(t) for t in tok[3:]]
         except ValueError as exc:
             raise ConfigError(f"{path}: non-numeric field in row {row!r}") from exc
-        points.append(MiPoint(*fields))
+        points.append(MiPoint(*values))
     return points
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -197,25 +197,35 @@ def ground_state(model: TfimModel) -> GroundStateResult:
     return GroundStateResult(energy=energy, state=psi, residual=residual)
 
 
-def save_ground_state(path, result: GroundStateResult):
-    """Write the binary cache record: magic, version u32, L u32, energy f64,
-    real amplitudes as f64.
+@contextmanager
+def atomic_write(path):
+    """Binary file whose contents replace `path` when the block exits without error.
 
-    The record goes to a temporary file in the target's directory and is then
-    renamed over `path`, so a failed or interrupted write leaves any old record intact.
+    The bytes go to a new file beside `path`, renamed over it at the end, so a
+    failed or interrupted write leaves any old file intact.  The file is
+    created with mode 0666 minus the umask, as a plain open() would.
     """
-    L = num_sites(result.state)
-    if np.iscomplexobj(result.state):
-        raise ValueError("cache records hold real amplitudes; the state is complex")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, L, result.energy))
-            fh.write(np.ascontiguousarray(result.state, dtype="<f8").tobytes())
+        with open(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_ground_state(path, result: GroundStateResult):
+    """Write the binary cache record through `atomic_write`: magic, version u32,
+    L u32, energy f64, real amplitudes as f64.
+    """
+    L = num_sites(result.state)
+    if np.iscomplexobj(result.state):
+        raise ValueError("cache records hold real amplitudes; the state is complex")
+    with atomic_write(path) as fh:
+        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, L, result.energy))
+        fh.write(np.ascontiguousarray(result.state, dtype="<f8"))  # the buffer, not a copy
 
 
 def load_ground_state(path) -> GroundStateResult:

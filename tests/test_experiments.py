@@ -14,6 +14,7 @@ from renyimi import (
     generalized_entropy_supervector,
     lift_channel,
     pure_supervector,
+    tfim,
 )
 from renyimi.oracle import free_fermion_renyi2
 from renyimi.experiments import (
@@ -283,7 +284,8 @@ def test_failed_csv_write_keeps_old_file(tmp_path, monkeypatch, writer):
         fh.write = write_half
         return fh
 
-    monkeypatch.setattr(experiments, "open", open_failing_mid_write, raising=False)
+    # the CSV writers write through tfim.atomic_write, which opens the file
+    monkeypatch.setattr(tfim, "open", open_failing_mid_write, raising=False)
     with pytest.raises(OSError, match="No space"):
         write(path, rows[:1])
     monkeypatch.undo()
@@ -296,7 +298,8 @@ def test_csv_files_get_the_mode_of_a_plain_open(tmp_path):
     _csv_bytes(cfg, *run_case1(cfg))
     plain = tmp_path / "plain.csv"
     plain.write_text("x\n")
-    for path in (cfg.out, experiments.fits_csv_path(cfg.out)):
+    record = tfim.cache_path(cfg.cache_dir, cfg.L)
+    for path in (cfg.out, experiments.fits_csv_path(cfg.out), record):
         assert os.stat(path).st_mode & 0o777 == os.stat(plain).st_mode & 0o777
 
 
@@ -419,6 +422,33 @@ def test_cli_case2_above_cap_exits_2(tmp_path, capsys):
     )
     assert cli.main(["case2", "--config", str(cfg_file)]) == 2
     assert "capped" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cache")
+
+
+@pytest.mark.parametrize("command", ["ground", "case1"])
+def test_cli_l_above_the_solver_cap_exits_2(tmp_path, capsys, command):
+    L = tfim.LANCZOS_MAX_SITES + 1
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        f"L = {L}\naxis = Z\np_m = 0.0, 0.5\nL_A = 6:14\n"
+        f"out = {tmp_path / 'pts.csv'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    assert cli.main([command, "--config", str(cfg_file)]) == 2
+    assert f"L must be <= {tfim.LANCZOS_MAX_SITES}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cache")
+
+
+@pytest.mark.parametrize(
+    "flag", [["--workers", "2"], ["--out", "x.csv"], ["--window", "3:30"]],
+    ids=["workers", "out", "window"],
+)
+def test_cli_ground_rejects_case_flags(tmp_path, capsys, flag):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"L = 8\ncache_dir = {tmp_path / 'cache'}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ground", "--config", str(cfg_file), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "cache")
 
 
