@@ -13,9 +13,10 @@ where ham counts differing window bits.  Two kernels are implemented
 behind one plan interface, and the window size picks one:
 
   * dense_gram: bin |G|^2 by Hamming distance once, then every p is a
-    length-(L_A+1) dot product.  Needs the 2^L_A square Gram matrix, built
-    in aligned blocks of rows; an XOR fold sums each block's |G|^2 by
-    a ^ a' with O(2^L_A) additions per row and no index array.
+    length-(L_A+1) dot product.  G is built by GEMM in aligned square
+    blocks, one per orbit of the block pairs under G's symmetries (its
+    Hermiticity, and the flip below), each weighted by its orbit size; an
+    XOR fold sums a block's |G|^2 by a ^ a' with no index array.
   * low_rank: expand G through the Schmidt vectors; cost is governed by
     the Schmidt rank, which is bounded by the complement dimension.
 
@@ -27,14 +28,17 @@ prod_j [[1, lam^2], [lam^2, 1]].
 The Kronecker kernel diagonalizes in the Walsh-Hadamard basis with
 eigenvalue (1+mu)^(n-d) (1-mu)^d on parity sector d (mu = lam^2), so
 low_rank stores a popcount-binned power spectrum once and every strength
-afterwards is an O(window) dot product.
+afterwards is an O(window) dot product.  The transform, `_wht`, is a
+product of small +-1 Hadamard matrices, H_{2^n} = H_{2^k1} (x) H_{2^k2}
+(x) ..., each applied as one GEMM; it also serves `PauliWeightPlan`.
 
 A rotated state with psi(a~) = +-psi(a), a~ the complement of every bit
 (the Z-axis ground state, which lies in the prod X = +1 sector), has
-G[a~, a'~] = G[a, a'] on every window.  Both kernels then work on half the
-window configurations: dense_gram computes the rows with top window bit 0
-and doubles, low_rank splits G into its flip-even and flip-odd sectors
-and transforms pair vectors of definite parity over n - 1 bits.  The
+G[a~, a'~] = G[a, a'] on every window.  Both kernels then work on a half
+or less of the window configurations: dense_gram computes about a quarter
+of G's blocks, one per orbit under the flip and transposition, and
+low_rank splits G into its flip-even and flip-odd sectors and transforms
+pair vectors of definite parity over n - 1 bits.  The
 check `is_flip_symmetric` runs once per rotated state (`build_mi_plans`
 shares its answer among all the windows it builds); any other state
 (the X and Y axes, random states) keeps the full kernels.
@@ -68,26 +72,53 @@ from .spin import (
 
 DENSE_GRAM_MAX_SITES = 13
 
-_BLOCK_ELEMENTS = 1 << 22  # working-set bound of a dense_gram row block
+# working-set bound of a dense_gram row of blocks: smaller blocks bring the
+# computed share of G nearer its orbit count, and of 1 << 19 .. 1 << 22,
+# 1 << 20 took the least time over the 10- to 13-site plans at L=20 (Z axis)
+_BLOCK_ELEMENTS = 1 << 20
 # Walsh-Hadamard blocks (X-strings of the Pauli-weight histogram, pair vectors
-# of low_rank): 1 MiB of float64 keeps the transform's passes in a core's L2
-# cache, twice as fast as 1 << 22 for the histogram at L=12 and 1.7x for the
-# 14-site low_rank plan at L=20
-_FWHT_BLOCK_ELEMENTS = 1 << 17
+# of low_rank): best of 1 << 15 .. 1 << 19 for the 14-site low_rank plan at
+# L=20 and the whole-chain histogram at L=12, 10-20% ahead of 1 << 17
+_WHT_BLOCK_ELEMENTS = 1 << 16
+# largest Hadamard factor of the transform, in bits: a factor's GEMM does 2^k
+# multiply-adds per element it reads, and 5 beat 4 and 7 on the pair vectors
+# of the 14-site low_rank plan at L=20
+_WHT_FACTOR_BITS = 5
 _SQRT_HALF = np.sqrt(0.5)
 
 
-def _fwht_inplace(arr, n_bits, axis=-1):
-    # unnormalized Walsh-Hadamard transform along `axis` of a C-contiguous array
+def _hadamard(k):
+    """The 2^k x 2^k Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j)."""
+    i = np.arange(1 << k, dtype=np.uint64)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+
+
+_HADAMARD = [_hadamard(k) for k in range(_WHT_FACTOR_BITS + 1)]
+
+
+def _wht(arr, n_bits, axis):
+    """Unnormalized Walsh-Hadamard transform along `axis`; `arr` is left as it is.
+
+    H_{2^n} = H_{2^k1} (x) H_{2^k2} (x) ..., with near-equal factors of at
+    most _WHT_FACTOR_BITS bits taken from the top bit down, so each factor
+    is one GEMM on a reshape of the array: a batched `matmul` when bits
+    below the factor's group remain, a plain `@` on its last group.
+    """
     axis %= arr.ndim
-    n = arr.shape[axis]
     outer = int(np.prod(arr.shape[:axis]))
-    for j in range(n_bits):
-        v = arr.reshape(outer, n >> (j + 1), 2, -1)
-        lo, hi = v[:, :, 0, :], v[:, :, 1, :]
-        x = lo.copy()
-        lo += hi
-        np.subtract(x, hi, out=hi)
+    inner = int(np.prod(arr.shape[axis + 1 :]))
+    n_factors = -(-n_bits // _WHT_FACTOR_BITS)
+    x, hi = arr, 0
+    for f in range(n_factors):
+        k = n_bits // n_factors + (f < n_bits % n_factors)
+        h = _HADAMARD[k]
+        lo = n_bits - hi - k
+        if inner << lo == 1:
+            x = x.reshape(-1, 1 << k) @ h
+        else:
+            x = np.matmul(h, x.reshape(outer << hi, 1 << k, inner << lo))
+        hi += k
+    return x.reshape(arr.shape)
 
 
 def _real_if_exact(state):
@@ -133,13 +164,20 @@ def _xor_fold(m):
 class _DenseGramPlan:
     """|G|^2 binned by window Hamming distance; purity(p) is then O(L_A).
 
-    g[d] = sum_a |G[a, a^d]|^2 is accumulated over aligned blocks of 2^k
-    rows: on a block starting at row r0 the column of (i, c) is
-    (r0/2^k ^ q) 2^k + (i ^ e) with d = q 2^k + e, so `_xor_fold` sums the
-    block's |G|^2 into its (q, e) layout and the result lands on the column
-    blocks (r0/2^k) ^ q, with no index array.  When the flip fixes the state
-    up to sign, G[a~, a'~] = G[a, a'] (a~ the complement of a), so only the
-    rows with the top window bit 0 are computed and g is doubled.
+    g[d] = sum_a |G[a, a^d]|^2 is accumulated over aligned square blocks
+    of 2^k configurations, block (i, j) holding G's rows of block i and
+    columns of block j: there the entry (r, c) has d = (i ^ j) 2^k + (r ^ c),
+    so `_xor_fold` sums |G|^2 of a row of blocks into its (j, r ^ c) layout
+    and the result lands on g's blocks i ^ j, with no index array.
+
+    Row block i computes only the columns j that are no image of a block
+    already computed, one contiguous slice per row block.  G is Hermitian
+    and d symmetric, so (i, j) and (j, i) add the same: j >= i is taken,
+    with weight 1 on j = i and 2 elsewhere.  When the flip fixes the state
+    up to sign, G[a~, a'~] = G[a, a'] (a~ the complement of a) maps the
+    block (i, j) to (nq-1-i, nq-1-j) with the same d, so only i < nq/2 and
+    i <= j <= nq-1-i are taken, with weight 2 on j = i and j = nq-1-i and
+    4 elsewhere.
     """
 
     def __init__(self, coeff, flip):
@@ -150,13 +188,17 @@ class _DenseGramPlan:
         nq = na // block
         g = np.zeros((nq, block))
         coeff_h = coeff.conj().T
-        for r0 in range(0, rows, block):
-            gram = coeff[r0 : r0 + block] @ coeff_h
+        for i in range(nq // 2 if flip else nq):
+            j1 = nq - i if flip else nq
+            gram = coeff[i * block : (i + 1) * block] @ coeff_h[:, i * block : j1 * block]
             # the product is a fresh array, so a real one is squared in place
             m = np.square(gram, out=gram) if gram.dtype.kind == "f" else _abs2(gram)
-            g[(r0 // block) ^ np.arange(nq)] += _xor_fold(m)
-        if flip:
-            g *= 2.0
+            # orbit sizes of the column blocks j = i .. j1 - 1
+            weight = np.full(j1 - i, 4.0 if flip else 2.0)
+            weight[0] /= 2.0
+            if flip:
+                weight[-1] /= 2.0
+            g[i ^ np.arange(i, j1)] += weight[:, None] * _xor_fold(m)
         self.binned = np.bincount(
             _parity_bins(na), weights=g.reshape(-1), minlength=self.n_bits + 1
         )
@@ -171,8 +213,9 @@ class _LowRankPlan:
 
     G = sum_k s_k^2 u_k u_k+ splits the quadratic form into pair vectors
     w_kl[a] = u_k[a] conj(u_l[a]); their Walsh-Hadamard power spectra,
-    binned by parity sector, are accumulated once (O(chi^2 L_A 2^L_A),
-    chi bounded by the complement dimension).
+    binned by parity sector, are accumulated once (chi bounded by the
+    complement dimension).  The pair vectors are transformed by `_wht` in
+    blocks of rows, a few GEMMs with small +-1 Hadamard factors per block.
 
     When the flip fixes the state up to sign, the rows (C[a] +- C[a~])/sqrt(2)
     over the a with top window bit 0 span orthogonal sectors of G, so two
@@ -209,15 +252,14 @@ class _LowRankPlan:
         ks, ls = np.triu_indices(weights2.size)
         pair_parity = parity[ks] ^ parity[ls]
         spectrum = np.zeros(self.n_bits + 1)
-        block = max(1, _FWHT_BLOCK_ELEMENTS // m)
+        block = max(1, _WHT_BLOCK_ELEMENTS // m)
         for p in (0, 1) if flip else (0,):
             kp, lp = ks[pair_parity == p], ls[pair_parity == p]
             pair_w = weights2[kp] * weights2[lp] * np.where(kp == lp, 1.0, 2.0)
             power = np.zeros(m)
             for c0 in range(0, kp.size, block):
                 c1 = min(kp.size, c0 + block)
-                w = vectors[kp[c0:c1]] * vectors[lp[c0:c1]].conj()
-                _fwht_inplace(w, bits)
+                w = _wht(vectors[kp[c0:c1]] * vectors[lp[c0:c1]].conj(), bits, -1)
                 power += pair_w[c0:c1] @ _abs2(w)
             bins = pc + ((pc + p) & 1) if flip else pc
             spectrum += np.bincount(bins, weights=power, minlength=self.n_bits + 1)
@@ -317,12 +359,12 @@ class PauliWeightPlan:
         labels = np.arange(dim)
         weight = _parity_bins(dim)
         hist = np.zeros(k**3)
-        block = max(1, _FWHT_BLOCK_ELEMENTS // coeff.size)
+        block = max(1, _WHT_BLOCK_ELEMENTS // coeff.size)
         for x0 in range(0, dim, block):
             xs = labels[x0 : x0 + block]
             # g[a, x] for a block of x; the transform runs down the columns
             g = np.einsum("ab,axb->ax", coeff, coeff_c[labels[:, None] ^ xs], order="C")
-            _fwht_inplace(g, length, axis=0)
+            g = _wht(g, length, 0)
             n_y = np.bitwise_count(labels[:, None] & xs).astype(np.int64)
             # bin (|x| - n_y, n_y, |z| - n_y) of the (k, k, k) histogram
             idx = weight[:, None] + weight[xs] * (k * k) + n_y * (k - k * k - 1)

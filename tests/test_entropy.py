@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import hadamard
 
 from conftest import (
     SEED,
@@ -394,6 +395,73 @@ def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
         assert all(p.flip_halved == halved for p in built.values())
 
 
+def _counting(monkeypatch, name):
+    # wrap entropy.<name> so that each call is counted
+    calls = []
+    inner = getattr(entropy, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(entropy, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, axis", [
+    ("critical", "Z"), ("odd", "Z"), ("critical", "X"), ("critical", "Y"), ("random", "Z"),
+])
+def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
+    # blocks small enough that every block loop of the three plans runs many
+    # times at L = 8: the dense_gram row blocks (fold placement and orbit
+    # weights), the low_rank pair-vector blocks and the X-string blocks
+    monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 1 << 9)
+    monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", 1 << 6)
+    folds = _counting(monkeypatch, "_xor_fold")
+    transforms = _counting(monkeypatch, "_wht")
+    L = 8
+    if kind == "random":
+        psi = random_state(L, np.random.default_rng(SEED + 4))
+    else:
+        psi = _flip_case_state(critical, L, kind, SEED + 4)
+    rot = entropy._real_if_exact(rotate_to_basis(psi, axis))
+    flip = is_flip_symmetric(rot)
+    assert flip == (axis == "Z" and kind != "random")
+    assert np.iscomplexobj(rot) == (kind != "critical" or axis == "Y")
+    for length in range(1, L + 1):
+        for start in range(L - length + 1):
+            coeff = window_coefficient_matrix(rot, start, length)
+            del folds[:], transforms[:]
+            dense = entropy._DenseGramPlan(coeff, flip)
+            if length == L:
+                assert len(folds) >= 8
+            low_rank = entropy._LowRankPlan(coeff, flip)
+            if length == L // 2:
+                assert len(transforms) >= 4
+            for p_m in (0.0, 0.1, 0.3, 0.5):
+                if length == L:
+                    oracle = r2gse_dense(psi, Bipartition(L, 1), axis, p_m, subsystem="AB")
+                else:
+                    oracle = r2gse_dense(
+                        _shift_to_start(psi, start), Bipartition(L, length), axis, p_m
+                    )
+                lam = entropy._contraction(p_m, "p_m")
+                for plan in (dense, low_rank):
+                    assert abs(entropy._entropy_of(plan.purity(lam)) - oracle) < 1e-10
+    if axis != "Z":
+        return
+    rho = density_from_state(psi)
+    for p_y in (0.0, 0.2):
+        rho_y = y_decohere_dense(rho, p_y)
+        for start, length in ((0, 3), (5, 3), (0, L)):
+            del transforms[:]
+            plan = PauliWeightPlan(psi, start, length)
+            assert len(transforms) >= 4
+            for p_m in (0.0, 0.1, 0.3, 0.5):
+                ref = _dense_window_entropy(rho_y, L, start, length, p_m)
+                assert abs(plan.entropy(p_m, p_y) - ref) < 1e-10
+
+
 def _dense_window_entropy(rho, L, start, length, p_m):
     # oracle composition for the windows a bipartition can name
     if length == L:
@@ -449,6 +517,40 @@ def test_pauli_weight_plan_strength_out_of_range(critical):
         plan.entropy(0.1, 0.7)
     with pytest.raises(ValueError, match="p_m"):
         plan.entropy(-0.1, 0.2)
+
+
+@PROPERTY
+@given(L=st.integers(3, 8), seed=st.integers(0, 2**32 - 1), p_m=strengths, p_y=strengths)
+def test_pauli_weight_plan_matches_doubled_oracle(L, seed, p_m, p_y):
+    psi = random_state(L, np.random.default_rng(seed))
+    channel = lift_channel(ChannelSpec("Y", p_y, tuple(range(L))))
+    sv = apply_lifted_channel(pure_supervector(psi), channel)
+    for length in range(1, L + 1):
+        for start in range(L - length + 1):
+            window = tuple(range(start, start + length))
+            rest = tuple(j for j in range(L) if j not in window)
+            value = PauliWeightPlan(psi, start, length).entropy(p_m, p_y)
+            ref = generalized_entropy_supervector(sv, window, rest, "Z", p_m)
+            assert abs(value - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_wht_is_the_hadamard_product(n):
+    # n = 0..12 is zero to three Hadamard factors of at most _WHT_FACTOR_BITS
+    # bits, of unequal sizes where the factor count does not divide n
+    rng = np.random.default_rng(SEED + 5 + n)
+    h = hadamard(2**n, dtype=np.float64)
+    for batch in (1, 7):
+        for dtype in (np.float64, np.complex128):
+            a = rng.standard_normal((batch, 2**n))
+            if dtype == np.complex128:
+                a = a + 1j * rng.standard_normal(a.shape)
+            for arr, axis, ref in ((a, -1, a @ h), (np.ascontiguousarray(a.T), 0, h @ a.T)):
+                kept = arr.copy()
+                out = entropy._wht(arr, n, axis)
+                assert out.shape == arr.shape and out.dtype == arr.dtype
+                assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.array_equal(arr, kept)
 
 
 def test_conjectured_cn():
