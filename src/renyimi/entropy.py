@@ -28,9 +28,10 @@ prod_j [[1, lam^2], [lam^2, 1]].
 The Kronecker kernel diagonalizes in the Walsh-Hadamard basis with
 eigenvalue (1+mu)^(n-d) (1-mu)^d on parity sector d (mu = lam^2), so
 low_rank stores a popcount-binned power spectrum once and every strength
-afterwards is an O(window) dot product.  The transform, `_wht`, is a
+afterwards is an O(window) dot product.  The transform is `spin._wht`, a
 product of small +-1 Hadamard matrices, H_{2^n} = H_{2^k1} (x) H_{2^k2}
-(x) ..., each applied as one GEMM; it also serves `PauliWeightPlan`.
+(x) ..., each applied as one GEMM; it also serves `PauliWeightPlan` and
+the X and Y basis rotations.
 
 A rotated state with psi(a~) = +-psi(a), a~ the complement of every bit
 (the Z-axis ground state, which lies in the prod X = +1 sector), has
@@ -46,9 +47,9 @@ shares its answer among all the windows it builds); any other state
 At p = 0 both reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
 
-A state with no imaginary part after the basis rotation (the real ground
-state on the Z and X axes) runs every plan in real arithmetic; only the Y
-axis needs complex numbers.  An L_A sweep reads the windows (0, L_A),
+The rotation keeps a real state real on the Z and X axes, so the real
+ground state runs every plan there in real arithmetic; only the Y axis
+needs complex numbers.  An L_A sweep reads the windows (0, L_A),
 (L_A, L - L_A) and the whole chain; `sweep_plans` builds one plan per
 distinct window, and on a translation-invariant state the B window of L_A
 is the start-0 window of length L - L_A, so a symmetric sweep builds each
@@ -63,6 +64,7 @@ import numpy as np
 
 from .spin import (
     Bipartition,
+    _wht,
     check_axis,
     num_sites,
     rotate_to_basis,
@@ -80,53 +82,7 @@ _BLOCK_ELEMENTS = 1 << 20
 # of low_rank): best of 1 << 15 .. 1 << 19 for the 14-site low_rank plan at
 # L=20 and the whole-chain histogram at L=12, 10-20% ahead of 1 << 17
 _WHT_BLOCK_ELEMENTS = 1 << 16
-# largest Hadamard factor of the transform, in bits: a factor's GEMM does 2^k
-# multiply-adds per element it reads, and 5 beat 4 and 7 on the pair vectors
-# of the 14-site low_rank plan at L=20
-_WHT_FACTOR_BITS = 5
 _SQRT_HALF = np.sqrt(0.5)
-
-
-def _hadamard(k):
-    """The 2^k x 2^k Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j)."""
-    i = np.arange(1 << k, dtype=np.uint64)
-    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
-
-
-_HADAMARD = [_hadamard(k) for k in range(_WHT_FACTOR_BITS + 1)]
-
-
-def _wht(arr, n_bits, axis):
-    """Unnormalized Walsh-Hadamard transform along `axis`; `arr` is left as it is.
-
-    H_{2^n} = H_{2^k1} (x) H_{2^k2} (x) ..., with near-equal factors of at
-    most _WHT_FACTOR_BITS bits taken from the top bit down, so each factor
-    is one GEMM on a reshape of the array: a batched `matmul` when bits
-    below the factor's group remain, a plain `@` on its last group.
-    """
-    axis %= arr.ndim
-    outer = int(np.prod(arr.shape[:axis]))
-    inner = int(np.prod(arr.shape[axis + 1 :]))
-    n_factors = -(-n_bits // _WHT_FACTOR_BITS)
-    x, hi = arr, 0
-    for f in range(n_factors):
-        k = n_bits // n_factors + (f < n_bits % n_factors)
-        h = _HADAMARD[k]
-        lo = n_bits - hi - k
-        if inner << lo == 1:
-            x = x.reshape(-1, 1 << k) @ h
-        else:
-            x = np.matmul(h, x.reshape(outer << hi, 1 << k, inner << lo))
-        hi += k
-    return x.reshape(arr.shape)
-
-
-def _real_if_exact(state):
-    """The amplitudes as contiguous float64 when no imaginary part is set, else as given."""
-    psi = np.asarray(state)
-    if np.iscomplexobj(psi) and not np.any(psi.imag):
-        return np.ascontiguousarray(psi.real)
-    return psi
 
 
 def _abs2(z):
@@ -298,7 +254,7 @@ class GsePlan:
             self.algorithm = "rank1_full"
         else:
             self.algorithm = "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
-        rot = _real_if_exact(rotate_to_basis(state, axis))
+        rot = rotate_to_basis(state, axis)
         self._flip = is_flip_symmetric(rot) if _flip is None else _flip
         coeff = window_coefficient_matrix(rot, start, length)
         kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
@@ -345,14 +301,13 @@ class PauliWeightPlan:
     The histogram takes one Walsh-Hadamard transform per X-string x:
     <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x]
     = sum_b C[a,b] conj(C[a^x,b]), C the window coefficient matrix, so the
-    reduced density matrix is never formed.  A state with no imaginary part
-    runs in real arithmetic.  Thread-safe after construction.
+    reduced density matrix is never formed.  A real (float64) state runs in
+    real arithmetic.  Thread-safe after construction.
     """
 
     def __init__(self, state, start, length):
-        psi = _real_if_exact(state)
         self.window = (start, length)
-        coeff = window_coefficient_matrix(psi, start, length)
+        coeff = window_coefficient_matrix(state, start, length)
         coeff_c = coeff.conj()
         dim = coeff.shape[0]
         k = length + 1
@@ -402,13 +357,13 @@ def marginal_probabilities(state, part: Bipartition, axis):
 def renyi2_shannon_entropy(state, part: Bipartition, axis):
     """-log sum_a (p^A_a)^2 over the subsystem-A marginals."""
     p = marginal_probabilities(state, part, axis)
-    return float(-np.log(np.sum(p**2)))
+    return _entropy_of(np.sum(p**2))
 
 
 def renyi2_ee(state, part: Bipartition):
     """Renyi-2 entanglement entropy, -log sum_k s_k^4."""
     s = schmidt(state, part).values
-    return float(-np.log(np.sum(s**4)))
+    return _entropy_of(np.sum(s**4))
 
 
 def r2gse_pure(state, part: Bipartition, axis, p_m):
@@ -530,7 +485,7 @@ def build_mi_plans(state, L_A_values, axis, workers=1):
     """
     L = num_sites(state)
     parts = [Bipartition(L, v) for v in sorted(set(int(v) for v in L_A_values))]
-    rot = _real_if_exact(rotate_to_basis(state, axis))
+    rot = rotate_to_basis(state, axis)
     flip = is_flip_symmetric(rot)
     # Z-axis window plans of the rotated state; GsePlan is looked up at each
     # call, so a subclass swapped in for it (a tracer's) builds them all

@@ -15,7 +15,6 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,15 +56,10 @@ class GroundStateResult:
     residual: float
 
 
-@lru_cache(maxsize=None)
-def _bond_diagonal(L):
-    # -sum_j z_j z_{j+1} = -(L - 2 * #antiparallel bonds), periodic wrap
-    n = np.arange(2**L, dtype=np.int32)
-    rot = (n >> 1) | ((n & 1) << (L - 1))
-    flips = np.bitwise_count(n ^ rot).astype(np.float64)
-    d = 2.0 * flips - float(L)
-    d.setflags(write=False)
-    return d
+def _bond_diagonal(L, labels):
+    """-sum_j z_j z_{j+1} = -(L - 2 * #antiparallel bonds) on the configurations `labels`."""
+    rot = (labels >> 1) | ((labels & 1) << (L - 1))  # periodic wrap
+    return 2.0 * np.bitwise_count(labels ^ rot) - float(L)
 
 
 def apply_hamiltonian(model: TfimModel, state):
@@ -74,7 +68,7 @@ def apply_hamiltonian(model: TfimModel, state):
     if len(state) != 2**L:
         raise ValueError(f"state length {len(state)} does not match L={L}")
     psi = np.asarray(state)
-    out = _bond_diagonal(L) * psi
+    out = _bond_diagonal(L, np.arange(2**L, dtype=np.int32)) * psi
     for j in range(L):
         # flip bit j: subtract the bit-reversed view in place, with no 2^L copy
         o = out.reshape(2 ** (L - 1 - j), 2, 2**j)
@@ -134,7 +128,7 @@ def _sector_hamiltonian(L, reps, sidx, orbit):
     cols = np.empty((dim, L + 1), dtype=np.int32)
     vals = np.empty((dim, L + 1))
     cols[:, 0] = np.arange(dim)
-    vals[:, 0] = _bond_diagonal(L)[reps]
+    vals[:, 0] = _bond_diagonal(L, reps)
     for j in range(L):
         k = sidx[reps ^ (1 << j)]
         cols[:, j + 1] = k

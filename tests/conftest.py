@@ -19,6 +19,13 @@ def random_density(L, rng):
     return rho / np.real(np.trace(rho))
 
 
+def kron_chain(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(m, out)  # site 0 = low bits
+    return out
+
+
 def zero_state(L):
     v = np.zeros(2**L, dtype=complex)
     v[0] = 1.0
@@ -43,10 +50,9 @@ def kernel_entropy(kernel, state, start, length, axis, p_m):
     """Dephased Renyi-2 entropy of a window from one plan kernel, past GsePlan's size rule.
 
     `kernel` is entropy._DenseGramPlan or entropy._LowRankPlan; the state is
-    rotated, made real where exact and checked for flip symmetry, as GsePlan
-    does.
+    rotated and checked for flip symmetry, as GsePlan does.
     """
-    rot = entropy._real_if_exact(rotate_to_basis(state, axis))
+    rot = rotate_to_basis(state, axis)
     coeff = window_coefficient_matrix(rot, start, length)
     plan = kernel(coeff, entropy.is_flip_symmetric(rot))
     return entropy._entropy_of(plan.purity(entropy._contraction(p_m, "p_m")))

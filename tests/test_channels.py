@@ -3,18 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import SEED, random_density
+from conftest import SEED, kron_chain, random_density
 from renyimi import ChannelSpec, apply_channel_dense, dephasing_factor, y_decohere_dense
 from renyimi.channels import kraus_operators
 from renyimi.oracle import density_from_state
 from renyimi.spin import BASIS_COLUMNS
-
-
-def kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(m, out)  # site 0 = low bits
-    return out
 
 
 def test_spec_validation():

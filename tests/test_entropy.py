@@ -35,7 +35,7 @@ from renyimi import entropy
 from renyimi.channels import y_decohere_dense
 from renyimi.oracle import partial_trace_dense, density_from_state, r2gse_dense
 from renyimi.entropy import is_flip_symmetric, is_translation_invariant, sweep_plans
-from renyimi.spin import rotate_to_basis, window_coefficient_matrix
+from renyimi.spin import _wht, rotate_to_basis, window_coefficient_matrix
 
 LOG2 = np.log(2.0)
 
@@ -81,6 +81,24 @@ def test_r2se_equals_projective_gse(critical):
 def test_renyi2_ee_bell_and_product():
     assert abs(renyi2_ee(bell_state(), Bipartition(2, 1)) - LOG2) < 1e-12
     assert abs(renyi2_ee(zero_state(5), Bipartition(5, 2))) < 1e-12
+
+
+def test_entropy_signs_and_zero_vector_agree_with_the_plans():
+    # a product state has the entropy +0.0 on every path, not -0.0 from -log(1)
+    part = Bipartition(5, 2)
+    psi = zero_state(5)
+    for value in (
+        renyi2_ee(psi, part),
+        renyi2_shannon_entropy(psi, part, "Z"),
+        GsePlan(psi, 0, 2, "Z").entropy(0.0),
+    ):
+        assert value == 0.0 and not np.signbit(value)
+    # an all-zero vector has no purity to take the log of
+    zero = np.zeros(2**5)
+    with pytest.raises(FloatingPointError):
+        renyi2_ee(zero, part)
+    with pytest.raises(FloatingPointError):
+        renyi2_shannon_entropy(zero, part, "Z")
 
 
 def test_renyi2_ee_equals_unmeasured_gse(critical):
@@ -341,7 +359,7 @@ def _shift_to_start(psi, start):
        axis=st.sampled_from(["X", "Y", "Z"]))
 def test_flip_halved_plans_match_oracle(critical, kind, L, seed, axis):
     psi = _flip_case_state(critical, L, kind, seed)
-    rot = entropy._real_if_exact(rotate_to_basis(psi, axis))
+    rot = rotate_to_basis(psi, axis)
     flip = is_flip_symmetric(rot)
     if axis == "Z":
         # a 1e-6 change of one amplitude breaks the symmetry past the 1e-12 check
@@ -424,7 +442,7 @@ def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
         psi = random_state(L, np.random.default_rng(SEED + 4))
     else:
         psi = _flip_case_state(critical, L, kind, SEED + 4)
-    rot = entropy._real_if_exact(rotate_to_basis(psi, axis))
+    rot = rotate_to_basis(psi, axis)
     flip = is_flip_symmetric(rot)
     assert flip == (axis == "Z" and kind != "random")
     assert np.iscomplexobj(rot) == (kind != "critical" or axis == "Y")
@@ -547,7 +565,7 @@ def test_wht_is_the_hadamard_product(n):
                 a = a + 1j * rng.standard_normal(a.shape)
             for arr, axis, ref in ((a, -1, a @ h), (np.ascontiguousarray(a.T), 0, h @ a.T)):
                 kept = arr.copy()
-                out = entropy._wht(arr, n, axis)
+                out = _wht(arr, n, axis)
                 assert out.shape == arr.shape and out.dtype == arr.dtype
                 assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
                 assert np.array_equal(arr, kept)

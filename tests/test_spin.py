@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SEED, bell_state, ghz_state, random_state, zero_state
+from conftest import SEED, bell_state, ghz_state, kron_chain, random_state, zero_state
 from renyimi import (
     Bipartition,
     apply_pauli,
@@ -75,6 +75,21 @@ def test_rotate_preserves_norm(axis):
     for _ in range(5):
         psi = random_state(6, rng)
         assert abs(np.linalg.norm(rotate_to_basis(psi, axis)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("axis", ["X", "Y"])
+@pytest.mark.parametrize("L", range(1, 7))
+def test_rotate_matches_kronecker_reference(axis, L):
+    # the transform against the adjoint eigenvector matrix applied on every site
+    psi = random_state(L, np.random.default_rng(SEED + 10 * L + len(axis)))
+    ref = kron_chain([BASIS_COLUMNS[axis].conj().T] * L) @ psi
+    assert np.max(np.abs(rotate_to_basis(psi, axis) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("axis", ["X", "Z"])
+def test_rotate_keeps_real_states_real(axis):
+    psi = random_state(6, np.random.default_rng(SEED + 2)).real.copy()
+    assert rotate_to_basis(psi, axis).dtype == np.float64
 
 
 def test_basis_columns_diagonalize_paulis():
