@@ -53,7 +53,14 @@ needs complex numbers.  An L_A sweep reads the windows (0, L_A),
 (L_A, L - L_A) and the whole chain; `sweep_plans` builds one plan per
 distinct window, and on a translation-invariant state the B window of L_A
 is the start-0 window of length L - L_A, so a symmetric sweep builds each
-length once.
+length once, and evaluates it once per strength (see `MiPlan`).
+
+The decohered windows of case 2 run on `PauliWeightPlan`, which bins a
+window's squared Pauli expectations by their X, Y and Z counts.  It reads
+g_x[a] = G[a, a ^ x] off G's aligned blocks, one batched GEMM per block
+offset, halved by the flip as above; the whole chain of a real state that
+the shift and the flip fix (the ground state) transforms only the orbit
+representatives of the X-strings, about 2^L / 2L of them.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ import numpy as np
 
 from .spin import (
     Bipartition,
+    _sector_basis,
     _wht,
     check_axis,
     num_sites,
@@ -78,9 +86,10 @@ DENSE_GRAM_MAX_SITES = 13
 # computed share of G nearer its orbit count, and of 1 << 19 .. 1 << 22,
 # 1 << 20 took the least time over the 10- to 13-site plans at L=20 (Z axis)
 _BLOCK_ELEMENTS = 1 << 20
-# Walsh-Hadamard blocks (X-strings of the Pauli-weight histogram, pair vectors
-# of low_rank): best of 1 << 15 .. 1 << 19 for the 14-site low_rank plan at
-# L=20 and the whole-chain histogram at L=12, 10-20% ahead of 1 << 17
+# Walsh-Hadamard blocks (pair vectors of low_rank, X-strings of the Pauli-weight
+# histograms): best of 1 << 15 .. 1 << 19 for the 14-site low_rank plan at L=20,
+# 10-20% ahead of 1 << 17; 1 << 14 .. 1 << 17 lay within 15% of each other on
+# the whole-chain histogram at L=12..16
 _WHT_BLOCK_ELEMENTS = 1 << 16
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -91,6 +100,10 @@ def _abs2(z):
     out = z.real**2
     out += z.imag**2
     return out
+
+
+def _popcount(labels):
+    return np.bitwise_count(labels).astype(np.int64)
 
 
 def _parity_bins(n):
@@ -285,6 +298,117 @@ def _entropy_of(purity):
     return float(-np.log(purity) + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
+class _PauliBins:
+    """Flat (n_X, n_Y, n_Z) histogram of the powers |<X^x Z^z>|^2 of a window of n sites.
+
+    The pair (x, z) lands in the bin (|x| - n_Y, n_Y, |z| - n_Y), n_Y = |x & z|,
+    whose flat index |x| k^2 + |z| + n_Y (k - k^2 - 1) (k = n + 1) is linear in
+    |x|, |z| and n_Y.  |z| and n_Y add over the high and the low bits of z, so
+    the indices of a block of X-strings are one broadcast sum of two small
+    tables, with z's bits split in two near-equal halves.
+
+    Halved: the powers run over the n - 1 low bits z' of z, the transform of a
+    flip-even g, whose odd |z| vanish.  The top bit of z is then t = |z'| mod 2,
+    which adds t to |z|, and to n_Y where x has its top bit; every block of
+    X-strings shares that bit, so the t terms are a table per value of it.
+    """
+
+    def __init__(self, n, halved):
+        self.n, self.k, self.halved = n, n + 1, halved
+        bits = n - halved
+        lo = bits // 2
+        self.z_hi = np.arange(1 << (bits - lo), dtype=np.int64) << lo
+        self.z_lo = np.arange(1 << lo, dtype=np.int64)
+        self.y_step = self.k - self.k**2 - 1
+        weight = _popcount(self.z_hi)[:, None] + _popcount(self.z_lo)
+        if halved:
+            t = weight & 1
+            self.base = (weight + t, weight + t * (1 + self.y_step))
+        else:
+            self.base = (weight,)
+        self.flat = np.zeros(self.k**3)
+
+    def add(self, power, xs):
+        """Bin power[j, z] of the X-strings xs[j]; halved, they share the top bit."""
+        top = int(xs[0]) >> (self.n - 1) if self.halved else 0
+        hi = _popcount(xs[:, None] & self.z_hi) * self.y_step + _popcount(xs)[:, None] * self.k**2
+        idx = hi[:, :, None] + (_popcount(xs[:, None] & self.z_lo) * self.y_step)[:, None, :]
+        idx += self.base[top]
+        self.flat += np.bincount(idx.reshape(-1), weights=power.reshape(-1), minlength=self.k**3)
+
+    def histogram(self):
+        return self.flat.reshape(self.k, self.k, self.k)
+
+
+def _gram_histogram(coeff, flip):
+    """Pauli-weight histogram of a window from the aligned blocks of its Gram matrix.
+
+    g_x[a] = G[a, a ^ x], and the block of G on the row blocks i and i ^ X
+    (blocks of B configurations) holds G[iB + r, (i ^ X)B + c] with
+    x = XB + (r ^ c).  So for each block offset X one batched GEMM over the
+    row blocks i, and one gather of the entries (r, r ^ e) of every block,
+    give g_x for the B strings x = XB + e, which `_wht` transforms over a.
+    With the flip, G[a~, a'~] = G[a, a'] makes g_x flip-even, and the row
+    blocks of the lower half of the a (top bit 0) and an (n-1)-bit transform
+    suffice (see `_PauliBins`).
+    """
+    dim = coeff.shape[0]
+    n = dim.bit_length() - 1
+    # B d_A bounds the transform's working set, B d_A d_B the multiply-adds of a step
+    rows_max = dim // 2 if flip else dim
+    block = min(rows_max, _WHT_BLOCK_ELEMENTS // dim, _BLOCK_ELEMENTS // coeff.size)
+    block = 1 << (max(1, block).bit_length() - 1)
+    nq = dim // block
+    rows = nq // 2 if flip else nq
+    blocks = coeff.reshape(nq, block, -1)
+    blocks_c = blocks.conj()
+    r = np.arange(block)
+    i = np.arange(rows)
+    # g[e, iB + r] is the entry (i, r, r ^ e) of the (rows, B, B) block products
+    take = ((i * block)[:, None] + r) * block + (r[:, None] ^ r)[:, None, :]
+    take = take.reshape(block, -1)
+    bins = _PauliBins(n, flip)
+    for x_block in range(nq):
+        gram = np.matmul(blocks[:rows], blocks_c[i ^ x_block].transpose(0, 2, 1))
+        g = _wht(gram.reshape(-1)[take], n - flip, -1)
+        bins.add(_abs2(g), x_block * block + r)
+    # a flip-even transform is twice its (n-1)-bit half
+    return bins.histogram() * ((4.0 if flip else 1.0) / dim)
+
+
+def _orbit_histogram(psi):
+    """Whole-chain Pauli-weight histogram of a real, shift- and flip-invariant state.
+
+    g_x[a] = psi[a] psi[a ^ x].  A shift of x shifts g_x, and so z, and
+    leaves every bin; the complement x~ has g_x~ = +-g_x, with |x~| = L - |x|
+    and n_Y exchanged with |z| - n_Y.  So each orbit representative x of
+    `_sector_basis` adds its powers at weight orbit/2 in its own bins and at
+    orbit/2 in its complement's, which is the map (i, j, l) -> (L - i - j - l,
+    l, j) of the whole histogram.  g_x is flip-even, so the transform runs
+    over the L - 1 low bits (see `_PauliBins`).
+    """
+    dim = psi.size
+    L = dim.bit_length() - 1
+    half = dim // 2
+    reps, _, orbit = _sector_basis(L)
+    head = psi[:half]
+    low = np.arange(half)
+    bins = _PauliBins(L, True)
+    block = max(1, _WHT_BLOCK_ELEMENTS // half)
+    for r0 in range(0, reps.size, block):
+        xs = reps[r0 : r0 + block]
+        power = _abs2(_wht(head * psi[xs[:, None] ^ low], L - 1, -1))
+        power *= orbit[r0 : r0 + block, None]
+        bins.add(power, xs)
+    h = bins.histogram()
+    i, j, l = np.indices(h.shape)
+    inside = i + j + l <= L
+    comp = np.zeros_like(h)
+    comp[(L - i - j - l)[inside], l[inside], j[inside]] = h[inside]
+    # orbit/2 weights, and the flip-even transform is twice its half: 4 / 2
+    return (h + comp) * (2.0 / dim)
+
+
 class PauliWeightPlan:
     """Renyi-2 entropy of a window under Z-dephasing and Y-decoherence.
 
@@ -298,33 +422,37 @@ class PauliWeightPlan:
     <P>^2 once into `histogram[n_X, n_Y, n_Z]` (normalization included) and
     `entropy(p_m, p_y)` is an O(n^3) contraction.
 
-    The histogram takes one Walsh-Hadamard transform per X-string x:
-    <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x]
-    = sum_b C[a,b] conj(C[a^x,b]), C the window coefficient matrix, so the
-    reduced density matrix is never formed.  A real (float64) state runs in
-    real arithmetic.  Thread-safe after construction.
+    Each X-string x contributes a Walsh-Hadamard transform over a:
+    <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x] = G[a, a^x],
+    G = C C+ the Gram matrix of the window coefficient matrix C, so the
+    reduced density matrix is never formed.  `algorithm` names the path:
+
+      * chain_orbits: the whole chain of a real state that the shift and
+        the flip fix (the critical ground state) transforms only the orbit
+        representatives of the X-strings, over L - 1 bits;
+      * gram_blocks: any other window or state forms g_x from G's aligned
+        blocks by GEMM, over n - 1 bits on a flip-symmetric state.
+
+    A real (float64) state runs in real arithmetic.  Thread-safe after
+    construction.
     """
 
     def __init__(self, state, start, length):
+        psi = np.asarray(state)
         self.window = (start, length)
-        coeff = window_coefficient_matrix(state, start, length)
-        coeff_c = coeff.conj()
-        dim = coeff.shape[0]
-        k = length + 1
-        labels = np.arange(dim)
-        weight = _parity_bins(dim)
-        hist = np.zeros(k**3)
-        block = max(1, _WHT_BLOCK_ELEMENTS // coeff.size)
-        for x0 in range(0, dim, block):
-            xs = labels[x0 : x0 + block]
-            # g[a, x] for a block of x; the transform runs down the columns
-            g = np.einsum("ab,axb->ax", coeff, coeff_c[labels[:, None] ^ xs], order="C")
-            g = _wht(g, length, 0)
-            n_y = np.bitwise_count(labels[:, None] & xs).astype(np.int64)
-            # bin (|x| - n_y, n_y, |z| - n_y) of the (k, k, k) histogram
-            idx = weight[:, None] + weight[xs] * (k * k) + n_y * (k - k * k - 1)
-            hist += np.bincount(idx.ravel(), weights=_abs2(g).ravel(), minlength=k**3)
-        self.histogram = hist.reshape(k, k, k) / dim
+        flip = is_flip_symmetric(psi)
+        if (
+            length == num_sites(psi)
+            and flip
+            and psi.dtype.kind == "f"
+            and is_translation_invariant(psi)
+        ):
+            self.algorithm = "chain_orbits"
+            self.histogram = _orbit_histogram(psi)
+        else:
+            self.algorithm = "gram_blocks"
+            coeff = window_coefficient_matrix(psi, start, length)
+            self.histogram = _gram_histogram(coeff, flip)
 
     def purity(self, p_m, p_y):
         lam_m = _contraction(p_m, "p_m")
@@ -396,7 +524,10 @@ class MiPlan:
     `plans` maps each window (start, length) to its plan, as `sweep_plans`
     returns it: GsePlans (see `build_mi_plans`) or PauliWeightPlans.
     `point(*strengths)` passes the strengths, (p_m,) or (p_m, p_y), to each
-    plan's `entropy` and is cheap across a strength grid.
+    plan's `entropy` and is cheap across a strength grid.  The MiPlans of
+    one sweep share plans: the whole chain serves every L_A, and a B window
+    may be another L_A's A window.  Handing their `point` calls at one
+    strength tuple one `entropies` dict evaluates each distinct plan once.
     """
 
     def __init__(self, part: Bipartition, axis, plans):
@@ -406,10 +537,14 @@ class MiPlan:
             plans[w] for w in ((0, part.L_A), (part.L_A, part.L_B), (0, part.L))
         )
 
-    def point(self, *strengths) -> MiPoint:
-        s_a, s_b, s_ab = (
-            plan.entropy(*strengths) for plan in (self._plan_a, self._plan_b, self._plan_ab)
-        )
+    def point(self, *strengths, entropies=None) -> MiPoint:
+        """The MiPoint at `strengths`; `entropies` maps plans to their entropy there."""
+        entropies = {} if entropies is None else entropies
+        plans = (self._plan_a, self._plan_b, self._plan_ab)
+        for plan in plans:
+            if plan not in entropies:
+                entropies[plan] = plan.entropy(*strengths)
+        s_a, s_b, s_ab = (entropies[plan] for plan in plans)
         p_m, p_y = (*map(float, strengths), 0.0)[:2]  # p_y = 0 on pure-state plans
         return MiPoint(
             L=self.part.L,
@@ -514,10 +649,10 @@ def r2smi(state, part: Bipartition, axis):
     _check_length(state, part)
     rot = rotate_to_basis(state, axis)
     s_a, s_b, s_ab = (
-        -np.log(np.sum(_window_marginals(rot, start, length) ** 2))
+        _entropy_of(np.sum(_window_marginals(rot, start, length) ** 2))
         for start, length in ((0, part.L_A), (part.L_A, part.L_B), (0, part.L))
     )
-    return float(s_a + s_b - s_ab)
+    return s_a + s_b - s_ab
 
 
 def conjectured_cn(n, c):

@@ -136,6 +136,36 @@ def rotate_to_basis(state, axis):
     return _wht(psi, L, 0) * 2.0 ** (-L / 2)
 
 
+def _sector_basis(L):
+    """Orbits of the L-bit labels under the cyclic shifts and the complement.
+
+    Returns the representatives, the orbit index of every label and the
+    orbit sizes.  rep(s) is the least of the L cyclic shifts of s and of its
+    complement, and s is a representative when rep(s) == s, so every
+    representative has its top bit 0.  The representatives label the
+    momentum-0, flip-even sector of the `tfim` solver and the X-strings of
+    the whole-chain Pauli-weight histogram in `entropy`.  Index tables are
+    int32, which holds every label up to L = 30.
+    """
+    mask = 2**L - 1
+    cur = np.arange(2**L, dtype=np.int32)
+    rep = np.full_like(cur, mask)
+    tmp = np.empty_like(cur)
+    for _ in range(L):
+        np.minimum(rep, cur, out=rep)
+        np.bitwise_xor(cur, mask, out=tmp)
+        np.minimum(rep, tmp, out=rep)
+        # rotate cur by one site in place; after L rotations it is 0 .. 2^L - 1 again
+        np.bitwise_and(cur, 1, out=tmp)
+        tmp <<= L - 1
+        cur >>= 1
+        cur |= tmp
+    reps = np.flatnonzero(rep == cur).astype(np.int32)
+    tmp[reps] = np.arange(len(reps), dtype=np.int32)
+    sidx = np.take(tmp, rep, out=cur)
+    return reps, sidx, np.bincount(sidx, minlength=len(reps))
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Contiguous bipartition of a periodic chain: A = sites [0, L_A)."""

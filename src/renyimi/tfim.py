@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import num_sites
+from .spin import _sector_basis, num_sites
 
 LANCZOS_MAX_SITES = 24
 _LANCZOS_SEED = 8899
@@ -85,32 +85,6 @@ def translate(state, shift=1):
     idx = np.arange(2**L, dtype=np.int64)
     src = ((idx >> s) | (idx << (L - s))) & (2**L - 1)
     return np.asarray(state)[src]
-
-
-def _sector_basis(L):
-    """Momentum-0, flip-even basis: representatives, sector index of every state, orbit sizes.
-
-    rep(s) is the least of the L cyclic shifts of s and of its complement;
-    s is a representative when rep(s) == s.  Index tables are int32, which
-    holds every basis state up to L = 30.
-    """
-    mask = 2**L - 1
-    cur = np.arange(2**L, dtype=np.int32)
-    rep = np.full_like(cur, mask)
-    tmp = np.empty_like(cur)
-    for _ in range(L):
-        np.minimum(rep, cur, out=rep)
-        np.bitwise_xor(cur, mask, out=tmp)
-        np.minimum(rep, tmp, out=rep)
-        # rotate cur by one site in place; after L rotations it is 0 .. 2^L - 1 again
-        np.bitwise_and(cur, 1, out=tmp)
-        tmp <<= L - 1
-        cur >>= 1
-        cur |= tmp
-    reps = np.flatnonzero(rep == cur).astype(np.int32)
-    tmp[reps] = np.arange(len(reps), dtype=np.int32)
-    sidx = np.take(tmp, rep, out=cur)
-    return reps, sidx, np.bincount(sidx, minlength=len(reps))
 
 
 def _sector_hamiltonian(L, reps, sidx, orbit):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,11 +33,11 @@ from renyimi import (
     renyi2_ee,
     renyi2_shannon_entropy,
 )
-from renyimi import entropy
+from renyimi import entropy, tfim
 from renyimi.channels import y_decohere_dense
 from renyimi.oracle import partial_trace_dense, density_from_state, r2gse_dense
 from renyimi.entropy import is_flip_symmetric, is_translation_invariant, sweep_plans
-from renyimi.spin import _wht, rotate_to_basis, window_coefficient_matrix
+from renyimi.spin import _sector_basis, _wht, rotate_to_basis, window_coefficient_matrix
 
 LOG2 = np.log(2.0)
 
@@ -99,6 +101,17 @@ def test_entropy_signs_and_zero_vector_agree_with_the_plans():
         renyi2_ee(zero, part)
     with pytest.raises(FloatingPointError):
         renyi2_shannon_entropy(zero, part, "Z")
+
+
+def test_r2smi_of_a_zero_vector_raises_like_the_other_entropies():
+    # each marginal purity goes through the same check as renyi2_shannon_entropy,
+    # so an all-zero vector raises instead of returning nan after log(0) warnings
+    part = Bipartition(5, 2)
+    assert r2smi(zero_state(5), part, "Z") == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            r2smi(np.zeros(2**5), part, "Z")
 
 
 def test_renyi2_ee_equals_unmeasured_gse(critical):
@@ -550,6 +563,110 @@ def test_pauli_weight_plan_matches_doubled_oracle(L, seed, p_m, p_y):
             value = PauliWeightPlan(psi, start, length).entropy(p_m, p_y)
             ref = generalized_entropy_supervector(sv, window, rest, "Z", p_m)
             assert abs(value - ref) <= 1e-12
+
+
+def _einsum_pauli_histogram(psi, start, length):
+    # the gather-and-einsum formula the Gram-block path replaced, kept as its
+    # reference: g[a, x] = sum_b C[a, b] conj(C[a ^ x, b]), transformed over a
+    # by the Sylvester Hadamard matrix and binned at (|x| - n_Y, n_Y, |z| - n_Y)
+    coeff = window_coefficient_matrix(psi, start, length)
+    dim, k = coeff.shape[0], length + 1
+    labels = np.arange(dim)
+    g = np.einsum("ab,axb->ax", coeff, coeff.conj()[labels[:, None] ^ labels])
+    power = np.abs(hadamard(dim) @ g) ** 2  # [z, x]
+    weight = np.bitwise_count(labels)
+    n_y = np.bitwise_count(labels[:, None] & labels)
+    hist = np.zeros((k, k, k))
+    np.add.at(hist, (weight[None, :] - n_y, n_y, weight[:, None] - n_y), power / dim)
+    return hist
+
+
+@pytest.mark.parametrize("shrunk", [False, True])
+@pytest.mark.parametrize("kind", ["random", "even", "odd"])
+@pytest.mark.parametrize("L", [3, 6, 8])
+def test_gram_block_windows_match_einsum_reference(monkeypatch, kind, L, shrunk):
+    # every (start, length) of complex states; the flip-even and flip-odd ones
+    # take the half-height blocks and the (n-1)-bit transform
+    if shrunk:
+        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 1 << 9)
+        monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", 1 << 6)
+    transforms = _counting(monkeypatch, "_wht")
+    psi = random_state(L, np.random.default_rng(SEED + 6 + L))
+    if kind != "random":
+        psi = psi + psi[::-1] if kind == "even" else psi - psi[::-1]
+        psi /= np.linalg.norm(psi)
+    assert is_flip_symmetric(psi) == (kind != "random")
+    for length in range(1, L + 1):
+        for start in range(L - length + 1):
+            del transforms[:]
+            plan = PauliWeightPlan(psi, start, length)
+            assert plan.algorithm == "gram_blocks"
+            ref = _einsum_pauli_histogram(psi, start, length)
+            assert np.max(np.abs(plan.histogram - ref)) <= 1e-14
+            if shrunk and L == 8 and length >= 2:
+                assert len(transforms) >= 2  # several block offsets ran
+
+
+@pytest.mark.parametrize("kind", ["critical", "odd"])
+@pytest.mark.parametrize("L", range(3, 13))
+def test_whole_chain_orbit_path_matches_gram_blocks(critical, L, kind):
+    psi = critical(L)
+    if kind == "odd":
+        # a real shift-invariant state that the flip fixes up to the sign -1
+        v = random_state(L, np.random.default_rng(SEED + 8 + L)).real
+        v = sum(tfim.translate(v, s) for s in range(L))
+        psi = (v - v[::-1]) / np.linalg.norm(v - v[::-1])
+    plan = PauliWeightPlan(psi, 0, L)
+    assert plan.algorithm == "chain_orbits"
+    coeff = window_coefficient_matrix(psi, 0, L)
+    for flip in (True, False):
+        generic = entropy._gram_histogram(coeff, flip)
+        assert np.max(np.abs(plan.histogram - generic)) <= 1e-15
+    if L % 2 == 0:
+        # the alternating string's complement is its one-site shift, so that
+        # orbit holds both x and its complement, and is counted once
+        alt = int("01" * (L // 2), 2)
+        assert (alt >> 1) | ((alt & 1) << (L - 1)) == alt ^ (2**L - 1)
+
+
+def test_whole_chain_orbit_path_needs_a_real_shift_and_flip_invariant_state(critical, monkeypatch):
+    L = 8
+    # count the vectors each path transforms
+    transforms = []
+    inner = entropy._wht
+
+    def counted(arr, n_bits, axis):
+        transforms.append(arr.size >> n_bits)
+        return inner(arr, n_bits, axis)
+
+    monkeypatch.setattr(entropy, "_wht", counted)
+    rng = np.random.default_rng(SEED + 7)
+    flip_even = rng.standard_normal(2**L)
+    flip_even += flip_even[::-1]
+    flip_even /= np.linalg.norm(flip_even)
+    cases = {
+        "critical": (critical(L), "chain_orbits"),
+        "random": (random_state(L, rng), "gram_blocks"),
+        # real and flip-even, but not shift-invariant
+        "translation-broken": (flip_even, "gram_blocks"),
+        # shift- and flip-invariant, but complex
+        "complex": (critical(L) * np.exp(0.3j), "gram_blocks"),
+    }
+    counts = {}
+    for name, (psi, algorithm) in cases.items():
+        del transforms[:]
+        plan = PauliWeightPlan(psi, 0, L)
+        assert plan.algorithm == algorithm, name
+        counts[name] = sum(transforms)
+    assert not is_translation_invariant(flip_even) and is_flip_symmetric(flip_even)
+    # the orbit path transforms one vector per representative, the Gram
+    # blocks one per X-string
+    assert counts == {
+        "critical": len(_sector_basis(L)[0]),
+        "random": 2**L,
+        "translation-broken": 2**L,
+        "complex": 2**L,
+    }
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -10,6 +10,7 @@ from renyimi import (
     ChannelSpec,
     apply_lifted_channel,
     cli,
+    entropy,
     experiments,
     generalized_entropy_supervector,
     lift_channel,
@@ -381,6 +382,47 @@ def test_run_case2_csvs_do_not_depend_on_worker_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("run, plan_class, grid", [
+    (run_case1, "GsePlan", dict(p_m=(0.0, 0.2, 0.5))),
+    (run_case2, "PauliWeightPlan", dict(p_m=(0.0, 0.5), p_y=(0.0, 0.2, 0.45))),
+])
+def test_sweep_evaluates_each_distinct_plan_once_per_strength_tuple(
+    tmp_path, monkeypatch, run, plan_class, grid
+):
+    calls = []
+    cls = getattr(entropy, plan_class)
+    inner = cls.entropy
+
+    def counted(self, *strengths):
+        calls.append((id(self), strengths))
+        return inner(self, *strengths)
+
+    monkeypatch.setattr(cls, "entropy", counted)
+    cfg = small_cfg(tmp_path, L_A=(2, 3, 4, 5, 6), **grid)
+    points, _ = run(cfg)
+    tuples = len(cfg.p_m) * max(1, len(cfg.p_y))
+    assert len(points) == 5 * tuples
+    # the whole chain and the start-0 windows of lengths 2..6, each B window
+    # being the A window of L - L_A on the shift-invariant ground state
+    assert len({plan for plan, _ in calls}) == 6
+    assert len(calls) == len(set(calls)) == 6 * tuples
+
+
+def test_cli_case2_csvs_do_not_depend_on_worker_count_L10(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "L = 10\naxis = Z\np_m = 0.0, 0.2, 0.5\np_y = 0.0, 0.3, 0.45\nL_A = 2:8\n"
+        f"cache_dir = {tmp_path / 'cache'}\n"
+    )
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"c2_w{workers}.csv"
+        argv = ["case2", "--config", str(cfg_file), "--workers", str(workers), "--out", str(out)]
+        assert cli.main(argv) == 0
+        outputs.append([Path(p).read_bytes() for p in (out, experiments.fits_csv_path(str(out)))])
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_ground_and_case1(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
@@ -415,6 +457,7 @@ def test_cli_case2(tmp_path):
 
 def test_cli_case2_above_cap_exits_2(tmp_path, capsys):
     L = CASE2_MAX_SITES + 1
+    assert L == 17
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
         f"L = {L}\naxis = Z\np_m = 0.0, 0.5\np_y = 0.0, 0.2\nL_A = 4:{L - 4}\n"
