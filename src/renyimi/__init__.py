@@ -51,6 +51,7 @@ from .spin import (
     coefficient_matrix,
     rotate_to_basis,
     schmidt,
+    translate,
     window_coefficient_matrix,
 )
 from .tfim import (
@@ -61,7 +62,6 @@ from .tfim import (
     ground_state,
     load_ground_state,
     save_ground_state,
-    translate,
 )
 
 __all__ = [

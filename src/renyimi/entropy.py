@@ -77,6 +77,7 @@ from .spin import (
     num_sites,
     rotate_to_basis,
     schmidt,
+    translate,
     window_coefficient_matrix,
 )
 
@@ -533,9 +534,7 @@ class MiPlan:
     def __init__(self, part: Bipartition, axis, plans):
         self.part = part
         self.axis = axis
-        self._plan_a, self._plan_b, self._plan_ab = (
-            plans[w] for w in ((0, part.L_A), (part.L_A, part.L_B), (0, part.L))
-        )
+        self._plan_a, self._plan_b, self._plan_ab = (plans[w] for w in part.windows)
 
     def point(self, *strengths, entropies=None) -> MiPoint:
         """The MiPoint at `strengths`; `entropies` maps plans to their entropy there."""
@@ -562,9 +561,7 @@ class MiPlan:
 def is_translation_invariant(state):
     """True when the one-site shift T of the ring fixes the state, |T psi - psi| <= 1e-12."""
     psi = np.asarray(state)
-    # (bit L-1, bits 0..L-2) -> (bits 0..L-2, bit L-1): site j moves to j+1 mod L
-    shifted = psi.reshape(2, -1).T.reshape(-1)
-    return float(np.linalg.norm(shifted - psi)) <= 1e-12
+    return float(np.linalg.norm(translate(psi) - psi)) <= 1e-12
 
 
 def is_flip_symmetric(state):
@@ -580,19 +577,17 @@ def is_flip_symmetric(state):
 def sweep_plans(state, L_A_values, make_plan, workers=1):
     """One plan per distinct window of an L_A sweep, keyed by each window it serves.
 
-    The sweep reads the windows (start, length) = (0, L), and (0, L_A) and
-    (L_A, L - L_A) for each L_A.  On a translation-invariant state the B
-    window has the reduced density matrix of the start-0 window of the same
-    length, so that one plan serves both; any other state keeps its own B
-    window.  `make_plan(state, start, length)` builds a plan; with workers > 1
-    the builds share a thread pool.  Returns {(start, length): plan}.
+    The sweep reads the `Bipartition.windows` of each L_A.  On a
+    translation-invariant state the B window has the reduced density matrix
+    of the start-0 window of the same length, so that one plan serves both;
+    any other state keeps its own B window.  `make_plan(state, start, length)`
+    builds a plan; with workers > 1 the builds share a thread pool.  Returns
+    {(start, length): plan}.
     """
     L = num_sites(state)
     invariant = is_translation_invariant(state)
-    source = {(0, L): (0, L)}
-    for l_a in L_A_values:
-        source[(0, l_a)] = (0, l_a)
-        source[(l_a, L - l_a)] = (0, L - l_a) if invariant else (l_a, L - l_a)
+    parts = [Bipartition(L, l_a) for l_a in L_A_values]
+    source = {w: (0, w[1]) if invariant else w for part in parts for w in part.windows}
     # largest first: the pool ends on short builds, and the peak resident set
     # stays that of the largest plan (smallest first raised it 7% at L=14, Y axis)
     windows = sorted(set(source.values()), key=lambda w: (-w[1], w[0]))
@@ -648,10 +643,7 @@ def r2smi(state, part: Bipartition, axis):
     """
     _check_length(state, part)
     rot = rotate_to_basis(state, axis)
-    s_a, s_b, s_ab = (
-        _entropy_of(np.sum(_window_marginals(rot, start, length) ** 2))
-        for start, length in ((0, part.L_A), (part.L_A, part.L_B), (0, part.L))
-    )
+    s_a, s_b, s_ab = (_entropy_of(np.sum(_window_marginals(rot, *w) ** 2)) for w in part.windows)
     return s_a + s_b - s_ab
 
 

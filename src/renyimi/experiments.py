@@ -2,9 +2,9 @@
 
 Config files are plain `key = value` lines with `#` comments; lists are
 comma-separated and integer ranges may be written lo:hi (inclusive).
-Recognized keys: L, method, axis, p_m, p_y, L_A, window, out, cache_dir,
-workers.  `method` accepts only `lanczos`, the sector solver every run uses,
-and L must lie in 3..LANCZOS_MAX_SITES.
+Recognized keys: the fields of `ExperimentConfig`, and `method`, which
+accepts only `lanczos`, the sector solver every run uses.  L must lie in
+3..LANCZOS_MAX_SITES.
 
 Case 1 (pure state, strengths p_m) and case 2 (Y-decohered, strengths
 (p_m, p_y)) differ only in their validation and plan family: both build one
@@ -17,7 +17,7 @@ through `tfim.atomic_write`; their columns are the fields of `MiPoint` and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -27,6 +27,7 @@ from .scaling import default_window, fit_cft, scaling_variable
 from .spin import AXES, Bipartition
 from .tfim import (
     LANCZOS_MAX_SITES,
+    _RESIDUAL_BOUND,
     GroundStateResult,
     TfimModel,
     atomic_write,
@@ -76,7 +77,12 @@ class FitRow:
 POINT_COLUMNS = tuple(f.name for f in fields(MiPoint))
 FIT_COLUMNS = tuple(f.name for f in fields(FitRow))
 
-_KEYS = ("L", "method", "axis", "p_m", "p_y", "L_A", "window", "out", "cache_dir", "workers")
+
+def _parse_int(text, key):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not an integer: {text!r}") from exc
 
 
 def _parse_float_list(text, key):
@@ -89,14 +95,21 @@ def _parse_float_list(text, key):
     return values
 
 
+def _parse_range(text, key):
+    """(lo, hi) from the text lo:hi."""
+    lo, sep, hi = str(text).partition(":")
+    if not sep:
+        raise ConfigError(f"{key} must be lo:hi, got {text!r}")
+    try:
+        return (int(lo), int(hi))
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be lo:hi with integers, got {text!r}") from exc
+
+
 def _parse_int_list(text, key):
     text = text.strip()
     if ":" in text:
-        lo, _, hi = text.partition(":")
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse range {text!r}") from exc
+        lo, hi = _parse_range(text, key)
         if lo > hi:
             raise ConfigError(f"{key}: empty range {text!r}")
         return tuple(range(lo, hi + 1))
@@ -110,13 +123,21 @@ def _parse_int_list(text, key):
 
 
 def parse_window(text):
-    lo, sep, hi = str(text).partition(":")
-    if not sep:
-        raise ConfigError(f"window must be lo:hi, got {text!r}")
-    try:
-        return (int(lo), int(hi))
-    except ValueError as exc:
-        raise ConfigError(f"window must be lo:hi with integers, got {text!r}") from exc
+    return _parse_range(text, "window")
+
+
+# the parser of each ExperimentConfig field; build_config checks and drops `method`
+_PARSERS = {
+    "L": _parse_int,
+    "axis": lambda text, key: text,
+    "p_m": _parse_float_list,
+    "p_y": _parse_float_list,
+    "L_A": _parse_int_list,
+    "window": _parse_range,
+    "out": lambda text, key: text,
+    "cache_dir": lambda text, key: text,
+    "workers": _parse_int,
+}
 
 
 def parse_config_text(text) -> dict:
@@ -130,12 +151,19 @@ def parse_config_text(text) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _PARSERS and key != "method":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
     return raw
+
+
+def _check_window(window, L):
+    """Reject a fit window lo:hi unless 0 < lo <= hi < L."""
+    lo, hi = window
+    if not 0 < lo <= hi < L:
+        raise ConfigError(f"window {lo}:{hi} outside (0, {L})")
 
 
 def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -144,46 +172,21 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     if "L" not in raw:
         raise ConfigError("missing required key L")
-    try:
-        L = int(raw["L"])
-    except ValueError as exc:
-        raise ConfigError(f"L: not an integer: {raw['L']!r}") from exc
-    if L < 3:
-        raise ConfigError(f"L must be >= 3, got {L}")
-    if L > LANCZOS_MAX_SITES:
-        raise ConfigError(f"L must be <= {LANCZOS_MAX_SITES}, the sector solver's cap, got {L}")
-    if raw.get("method", "lanczos") != "lanczos":
+    method = raw.pop("method", "lanczos")
+    cfg = ExperimentConfig(**{k: _PARSERS[k](v, k) for k, v in raw.items() if k in _PARSERS})
+    if cfg.L < 3:
+        raise ConfigError(f"L must be >= 3, got {cfg.L}")
+    if cfg.L > LANCZOS_MAX_SITES:
+        raise ConfigError(f"L must be <= {LANCZOS_MAX_SITES}, the sector solver's cap, got {cfg.L}")
+    if method != "lanczos":
         raise ConfigError(
-            f"method must be lanczos, got {raw['method']!r}; the full-space "
+            f"method must be lanczos, got {method!r}; the full-space "
             "dense solver is renyimi.oracle.dense_ground_state"
         )
-
-    cfg = ExperimentConfig(L=L)
-    if "axis" in raw:
-        if raw["axis"] not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}, got {raw['axis']!r}")
-        cfg = replace(cfg, axis=raw["axis"])
-    if "p_m" in raw:
-        cfg = replace(cfg, p_m=_parse_float_list(raw["p_m"], "p_m"))
-    if "p_y" in raw:
-        cfg = replace(cfg, p_y=_parse_float_list(raw["p_y"], "p_y"))
-    if "L_A" in raw:
-        cfg = replace(cfg, L_A=_parse_int_list(raw["L_A"], "L_A"))
-    if "window" in raw:
-        cfg = replace(cfg, window=parse_window(raw["window"]))
-    if "out" in raw:
-        cfg = replace(cfg, out=raw["out"])
-    if "cache_dir" in raw:
-        cfg = replace(cfg, cache_dir=raw["cache_dir"])
-    if "workers" in raw:
-        try:
-            workers = int(raw["workers"])
-        except ValueError as exc:
-            raise ConfigError(f"workers: not an integer: {raw['workers']!r}") from exc
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        cfg = replace(cfg, workers=workers)
-
+    if cfg.axis not in AXES:
+        raise ConfigError(f"axis must be one of {AXES}, got {cfg.axis!r}")
+    if cfg.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     for name in ("p_m", "p_y"):
         for p in getattr(cfg, name):
             if not 0.0 <= p <= 0.5:
@@ -192,9 +195,7 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         if not 0 < la < cfg.L:
             raise ConfigError(f"L_A value {la} outside (0, {cfg.L})")
     if cfg.window:
-        lo, hi = cfg.window
-        if not (0 < lo <= hi < cfg.L):
-            raise ConfigError(f"window {lo}:{hi} outside (0, {cfg.L})")
+        _check_window(cfg.window, cfg.L)
     return cfg
 
 
@@ -261,7 +262,7 @@ def cached_ground_state(L, cache_dir="cache"):
     if os.path.exists(path):
         try:
             result = load_ground_state(path)
-            if len(result.state) == 2**L and result.residual <= 1e-8:
+            if len(result.state) == 2**L and result.residual <= _RESIDUAL_BOUND:
                 return result, True
         except (ValueError, OSError):
             pass  # stale or foreign file: recompute and overwrite
@@ -331,6 +332,7 @@ def fit_points(points, window=None):
     for (axis, p_m, p_y) in sorted(groups):
         group = groups[(axis, p_m, p_y)]
         win = window if window else default_window(group[0].L)
+        _check_window(win, group[0].L)
         res = _fit_group(group, win)
         fits.append(FitRow(axis, p_m, p_y, res.c2, res.b2, res.rms, win))
     return fits

@@ -136,6 +136,16 @@ def rotate_to_basis(state, axis):
     return _wht(psi, L, 0) * 2.0 ** (-L / 2)
 
 
+def translate(state, shift=1):
+    """Cyclic lattice translation, site j -> j + shift, as a new array.
+
+    With s = shift mod L, the top s bits of each label become its low bits:
+    a transpose of the (2^s, 2^(L-s)) reshape of the amplitudes.
+    """
+    s = shift % num_sites(state)
+    return np.asarray(state).reshape(2**s, -1).T.flatten()
+
+
 def _sector_basis(L):
     """Orbits of the L-bit labels under the cyclic shifts and the complement.
 
@@ -190,6 +200,11 @@ class Bipartition:
     @property
     def d_B(self) -> int:
         return 2**self.L_B
+
+    @property
+    def windows(self) -> tuple:
+        """The (start, length) windows of A, B and the whole chain, in that order."""
+        return ((0, self.L_A), (self.L_A, self.L_B), (0, self.L))
 
     @property
     def sites_A(self) -> tuple:

@@ -76,17 +76,6 @@ def apply_hamiltonian(model: TfimModel, state):
     return out
 
 
-def translate(state, shift=1):
-    """Cyclic lattice translation, site j -> j + shift."""
-    L = num_sites(state)
-    s = shift % L
-    if s == 0:
-        return np.array(state)
-    idx = np.arange(2**L, dtype=np.int64)
-    src = ((idx >> s) | (idx << (L - s))) & (2**L - 1)
-    return np.asarray(state)[src]
-
-
 def _sector_hamiltonian(L, reps, sidx, orbit):
     """H on the normalised orbit sums, as a real CSR matrix with L + 1 entries per row.
 
@@ -211,7 +200,8 @@ def load_ground_state(path) -> GroundStateResult:
     if len(state) != 2**L:
         raise ValueError(f"{path}: expected 2^{L} amplitudes, found {len(state)}")
     hpsi = apply_hamiltonian(TfimModel(L), state)
-    residual = float(np.linalg.norm(hpsi - energy * state))
+    hpsi -= energy * state
+    residual = float(np.linalg.norm(hpsi))
     return GroundStateResult(energy=energy, state=state, residual=residual)
 
 

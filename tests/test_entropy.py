@@ -32,8 +32,9 @@ from renyimi import (
     r2smi,
     renyi2_ee,
     renyi2_shannon_entropy,
+    translate,
 )
-from renyimi import entropy, tfim
+from renyimi import entropy
 from renyimi.channels import y_decohere_dense
 from renyimi.oracle import partial_trace_dense, density_from_state, r2gse_dense
 from renyimi.entropy import is_flip_symmetric, is_translation_invariant, sweep_plans
@@ -614,7 +615,7 @@ def test_whole_chain_orbit_path_matches_gram_blocks(critical, L, kind):
     if kind == "odd":
         # a real shift-invariant state that the flip fixes up to the sign -1
         v = random_state(L, np.random.default_rng(SEED + 8 + L)).real
-        v = sum(tfim.translate(v, s) for s in range(L))
+        v = sum(translate(v, s) for s in range(L))
         psi = (v - v[::-1]) / np.linalg.norm(v - v[::-1])
     plan = PauliWeightPlan(psi, 0, L)
     assert plan.algorithm == "chain_orbits"

@@ -1,5 +1,6 @@
 import os
 import struct
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from renyimi.experiments import (
     build_config,
     cached_ground_state,
     fit_points,
+    load_config,
     parse_config_text,
     read_points_csv,
     run_case1,
@@ -69,14 +71,59 @@ def test_parse_config_text():
     assert cfg.workers == 2
 
 
+def test_config_naming_every_field_and_method_parses():
+    raw = parse_config_text(
+        "L = 10\nmethod = lanczos\naxis = Y\np_m = 0.0, 0.5\np_y = 0.1\nL_A = 3, 5, 7\n"
+        "window = 3:7\nout = pts.csv\ncache_dir = gs\nworkers = 3\n"
+    )
+    assert set(raw) == {f.name for f in fields(ExperimentConfig)} | {"method"}
+    assert build_config(raw) == ExperimentConfig(
+        L=10,
+        axis="Y",
+        p_m=(0.0, 0.5),
+        p_y=(0.1,),
+        L_A=(3, 5, 7),
+        window=(3, 7),
+        out="pts.csv",
+        cache_dir="gs",
+        workers=3,
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, value, key, expected",
+    [
+        ("--cache-dir", "flag_cache", "cache_dir", "flag_cache"),
+        ("--out", "flag.csv", "out", "flag.csv"),
+        ("--workers", "4", "workers", 4),
+        ("--window", "4:6", "window", (4, 6)),
+    ],
+)
+def test_cli_flags_override_config_keys(tmp_path, flag, value, key, expected):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "L = 10\nL_A = 3:7\nwindow = 3:7\nout = file.csv\ncache_dir = file_cache\nworkers = 2\n"
+    )
+    args = cli._build_parser().parse_args(["case1", "--config", str(cfg_file), flag, value])
+    cfg = load_config(args.config, cli._overrides(args))
+    assert cfg == replace(load_config(cfg_file), **{key: expected})
+
+
+def test_reversed_L_A_range_names_the_key():
+    with pytest.raises(ConfigError, match="L_A: empty range '6:2'"):
+        build_config(parse_config_text("L = 8\nL_A = 6:2\n"))
+
+
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ConfigError, match="line 2: unknown key 'bond_dim'"):
         parse_config_text("L = 8\nbond_dim = 64\n")
 
 
 def test_parse_config_rejects_duplicate_key():
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match="line 2: duplicate key 'L'"):
         parse_config_text("L = 8\nL = 10\n")
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'method'"):
+        parse_config_text("L = 8\nmethod = lanczos\nmethod = lanczos\n")
 
 
 def test_parse_config_rejects_malformed_line():
@@ -532,6 +579,26 @@ def test_cli_out_in_missing_directory_exits_2_before_the_solve(tmp_path, capsys,
     assert cli.main([command, "--config", str(cfg_file)]) == 2
     assert "does not exist" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "cache")
+
+
+def test_cli_fit_checks_the_window_as_case1_does(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    csv = tmp_path / "pts.csv"
+    cfg_file.write_text(
+        f"L = 8\np_m = 0.0, 0.5\nL_A = 2:6\nout = {csv}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    assert cli.main(["case1", "--config", str(cfg_file)]) == 0
+    fits_csv = Path(experiments.fits_csv_path(str(csv)))
+    fits_csv.unlink()
+    capsys.readouterr()
+    for window in ("5:2", "3:30"):
+        for argv in (["case1", "--config", str(cfg_file)], ["fit", str(csv)]):
+            assert cli.main([*argv, "--window", window]) == 2
+            assert f"config error: window {window} outside (0, 8)" in capsys.readouterr().err
+            assert not fits_csv.exists()
+    assert cli.main(["fit", str(csv), "--window", "3:5"]) == 0
+    rows = fits_csv.read_text().splitlines()[2:]
+    assert len(rows) == 2 and all(row.endswith(",3:5") for row in rows)
 
 
 def test_cli_numeric_failure_exit_code(tmp_path):

@@ -8,6 +8,7 @@ from renyimi import (
     coefficient_matrix,
     rotate_to_basis,
     schmidt,
+    translate,
     window_coefficient_matrix,
 )
 from renyimi.spin import BASIS_COLUMNS, PAULIS, num_sites
@@ -116,6 +117,36 @@ def test_bipartition_degenerate_rejected():
         Bipartition(4, 0)
     with pytest.raises(ValueError):
         Bipartition(4, 4)
+
+
+def _translate_by_gather(state, shift):
+    """Reference translation: gather through the bit rotation of every label."""
+    L = num_sites(state)
+    s = shift % L
+    if s == 0:
+        return np.array(state)
+    idx = np.arange(2**L, dtype=np.int64)
+    src = ((idx >> s) | (idx << (L - s))) & (2**L - 1)
+    return np.asarray(state)[src]
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_translate_matches_the_bit_rotation_gather(L):
+    psi_c = random_state(L, np.random.default_rng(SEED + 40 + L))
+    for psi in (psi_c.real.copy(), psi_c):
+        before = psi.copy()
+        for s in range(-L, 2 * L + 1):
+            out = translate(psi, s)
+            assert out.dtype == psi.dtype
+            assert np.array_equal(out, _translate_by_gather(psi, s))
+            # a new array at every shift, s = 0 mod L included
+            out[:] = 0.0
+            assert np.array_equal(psi, before)
+    for j in range(L):
+        # site j moves to site j + shift
+        e_j = np.zeros(2**L)
+        e_j[1 << j] = 1.0
+        assert translate(e_j, 2)[1 << ((j + 2) % L)] == 1.0
 
 
 def test_coefficient_matrix_bell():
