@@ -16,6 +16,7 @@ from renyimi import (
     r2gse_pure,
     renyi2_ee,
     renyi2_shannon_entropy,
+    rotate_to_basis,
 )
 
 L = 12
@@ -36,7 +37,8 @@ print("=" * 70)
 print("The interpolation S(p_m), per measurement basis")
 print("=" * 70)
 grid = np.linspace(0.0, 0.5, 11)
-plans = {axis: GsePlan(psi, 0, part.L_A, axis) for axis in ("Z", "X", "Y")}
+# a plan takes the state in its dephasing basis
+plans = {axis: GsePlan(rotate_to_basis(psi, axis), 0, part.L_A) for axis in ("Z", "X", "Y")}
 print(f"{'p_m':>6s}" + "".join(f"{axis:>12s}" for axis in ("Z", "X", "Y")))
 for p_m in grid:
     row = "".join(f"{plans[axis].entropy(p_m):12.6f}" for axis in ("Z", "X", "Y"))

@@ -40,20 +40,21 @@ or less of the window configurations: dense_gram computes about a quarter
 of G's blocks, one per orbit under the flip and transposition, and
 low_rank splits G into its flip-even and flip-odd sectors and transforms
 pair vectors of definite parity over n - 1 bits.  The
-check `is_flip_symmetric` runs once per rotated state (`build_mi_plans`
-shares its answer among all the windows it builds); any other state
-(the X and Y axes, random states) keeps the full kernels.
+check `is_flip_symmetric` runs once per sweep (`sweep_plans` shares its
+answer among all the windows it builds); any other state (the X and Y
+axes, random states) keeps the full kernels.
 
 At p = 0 both reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
 
-The rotation keeps a real state real on the Z and X axes, so the real
-ground state runs every plan there in real arithmetic; only the Y axis
-needs complex numbers.  An L_A sweep reads the windows (0, L_A),
-(L_A, L - L_A) and the whole chain; `sweep_plans` builds one plan per
-distinct window, and on a translation-invariant state the B window of L_A
-is the start-0 window of length L - L_A, so a symmetric sweep builds each
-length once, and evaluates it once per strength (see `MiPlan`).
+Both plan classes take a state in the dephasing basis, where
+`build_mi_plans` rotates it once.  The rotation keeps a real state real on
+the Z and X axes, so the real ground state runs every plan there in real
+arithmetic; only the Y axis needs complex numbers.  An L_A sweep reads the
+windows (0, L_A), (L_A, L - L_A) and the whole chain; `sweep_plans` builds
+one plan per distinct window, and on a translation-invariant state the B
+window of L_A is the start-0 window of length L - L_A, so a symmetric sweep
+builds each length once, and evaluates it once per strength (see `MiPlan`).
 
 The decohered windows of case 2 run on `PauliWeightPlan`, which bins a
 window's squared Pauli expectations by their X, Y and Z counts.  It reads
@@ -73,7 +74,6 @@ from .spin import (
     Bipartition,
     _sector_basis,
     _wht,
-    check_axis,
     num_sites,
     rotate_to_basis,
     schmidt,
@@ -245,32 +245,29 @@ class _LowRankPlan:
 class GsePlan:
     """Reusable evaluator of the dephased-subsystem Renyi-2 entropy.
 
-    Bound to one pure state, one contiguous site window and one axis; the
-    expensive state-dependent work happens once in the constructor and
-    `entropy(p_m)` is then cheap across a strength grid.  The window size
-    picks the kernel, named in `algorithm`: rank1_full (low_rank on the
-    whole chain), dense_gram up to DENSE_GRAM_MAX_SITES sites, low_rank
-    above.  `flip_halved` tells whether the rotated state passed the flip
-    check of `is_flip_symmetric`, so that the kernel worked on half the
-    window configurations.  `build_mi_plans` runs that check once for all
-    the windows of its rotated state and hands the answer in as `_flip`.
-    Thread-safe after construction (evaluation only reads the stored
-    arrays).
+    Bound to one pure state in the dephasing basis (`rotate_to_basis` takes
+    a state there) and one contiguous site window; the expensive
+    state-dependent work happens once in the constructor and `entropy(p_m)`
+    is then cheap across a strength grid.  The window size picks the
+    kernel, named in `algorithm`: rank1_full (low_rank on the whole chain),
+    dense_gram up to DENSE_GRAM_MAX_SITES sites, low_rank above.
+    `flip_halved` tells whether the state passed the flip check of
+    `is_flip_symmetric`, so that the kernel worked on half the window
+    configurations; `sweep_plans` runs that check once for all the windows
+    of a sweep and hands the answer in as `_flip`.  Thread-safe after
+    construction (evaluation only reads the stored arrays).
     """
 
-    def __init__(self, state, start, length, axis, *, _flip=None):
-        check_axis(axis)
+    def __init__(self, state, start, length, *, _flip=None):
         L = num_sites(state)
         self.L = L
         self.window = (start, length)
-        self.axis = axis
         if length == L:
             self.algorithm = "rank1_full"
         else:
             self.algorithm = "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
-        rot = rotate_to_basis(state, axis)
-        self._flip = is_flip_symmetric(rot) if _flip is None else _flip
-        coeff = window_coefficient_matrix(rot, start, length)
+        self._flip = is_flip_symmetric(state) if _flip is None else _flip
+        coeff = window_coefficient_matrix(state, start, length)
         kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
         self._impl = kernel(coeff, self._flip)
 
@@ -434,14 +431,15 @@ class PauliWeightPlan:
       * gram_blocks: any other window or state forms g_x from G's aligned
         blocks by GEMM, over n - 1 bits on a flip-symmetric state.
 
-    A real (float64) state runs in real arithmetic.  Thread-safe after
+    `state` is in the Z (dephasing) basis, and a real (float64) one runs in
+    real arithmetic; `_flip` is handed in as to GsePlan.  Thread-safe after
     construction.
     """
 
-    def __init__(self, state, start, length):
+    def __init__(self, state, start, length, *, _flip=None):
         psi = np.asarray(state)
         self.window = (start, length)
-        flip = is_flip_symmetric(psi)
+        flip = is_flip_symmetric(psi) if _flip is None else _flip
         if (
             length == num_sites(psi)
             and flip
@@ -501,7 +499,7 @@ def r2gse_pure(state, part: Bipartition, axis, p_m):
     Computed without forming the full density matrix, by the kernel that
     `GsePlan` picks for a window of L_A sites.
     """
-    return GsePlan(state, 0, part.L_A, axis).entropy(p_m)
+    return GsePlan(rotate_to_basis(state, axis), 0, part.L_A).entropy(p_m)
 
 
 @dataclass(frozen=True)
@@ -574,18 +572,20 @@ def is_flip_symmetric(state):
     return any(float(np.linalg.norm(rev - sign * psi)) <= 1e-12 for sign in (1.0, -1.0))
 
 
-def sweep_plans(state, L_A_values, make_plan, workers=1):
+def sweep_plans(state, L_A_values, plan, workers=1):
     """One plan per distinct window of an L_A sweep, keyed by each window it serves.
 
     The sweep reads the `Bipartition.windows` of each L_A.  On a
     translation-invariant state the B window has the reduced density matrix
     of the start-0 window of the same length, so that one plan serves both;
-    any other state keeps its own B window.  `make_plan(state, start, length)`
-    builds a plan; with workers > 1 the builds share a thread pool.  Returns
-    {(start, length): plan}.
+    any other state keeps its own B window.  The flip is tested once here,
+    for every `plan(state, start, length, _flip=flip)` (GsePlan or
+    PauliWeightPlan); with workers > 1 the builds share a thread pool.
+    Returns {(start, length): plan}.
     """
     L = num_sites(state)
     invariant = is_translation_invariant(state)
+    flip = is_flip_symmetric(state)
     parts = [Bipartition(L, l_a) for l_a in L_A_values]
     source = {w: (0, w[1]) if invariant else w for part in parts for w in part.windows}
     # largest first: the pool ends on short builds, and the peak resident set
@@ -593,7 +593,7 @@ def sweep_plans(state, L_A_values, make_plan, workers=1):
     windows = sorted(set(source.values()), key=lambda w: (-w[1], w[0]))
 
     def build(window):
-        return make_plan(state, *window)
+        return plan(state, *window, _flip=flip)
 
     if workers <= 1:
         built = [build(w) for w in windows]
@@ -606,22 +606,20 @@ def sweep_plans(state, L_A_values, make_plan, workers=1):
     return {w: plans[src] for w, src in source.items()}
 
 
-def build_mi_plans(state, L_A_values, axis, workers=1):
+def build_mi_plans(state, L_A_values, axis, workers=1, plan=None):
     """MiPlans for several bipartitions of one state; returns {L_A: MiPlan}.
 
-    The basis rotation is shared and `sweep_plans` builds one GsePlan per
-    distinct window: the whole-chain plan serves every L_A, and on a
+    The state is rotated to the `axis` basis once, and `sweep_plans` builds
+    one `plan` (GsePlan when None, PauliWeightPlan for case 2) per distinct
+    window: the whole-chain plan serves every L_A, and on a
     translation-invariant state the B plan of L_A is the A plan of L - L_A.
     """
+    # GsePlan is looked up at each call, so a subclass swapped in for it
+    # (a tracer's) builds them all
+    plan = GsePlan if plan is None else plan
     L = num_sites(state)
     parts = [Bipartition(L, v) for v in sorted(set(int(v) for v in L_A_values))]
-    rot = rotate_to_basis(state, axis)
-    flip = is_flip_symmetric(rot)
-    # Z-axis window plans of the rotated state; GsePlan is looked up at each
-    # call, so a subclass swapped in for it (a tracer's) builds them all
-    plans = sweep_plans(
-        rot, [p.L_A for p in parts], lambda s, a, n: GsePlan(s, a, n, "Z", _flip=flip), workers
-    )
+    plans = sweep_plans(rotate_to_basis(state, axis), [p.L_A for p in parts], plan, workers)
     return {p.L_A: MiPlan(p, axis, plans) for p in parts}
 
 

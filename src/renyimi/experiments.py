@@ -22,9 +22,9 @@ from itertools import product
 
 import numpy as np
 
-from .entropy import MiPlan, MiPoint, PauliWeightPlan, build_mi_plans, sweep_plans
+from .entropy import MiPoint, PauliWeightPlan, build_mi_plans
 from .scaling import default_window, fit_cft, scaling_variable
-from .spin import AXES, Bipartition
+from .spin import AXES
 from .tfim import (
     LANCZOS_MAX_SITES,
     _RESIDUAL_BOUND,
@@ -173,7 +173,10 @@ def build_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     if "L" not in raw:
         raise ConfigError("missing required key L")
     method = raw.pop("method", "lanczos")
-    cfg = ExperimentConfig(**{k: _PARSERS[k](v, k) for k, v in raw.items() if k in _PARSERS})
+    for key in raw:
+        if key not in _PARSERS:
+            raise ConfigError(f"unknown key {key!r}")
+    cfg = ExperimentConfig(**{k: _PARSERS[k](v, k) for k, v in raw.items()})
     if cfg.L < 3:
         raise ConfigError(f"L must be >= 3, got {cfg.L}")
     if cfg.L > LANCZOS_MAX_SITES:
@@ -228,6 +231,9 @@ def _check_out(cfg: ExperimentConfig, case):
     out_dir = os.path.dirname(os.path.abspath(cfg.out))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
+    for path in (cfg.out, fits_csv_path(cfg.out)):
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path} is a directory")
 
 
 def validate_case1(cfg: ExperimentConfig):
@@ -256,8 +262,13 @@ def cached_ground_state(L, cache_dir="cache"):
     """Ground state with on-disk reuse; returns (result, cache_hit).
 
     A record of another format version, such as version 3 with the solver
-    name in its header, is a miss; it is overwritten.
+    name in its header, is a miss; it is overwritten.  A cache_dir that
+    cannot be made a directory is a ConfigError, raised before any solve.
     """
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use cache directory {cache_dir}: {exc}") from exc
     path = cache_path(cache_dir, L)
     if os.path.exists(path):
         try:
@@ -267,7 +278,6 @@ def cached_ground_state(L, cache_dir="cache"):
         except (ValueError, OSError):
             pass  # stale or foreign file: recompute and overwrite
     result = ground_state(TfimModel(L))
-    os.makedirs(cache_dir, exist_ok=True)
     save_ground_state(path, result)
     return result, False
 
@@ -278,17 +288,18 @@ def _fit_group(points, window):
     return fit_cft(data)
 
 
-def _sweep(cfg: ExperimentConfig, ground, make_plans, grid):
+def _sweep(cfg: ExperimentConfig, ground, plan, grid):
     """Points over L_A and the strength grid, and their fits, for a validated config.
 
-    `make_plans(state, L_A_values)` returns {L_A: MiPlan}; `grid` holds the
-    strength lists, (p_m,) or (p_m, p_y).  Rows come in (p_m, p_y, L_A)
-    order, the order of the points CSV.
+    `plan` is the window plan class that `build_mi_plans` builds (None for
+    GsePlan); `grid` holds the strength lists, (p_m,) or (p_m, p_y).  Rows
+    come in (p_m, p_y, L_A) order, the order of the points CSV.
     """
     if ground is None:
         ground, _ = cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
     l_a_values = sorted(set(cfg.L_A))
-    plans = make_plans(ground.state, l_a_values)
+    # the module global, looked up at each call, so a traced one is the one that runs
+    plans = build_mi_plans(ground.state, l_a_values, cfg.axis, cfg.workers, plan)
     points = []
     for strengths in product(*(sorted(set(values)) for values in grid)):
         # the MiPlans share plans: each distinct one is evaluated once per tuple
@@ -300,12 +311,7 @@ def _sweep(cfg: ExperimentConfig, ground, make_plans, grid):
 def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     """Pure-state sweep over (L_A, p_m) on GsePlans; returns (points, fit rows)."""
     validate_case1(cfg)
-    return _sweep(
-        cfg,
-        ground,
-        lambda state, l_a_values: build_mi_plans(state, l_a_values, cfg.axis, workers=cfg.workers),
-        (cfg.p_m,),
-    )
+    return _sweep(cfg, ground, None, (cfg.p_m,))
 
 
 def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
@@ -315,12 +321,7 @@ def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     for each L_A; see `sweep_plans`) serves every (p_m, p_y) point.
     """
     validate_case2(cfg)
-
-    def make_plans(state, l_a_values):
-        plans = sweep_plans(state, l_a_values, PauliWeightPlan, cfg.workers)
-        return {l_a: MiPlan(Bipartition(cfg.L, l_a), cfg.axis, plans) for l_a in l_a_values}
-
-    return _sweep(cfg, ground, make_plans, (cfg.p_m, cfg.p_y))
+    return _sweep(cfg, ground, PauliWeightPlan, (cfg.p_m, cfg.p_y))
 
 
 def fit_points(points, window=None):

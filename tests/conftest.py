@@ -50,7 +50,7 @@ def kernel_entropy(kernel, state, start, length, axis, p_m):
     """Dephased Renyi-2 entropy of a window from one plan kernel, past GsePlan's size rule.
 
     `kernel` is entropy._DenseGramPlan or entropy._LowRankPlan; the state is
-    rotated and checked for flip symmetry, as GsePlan does.
+    rotated and checked for flip symmetry, as `build_mi_plans` does.
     """
     rot = rotate_to_basis(state, axis)
     coeff = window_coefficient_matrix(rot, start, length)

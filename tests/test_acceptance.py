@@ -193,7 +193,7 @@ def test_criterion_7_path_equivalence(critical):
     part = Bipartition(8, 4)
     for p_m in (0.0, 0.1, 0.25, 0.5):
         values = [
-            GsePlan(psi, 0, 8, "Z").entropy(p_m),  # the size rule picks rank1_full
+            GsePlan(psi, 0, 8).entropy(p_m),  # the size rule picks rank1_full
             kernel_entropy(entropy._DenseGramPlan, psi, 0, 8, "Z", p_m),
             kernel_entropy(entropy._LowRankPlan, psi, 0, 8, "Z", p_m),
             r2gse_dense(psi, part, "Z", p_m, subsystem="AB"),

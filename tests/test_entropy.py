@@ -93,7 +93,7 @@ def test_entropy_signs_and_zero_vector_agree_with_the_plans():
     for value in (
         renyi2_ee(psi, part),
         renyi2_shannon_entropy(psi, part, "Z"),
-        GsePlan(psi, 0, 2, "Z").entropy(0.0),
+        GsePlan(psi, 0, 2).entropy(0.0),
     ):
         assert value == 0.0 and not np.signbit(value)
     # an all-zero vector has no purity to take the log of
@@ -147,7 +147,7 @@ def test_full_chain_plans_agree(critical):
     for axis in ("X", "Y", "Z"):
         for p_m in (0.0, 0.2, 0.5):
             oracle = r2gse_dense(psi, part, axis, p_m, subsystem="AB")
-            plan = GsePlan(psi, 0, 8, axis)
+            plan = GsePlan(rotate_to_basis(psi, axis), 0, 8)
             assert plan.algorithm == "rank1_full"
             assert abs(plan.entropy(p_m) - oracle) < 1e-10
             for kernel in (entropy._DenseGramPlan, entropy._LowRankPlan):
@@ -160,7 +160,7 @@ def test_window_size_picks_the_kernel(critical, monkeypatch):
     psi = critical(6)
     rules = {3: "dense_gram", 4: "low_rank", 6: "rank1_full"}
     for length, algorithm in rules.items():
-        plan = GsePlan(psi, 0, length, "Z")
+        plan = GsePlan(psi, 0, length)
         assert plan.algorithm == algorithm
         for p_m in (0.0, 0.2, 0.5):
             if length == 6:
@@ -251,7 +251,7 @@ def test_projective_full_chain_entropy_is_outcome_entropy(critical):
     rot = rotate_to_basis(psi, "X")
     probs = np.abs(rot) ** 2
     expect = -np.log(np.sum(probs**2))
-    plan = GsePlan(psi, 0, 8, "X")
+    plan = GsePlan(rot, 0, 8)
     assert abs(plan.entropy(0.5) - expect) < 1e-12
 
 
@@ -314,9 +314,9 @@ def test_build_mi_plans_matches_per_window_plans(critical, L, data, axis, p_m):
     # on the invariant state the B window of L_A is the A window of L - L_A
     assert plans[l_a]._plan_b is plans[L - l_a]._plan_a
     pt = plans[l_a].point(p_m)
-    assert abs(pt.S_A - GsePlan(rot, 0, l_a, "Z").entropy(p_m)) <= 1e-12
-    assert abs(pt.S_B - GsePlan(rot, l_a, L - l_a, "Z").entropy(p_m)) <= 1e-12
-    assert abs(pt.S_AB - GsePlan(rot, 0, L, "Z").entropy(p_m)) <= 1e-12
+    assert abs(pt.S_A - GsePlan(rot, 0, l_a).entropy(p_m)) <= 1e-12
+    assert abs(pt.S_B - GsePlan(rot, l_a, L - l_a).entropy(p_m)) <= 1e-12
+    assert abs(pt.S_AB - GsePlan(rot, 0, L).entropy(p_m)) <= 1e-12
 
 
 @PROPERTY
@@ -330,9 +330,9 @@ def test_non_invariant_state_keeps_its_own_b_window(L, data, seed, axis):
     assert all(plan.window == window for window, plan in plans.items())
     rot = rotate_to_basis(psi, axis)
     s_b = build_mi_plans(psi, [l_a], axis)[l_a].point(0.25).S_B
-    assert abs(s_b - GsePlan(rot, l_a, L - l_a, "Z").entropy(0.25)) <= 1e-12
+    assert abs(s_b - GsePlan(rot, l_a, L - l_a).entropy(0.25)) <= 1e-12
     # the start-0 window of the same length is a different subsystem here
-    assert abs(s_b - GsePlan(rot, 0, L - l_a, "Z").entropy(0.25)) > 1e-6
+    assert abs(s_b - GsePlan(rot, 0, L - l_a).entropy(0.25)) > 1e-6
 
 
 def test_symmetric_sweep_builds_each_window_once(critical, monkeypatch):
@@ -380,7 +380,7 @@ def test_flip_halved_plans_match_oracle(critical, kind, L, seed, axis):
         assert flip == (kind != "near")
     for length in range(1, L + 1):
         for start in range(L - length + 1):
-            plan = GsePlan(psi, start, length, axis)
+            plan = GsePlan(rot, start, length)
             assert plan.flip_halved == flip
             coeff = window_coefficient_matrix(rot, start, length)
             kernels = [k(coeff, flip) for k in (entropy._DenseGramPlan, entropy._LowRankPlan)]
@@ -403,13 +403,13 @@ def test_flip_halved_plans_match_oracle(critical, kind, L, seed, axis):
 
 def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
     psi = critical(10)
-    assert GsePlan(psi, 0, 4, "Z").flip_halved
-    assert GsePlan(psi, 0, 10, "Z").flip_halved
-    assert not GsePlan(psi, 0, 4, "X").flip_halved
-    assert not GsePlan(psi, 0, 4, "Y").flip_halved
-    assert not GsePlan(random_state(10, np.random.default_rng(SEED + 3)), 0, 4, "Z").flip_halved
+    assert GsePlan(psi, 0, 4).flip_halved
+    assert GsePlan(psi, 0, 10).flip_halved
+    assert not GsePlan(rotate_to_basis(psi, "X"), 0, 4).flip_halved
+    assert not GsePlan(rotate_to_basis(psi, "Y"), 0, 4).flip_halved
+    assert not GsePlan(random_state(10, np.random.default_rng(SEED + 3)), 0, 4).flip_halved
     with pytest.raises(AttributeError):
-        GsePlan(psi, 0, 4, "Z").flip_halved = False
+        GsePlan(psi, 0, 4).flip_halved = False
     checks = []
 
     def counting(state):
@@ -425,6 +425,14 @@ def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
                  for p in (mi._plan_a, mi._plan_b, mi._plan_ab)}
         assert len(built) == 8
         assert all(p.flip_halved == halved for p in built.values())
+    # the Pauli-weight sweep of case 2 shares the one check as well, and
+    # its whole-chain plan still takes the orbit path that the flip permits
+    checks.clear()
+    plans = build_mi_plans(psi, range(2, 9), "Z", plan=PauliWeightPlan)
+    assert checks == [2**10]
+    built = {id(p): p for mi in plans.values() for p in (mi._plan_a, mi._plan_b, mi._plan_ab)}
+    assert len(built) == 8
+    assert plans[2]._plan_ab.algorithm == "chain_orbits"
 
 
 def _counting(monkeypatch, name):
@@ -538,7 +546,7 @@ def test_pauli_weight_plan_at_zero_decoherence_matches_gse_plan(critical):
     psi = critical(10)
     for start, length in ((0, 4), (3, 5), (0, 10)):
         plan = PauliWeightPlan(psi, start, length)
-        gse = GsePlan(psi, start, length, "Z")
+        gse = GsePlan(psi, start, length)
         for p_m in (0.0, 0.1, 0.5):
             assert abs(plan.entropy(p_m, 0.0) - gse.entropy(p_m)) < 1e-12
 

@@ -119,6 +119,14 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("L = 8\nbond_dim = 64\n")
 
 
+def test_build_config_rejects_unknown_key():
+    # a misspelt key in a dict config fails as it does in a config file
+    with pytest.raises(ConfigError, match="unknown key 'l_a'"):
+        build_config({"L": "8", "l_a": "2:4"})
+    with pytest.raises(ConfigError, match="unknown key 'bond_dim'"):
+        build_config({"L": "8"}, {"bond_dim": "64"})
+
+
 def test_parse_config_rejects_duplicate_key():
     with pytest.raises(ConfigError, match="line 2: duplicate key 'L'"):
         parse_config_text("L = 8\nL = 10\n")
@@ -579,6 +587,51 @@ def test_cli_out_in_missing_directory_exits_2_before_the_solve(tmp_path, capsys,
     assert cli.main([command, "--config", str(cfg_file)]) == 2
     assert "does not exist" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "cache")
+
+
+def _no_solve(model):
+    raise AssertionError("the solver ran before the output paths were checked")
+
+
+@pytest.mark.parametrize("command", ["ground", "case1", "case2"])
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cli_unusable_cache_dir_exits_2_before_the_solve(
+    tmp_path, capsys, monkeypatch, command, sub
+):
+    # a regular file where the cache directory, or one of its parents, should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "L = 6\naxis = Z\np_m = 0.0, 0.5\nL_A = 2:4\nwindow = 2:4\n"
+        + ("p_y = 0.0, 0.2\n" if command == "case2" else "")
+        + f"out = {tmp_path / 'pts.csv'}\ncache_dir = {blocker / sub}\n"
+    )
+    monkeypatch.setattr(experiments, "ground_state", _no_solve)
+    assert cli.main([command, "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "cache directory" in err
+    assert not os.path.exists(tmp_path / "pts.csv")
+
+
+@pytest.mark.parametrize("command", ["case1", "case2"])
+@pytest.mark.parametrize("blocked", ["pts.csv", "pts_fits.csv"])
+def test_cli_output_naming_a_directory_exits_2_before_the_solve(
+    tmp_path, capsys, monkeypatch, command, blocked
+):
+    # the points CSV `out`, or the fits CSV written beside it, is a directory
+    (tmp_path / blocked).mkdir()
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "L = 6\naxis = Z\np_m = 0.0, 0.5\nL_A = 2:4\nwindow = 2:4\n"
+        + ("p_y = 0.0, 0.2\n" if command == "case2" else "")
+        + f"out = {tmp_path / 'pts.csv'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    monkeypatch.setattr(experiments, "ground_state", _no_solve)
+    assert cli.main([command, "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{blocked} is a directory" in err
+    assert sorted(os.listdir(tmp_path)) == sorted(["exp.cfg", blocked])
 
 
 def test_cli_fit_checks_the_window_as_case1_does(tmp_path, capsys):
