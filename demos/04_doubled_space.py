@@ -18,7 +18,6 @@ from renyimi import (
     devectorize,
     ground_state,
     lift_channel,
-    overlap,
     pure_supervector,
     r2gse_supervector,
     vectorize,
@@ -37,7 +36,7 @@ rho = a @ a.conj().T
 rho /= np.trace(rho).real
 sv = vectorize(rho)
 print(f"round-trip exact: {np.array_equal(devectorize(sv), rho)}")
-print(f"<<rho|rho>> = {overlap(sv, sv).real:.10f}   Tr[rho^2] = {purity_dense(rho):.10f}")
+print(f"<<rho|rho>> = {np.vdot(sv, sv).real:.10f}   Tr[rho^2] = {purity_dense(rho):.10f}")
 
 print()
 print("=" * 70)
@@ -48,7 +47,7 @@ lifted = apply_lifted_channel(sv, lift_channel(spec))
 dense = apply_channel_dense(rho, spec)
 print(f"lifted Y channel vs dense Kraus sum: max diff = {np.max(np.abs(devectorize(lifted) - dense)):.2e}")
 print(f"norm of the lifted image = purity of the channel output: "
-      f"{abs(overlap(lifted, lifted).real - purity_dense(dense)):.2e}")
+      f"{abs(np.vdot(lifted, lifted).real - purity_dense(dense)):.2e}")
 
 print()
 print("=" * 70)

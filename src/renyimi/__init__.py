@@ -2,7 +2,7 @@
 measurement and decoherence.
 
 Library layout:
-  spin        bit-encoded states, Pauli actions, bipartitions, Schmidt data
+  spin        bit-encoded states, basis rotations, translations, bipartitions
   tfim        critical transverse-field Ising chain and its ground-state solver
   channels    single-site Pauli dephasing channels on dense density matrices
   doubled     Choi supervector engine (vectorized channels, depolarizers);
@@ -16,7 +16,7 @@ Library layout:
   cli         command-line driver (ground / case1 / case2 / fit)
 """
 
-from .channels import ChannelSpec, apply_channel_dense, dephasing_factor, y_decohere_dense
+from .channels import ChannelSpec, apply_channel_dense, y_decohere_dense
 from .doubled import (
     SUPERVECTOR_MAX_SITES,
     apply_lifted_channel,
@@ -24,7 +24,6 @@ from .doubled import (
     devectorize,
     generalized_entropy_supervector,
     lift_channel,
-    overlap,
     pure_supervector,
     r2gse_supervector,
     vectorize,
@@ -46,11 +45,7 @@ from .entropy import (
 from .scaling import FitResult, default_window, fit_cft, scaling_variable
 from .spin import (
     Bipartition,
-    SchmidtData,
-    apply_pauli,
-    coefficient_matrix,
     rotate_to_basis,
-    schmidt,
     translate,
     window_coefficient_matrix,
 )
@@ -74,18 +69,14 @@ __all__ = [
     "MiPlan",
     "MiPoint",
     "PauliWeightPlan",
-    "SchmidtData",
     "SUPERVECTOR_MAX_SITES",
     "TfimModel",
     "apply_channel_dense",
     "apply_hamiltonian",
     "apply_lifted_channel",
-    "apply_pauli",
     "build_mi_plans",
-    "coefficient_matrix",
     "conjectured_cn",
     "default_window",
-    "dephasing_factor",
     "depolarize_subsystem",
     "devectorize",
     "fit_cft",
@@ -94,7 +85,6 @@ __all__ = [
     "lift_channel",
     "load_ground_state",
     "marginal_probabilities",
-    "overlap",
     "pure_supervector",
     "r2gse_pure",
     "r2gse_supervector",
@@ -105,7 +95,6 @@ __all__ = [
     "rotate_to_basis",
     "save_ground_state",
     "scaling_variable",
-    "schmidt",
     "translate",
     "vectorize",
     "window_coefficient_matrix",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import PAULIS, check_axis
+from .spin import check_axis
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,6 @@ class ChannelSpec:
         if len(set(sites)) != len(sites):
             raise ValueError(f"duplicate sites in channel spec: {sites}")
         object.__setattr__(self, "sites", sites)
-
-
-def kraus_operators(spec: ChannelSpec):
-    """The per-site pair (K0, K1) = (sqrt(1-p) I, sqrt(p) M); K0+K0 + K1+K1 = I."""
-    return (
-        np.sqrt(1.0 - spec.p) * np.eye(2, dtype=complex),
-        np.sqrt(spec.p) * PAULIS[spec.axis],
-    )
 
 
 def _sites_of(rho):
@@ -81,16 +73,6 @@ def apply_channel_dense(rho, spec: ChannelSpec):
     for site in spec.sites:
         out = (1.0 - spec.p) * out + spec.p * _pauli_sandwich(out, spec.axis, site, L)
     return out
-
-
-def dephasing_factor(p, differing_sites):
-    """Multiplier (1-2p)^k on a matrix element whose two configurations
-    differ on k sites inside the dephased region (axis-diagonal picture)."""
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"p={p} outside [0, 1/2]")
-    if differing_sites < 0:
-        raise ValueError("differing_sites must be >= 0")
-    return (1.0 - 2.0 * p) ** differing_sites
 
 
 def y_decohere_dense(rho, p_y):

@@ -90,10 +90,13 @@ def _cmd_case(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    out = args.out if args.out else experiments.fits_csv_path(args.csv)
+    experiments.check_output_paths(out)
     points = experiments.read_points_csv(args.csv)
+    if not points:
+        raise ConfigError(f"{args.csv}: no data rows to fit")
     window = experiments.parse_window(args.window) if args.window else None
     fits = experiments.fit_points(points, window=window)
-    out = args.out if args.out else experiments.fits_csv_path(args.csv)
     experiments.write_fits_csv(out, fits)
     _print_fits(fits, out)
     return 0

@@ -68,17 +68,6 @@ def pure_supervector(state):
     return np.kron(psi.conj(), psi)
 
 
-def overlap(sv_a, sv_b):
-    """<<a|b>> = Tr[a+ b] under the unnormalized convention."""
-    return complex(np.vdot(sv_a, sv_b))
-
-
-def supervector_trace(sv):
-    """Trace of the de-vectorized matrix (diagonal components k_u = m_l)."""
-    dim = 2 ** supervector_sites(sv)
-    return complex(np.einsum("ii->", np.asarray(sv).reshape(dim, dim)))
-
-
 @dataclass(frozen=True)
 class LiftedChannel:
     """Doubled-space image of a ChannelSpec: one 4x4 factor per listed site."""
@@ -97,13 +86,6 @@ def lift_channel(spec: ChannelSpec) -> LiftedChannel:
 def _apply_pair_inplace(sv, L, site, factor):
     # (u, l) bit pair of `site` sits at flat bit positions (site + L, site)
     v = sv.reshape(2 ** (L - 1 - site), 2, 2 ** (L - 1), 2, 2**site)
-    if not np.any(factor - np.diag(np.diagonal(factor))):
-        # diagonal factor (Z-type lifts): scale slices in place
-        v[:, 0, :, 0, :] *= factor[0, 0]
-        v[:, 0, :, 1, :] *= factor[1, 1]
-        v[:, 1, :, 0, :] *= factor[2, 2]
-        v[:, 1, :, 1, :] *= factor[3, 3]
-        return
     s = (v[:, 0, :, 0, :], v[:, 0, :, 1, :], v[:, 1, :, 0, :], v[:, 1, :, 1, :])
     new = [
         factor[r, 0] * s[0] + factor[r, 1] * s[1] + factor[r, 2] * s[2] + factor[r, 3] * s[3]

@@ -76,7 +76,6 @@ from .spin import (
     _wht,
     num_sites,
     rotate_to_basis,
-    schmidt,
     translate,
     window_coefficient_matrix,
 )
@@ -259,10 +258,8 @@ class GsePlan:
     """
 
     def __init__(self, state, start, length, *, _flip=None):
-        L = num_sites(state)
-        self.L = L
         self.window = (start, length)
-        if length == L:
+        if length == num_sites(state):
             self.algorithm = "rank1_full"
         else:
             self.algorithm = "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
@@ -488,8 +485,9 @@ def renyi2_shannon_entropy(state, part: Bipartition, axis):
 
 
 def renyi2_ee(state, part: Bipartition):
-    """Renyi-2 entanglement entropy, -log sum_k s_k^4."""
-    s = schmidt(state, part).values
+    """Renyi-2 entanglement entropy, -log sum_k s_k^4 over the Schmidt values s_k."""
+    _check_length(state, part)
+    s = np.linalg.svd(window_coefficient_matrix(state, 0, part.L_A), compute_uv=False)
     return _entropy_of(np.sum(s**4))
 
 

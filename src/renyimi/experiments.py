@@ -206,7 +206,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return build_config(parse_config_text(text), overrides)
 
@@ -225,15 +225,20 @@ def _check_fittable(cfg: ExperimentConfig):
         )
 
 
+def check_output_paths(*paths):
+    """Reject, before any work, an output path that cannot be written as a file."""
+    for path in paths:
+        out_dir = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(out_dir):
+            raise ConfigError(f"output directory {out_dir} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path} is a directory")
+
+
 def _check_out(cfg: ExperimentConfig, case):
     if not cfg.out:
         raise ConfigError(f"{case} requires an output path (out = ... or --out)")
-    out_dir = os.path.dirname(os.path.abspath(cfg.out))
-    if not os.path.isdir(out_dir):
-        raise ConfigError(f"output directory {out_dir} does not exist")
-    for path in (cfg.out, fits_csv_path(cfg.out)):
-        if os.path.isdir(path):
-            raise ConfigError(f"output path {path} is a directory")
+    check_output_paths(cfg.out, fits_csv_path(cfg.out))
 
 
 def validate_case1(cfg: ExperimentConfig):

@@ -1,4 +1,4 @@
-"""Bit-encoded spin-1/2 state vectors, Pauli actions and bipartition machinery.
+"""Bit-encoded spin-1/2 state vectors, basis rotations and bipartition machinery.
 
 Conventions, fixed package-wide:
   * site j is bit j of the integer configuration label,
@@ -49,28 +49,6 @@ def num_sites(state) -> int:
     if n < 2 or (1 << L) != n:
         raise ValueError(f"state length {n} is not a power of two >= 2")
     return L
-
-
-def apply_single_site(state, gate, site):
-    """Apply a 2x2 operator to one site of a state vector."""
-    L = num_sites(state)
-    if not 0 <= site < L:
-        raise ValueError(f"site {site} out of range for L={L}")
-    v = np.asarray(state, dtype=complex).reshape(2 ** (L - 1 - site), 2, 2**site)
-    out = np.empty_like(v)
-    out[:, 0, :] = gate[0, 0] * v[:, 0, :] + gate[0, 1] * v[:, 1, :]
-    out[:, 1, :] = gate[1, 0] * v[:, 0, :] + gate[1, 1] * v[:, 1, :]
-    return out.reshape(-1)
-
-
-def apply_pauli(state, axis, site):
-    """Apply the Pauli operator `axis` at `site`.
-
-    Bit-flip for X, bit-flip with +-i phases for Y, sign for Z; exact
-    single-site action (coefficients are 0, +-1, +-i).
-    """
-    check_axis(axis)
-    return apply_single_site(state, PAULIS[axis], site)
 
 
 # largest Hadamard factor of the transform, in bits: a factor's GEMM does 2^k
@@ -230,36 +208,3 @@ def window_coefficient_matrix(state, start, length):
     hi = L - start - length
     c = psi.reshape(2**hi, 2**length, 2**start)
     return np.transpose(c, (1, 0, 2)).reshape(2**length, -1)
-
-
-def coefficient_matrix(state, part: Bipartition):
-    """c[a, b] = amplitude of the configuration with A-bits a and B-bits b."""
-    if num_sites(state) != part.L:
-        raise ValueError("state length does not match bipartition")
-    return window_coefficient_matrix(state, 0, part.L_A)
-
-
-@dataclass(frozen=True)
-class SchmidtData:
-    """Schmidt decomposition across a bipartition.
-
-    `values` are singular values in descending order; columns of `left`
-    (`right`) are the A-side (B-side) vectors, so the coefficient matrix
-    reconstructs as left @ diag(values) @ right.conj().T.  `rank` counts
-    values above 1e-12 * values[0].
-    """
-
-    values: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    rank: int
-
-
-def schmidt(state, part: Bipartition) -> SchmidtData:
-    c = coefficient_matrix(state, part)
-    u, s, vh = np.linalg.svd(c, full_matrices=False)
-    if s.size and s[0] > 0:
-        rank = int(np.count_nonzero(s > 1e-12 * s[0]))
-    else:
-        rank = 0
-    return SchmidtData(values=s, left=u, right=vh.conj().T, rank=rank)

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion from a clean directory."""
+"""Smoke test: every narrative demo runs to completion from a clean directory,
+with warnings as errors, as pyproject sets them for the tests."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -10,13 +10,12 @@ from renyimi import (
     depolarize_subsystem,
     devectorize,
     lift_channel,
-    overlap,
     pure_supervector,
     r2gse_supervector,
     vectorize,
     y_decohere_dense,
 )
-from renyimi.doubled import SUPERVECTOR_MAX_SITES, supervector_trace
+from renyimi.doubled import SUPERVECTOR_MAX_SITES
 from renyimi.oracle import density_from_state, partial_trace_dense, purity_dense, r2gse_dense
 
 
@@ -42,16 +41,10 @@ def test_pure_supervector_matches_vectorized_projector():
 
 def test_overlap_is_hilbert_schmidt_product():
     eye2 = np.eye(2, dtype=complex) / 2
-    assert overlap(vectorize(eye2), vectorize(eye2)) == pytest.approx(0.5)
+    assert np.vdot(vectorize(eye2), vectorize(eye2)) == pytest.approx(0.5)
     rng = np.random.default_rng(SEED + 2)
     rho = random_density(2, rng)
-    assert abs(overlap(vectorize(rho), vectorize(rho)) - purity_dense(rho)) < 1e-13
-
-
-def test_supervector_trace():
-    rng = np.random.default_rng(SEED + 3)
-    rho = random_density(2, rng)
-    assert abs(supervector_trace(vectorize(rho)) - 1.0) < 1e-13
+    assert abs(np.vdot(vectorize(rho), vectorize(rho)) - purity_dense(rho)) < 1e-13
 
 
 def test_z_lift_is_diagonal_scaling():

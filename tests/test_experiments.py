@@ -575,6 +575,42 @@ def test_cli_fit_non_numeric_field_exits_2(tmp_path, capsys):
     assert "non-numeric" in err and bad in err
 
 
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("missing/fits.csv", "does not exist"),
+        ("fits_dir", "fits_dir is a directory"),
+        (None, "pts_fits.csv is a directory"),
+    ],
+)
+def test_cli_fit_unwritable_output_exits_2_and_writes_nothing(tmp_path, capsys, out, message):
+    csv = tmp_path / "pts.csv"
+    points, _ = run_case1(small_cfg(tmp_path, L_A=(2, 3, 4), p_m=(0.5,), window=(2, 4)))
+    write_points_csv(csv, points)
+    (tmp_path / ("fits_dir" if out else "pts_fits.csv")).mkdir()
+    before = sorted(os.walk(tmp_path))
+    argv = ["fit", str(csv)] + (["--out", str(tmp_path / out)] if out else [])
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.walk(tmp_path)) == before
+
+
+def test_cli_fit_points_csv_without_rows_exits_2(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    write_points_csv(csv, [])
+    assert cli.main(["fit", str(csv)]) == 2
+    assert "no data rows" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["pts.csv"]
+
+
+def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"L = 8\n# \xff\n")
+    assert cli.main(["ground", "--config", str(cfg_file), "--cache-dir", str(tmp_path / "c")]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
 @pytest.mark.parametrize("command", ["case1", "case2"])
 def test_cli_out_in_missing_directory_exits_2_before_the_solve(tmp_path, capsys, command):
     cfg_file = tmp_path / "exp.cfg"

@@ -1,50 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import SEED, bell_state, ghz_state, kron_chain, random_state, zero_state
-from renyimi import (
-    Bipartition,
-    apply_pauli,
-    coefficient_matrix,
-    rotate_to_basis,
-    schmidt,
-    translate,
-    window_coefficient_matrix,
-)
+from conftest import SEED, bell_state, kron_chain, random_state, zero_state
+from renyimi import Bipartition, rotate_to_basis, translate, window_coefficient_matrix
 from renyimi.spin import BASIS_COLUMNS, PAULIS, num_sites
-
-
-def test_pauli_z_single_qubit():
-    up = np.array([1.0, 0.0], dtype=complex)
-    down = np.array([0.0, 1.0], dtype=complex)
-    assert np.array_equal(apply_pauli(up, "Z", 0), up)
-    assert np.array_equal(apply_pauli(down, "Z", 0), -down)
-
-
-def test_pauli_x_single_qubit():
-    up = np.array([1.0, 0.0], dtype=complex)
-    assert np.array_equal(apply_pauli(up, "X", 0), np.array([0.0, 1.0]))
-
-
-def test_pauli_y_single_qubit():
-    up = np.array([1.0, 0.0], dtype=complex)
-    down = np.array([0.0, 1.0], dtype=complex)
-    assert np.array_equal(apply_pauli(up, "Y", 0), 1j * down)
-    assert np.array_equal(apply_pauli(down, "Y", 0), -1j * up)
-
-
-@pytest.mark.parametrize("axis", ["X", "Y", "Z"])
-@pytest.mark.parametrize("site", [0, 2, 4])
-def test_pauli_involution_exact(axis, site):
-    rng = np.random.default_rng(SEED)
-    psi = random_state(5, rng)
-    twice = apply_pauli(apply_pauli(psi, axis, site), axis, site)
-    assert np.array_equal(twice, psi)
-
-
-def test_pauli_site_out_of_range():
-    with pytest.raises(ValueError):
-        apply_pauli(zero_state(3), "X", 3)
 
 
 def test_rotate_z_is_identity():
@@ -150,13 +109,13 @@ def test_translate_matches_the_bit_rotation_gather(L):
 
 
 def test_coefficient_matrix_bell():
-    c = coefficient_matrix(bell_state(), Bipartition(2, 1))
+    c = window_coefficient_matrix(bell_state(), 0, 1)
     s = 1.0 / np.sqrt(2.0)
     assert np.max(np.abs(c - np.diag([s, s]))) < 1e-15
 
 
 def test_coefficient_matrix_product_state():
-    c = coefficient_matrix(zero_state(5), Bipartition(5, 2))
+    c = window_coefficient_matrix(zero_state(5), 0, 2)
     assert c[0, 0] == 1.0
     assert np.count_nonzero(c) == 1
 
@@ -164,7 +123,7 @@ def test_coefficient_matrix_product_state():
 def test_coefficient_matrix_is_norm_preserving():
     rng = np.random.default_rng(SEED + 2)
     psi = random_state(6, rng)
-    c = coefficient_matrix(psi, Bipartition(6, 2))
+    c = window_coefficient_matrix(psi, 0, 2)
     assert abs(np.linalg.norm(c) - 1.0) < 1e-12
 
 
@@ -173,7 +132,7 @@ def test_coefficient_matrix_index_layout():
     L, L_A = 5, 2
     rng = np.random.default_rng(SEED + 3)
     psi = random_state(L, rng)
-    c = coefficient_matrix(psi, Bipartition(L, L_A))
+    c = window_coefficient_matrix(psi, 0, L_A)
     n = 0b10110
     assert c[n & 0b11, n >> L_A] == psi[n]
 
@@ -190,32 +149,6 @@ def test_window_coefficient_matrix_interior_window():
     lo = n & 0b11
     hi = n >> (start + length)
     assert c[a, hi * 4 + lo] == psi[n]
-
-
-def test_schmidt_bell():
-    data = schmidt(bell_state(), Bipartition(2, 1))
-    assert np.max(np.abs(data.values - 1.0 / np.sqrt(2.0))) < 1e-15
-    assert data.rank == 2
-
-
-def test_schmidt_product_state():
-    data = schmidt(zero_state(4), Bipartition(4, 2))
-    assert abs(data.values[0] - 1.0) < 1e-15
-    assert data.rank == 1
-
-
-def test_schmidt_reconstruction_and_normalization(critical):
-    psi = critical(8)
-    part = Bipartition(8, 4)
-    data = schmidt(psi, part)
-    assert abs(np.sum(data.values**2) - 1.0) < 1e-10
-    rebuilt = data.left @ np.diag(data.values) @ data.right.conj().T
-    assert np.linalg.norm(rebuilt - coefficient_matrix(psi, part)) < 1e-10
-
-
-def test_ghz_schmidt_rank():
-    data = schmidt(ghz_state(6), Bipartition(6, 3))
-    assert data.rank == 2
 
 
 def test_num_sites_rejects_bad_length():
