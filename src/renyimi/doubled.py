@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec
+from .channels import ChannelSpec, _sites_of
 from .spin import PAULIS, Bipartition, check_axis
 
 SUPERVECTOR_MAX_SITES = 12
@@ -45,11 +45,7 @@ def _check_cap(L):
 def vectorize(rho):
     """Density matrix -> supervector, component (k_u, m_l) = rho[m, k]."""
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    L = dim.bit_length() - 1
-    if rho.ndim != 2 or rho.shape != (dim, dim) or (1 << L) != dim:
-        raise ValueError(f"density matrix shape {rho.shape} is not 2^L x 2^L")
-    _check_cap(L)
+    _check_cap(_sites_of(rho))
     return rho.T.reshape(-1).copy()
 
 

@@ -57,7 +57,9 @@ window of L_A is the start-0 window of length L - L_A, so a symmetric sweep
 builds each length once, and evaluates it once per strength (see `MiPlan`).
 
 The decohered windows of case 2 run on `PauliWeightPlan`, which bins a
-window's squared Pauli expectations by their X, Y and Z counts.  It reads
+window's squared Pauli expectations by the two counts the channels damp:
+the sites where the string anticommutes with Z, and those where it
+anticommutes with Y.  It reads
 g_x[a] = G[a, a ^ x] off G's aligned blocks, one batched GEMM per block
 offset, halved by the flip as above; the whole chain of a real state that
 the shift and the flip fix (the ground state) transforms only the orbit
@@ -294,18 +296,17 @@ def _entropy_of(purity):
 
 
 class _PauliBins:
-    """Flat (n_X, n_Y, n_Z) histogram of the powers |<X^x Z^z>|^2 of a window of n sites.
+    """Flat (|x|, |x ^ z|) histogram of the powers |<X^x Z^z>|^2 of a window of n sites.
 
-    The pair (x, z) lands in the bin (|x| - n_Y, n_Y, |z| - n_Y), n_Y = |x & z|,
-    whose flat index |x| k^2 + |z| + n_Y (k - k^2 - 1) (k = n + 1) is linear in
-    |x|, |z| and n_Y.  |z| and n_Y add over the high and the low bits of z, so
-    the indices of a block of X-strings are one broadcast sum of two small
-    tables, with z's bits split in two near-equal halves.
+    The pair (x, z) lands at the flat index |x| k + |x ^ z| (k = n + 1).
+    |x ^ z| adds over the high and the low bits of z, so the indices of a
+    block of X-strings are one broadcast sum of two small tables, with z's
+    bits split in two near-equal halves.
 
     Halved: the powers run over the n - 1 low bits z' of z, the transform of a
     flip-even g, whose odd |z| vanish.  The top bit of z is then t = |z'| mod 2,
-    which adds t to |z|, and to n_Y where x has its top bit; every block of
-    X-strings shares that bit, so the t terms are a table per value of it.
+    which adds t ^ top(x) to |x ^ z|; every block of X-strings shares top(x),
+    so the t terms are a table per value of it.
     """
 
     def __init__(self, n, halved):
@@ -314,25 +315,24 @@ class _PauliBins:
         lo = bits // 2
         self.z_hi = np.arange(1 << (bits - lo), dtype=np.int64) << lo
         self.z_lo = np.arange(1 << lo, dtype=np.int64)
-        self.y_step = self.k - self.k**2 - 1
-        weight = _popcount(self.z_hi)[:, None] + _popcount(self.z_lo)
+        self.hi_mask, self.lo_mask = self.z_hi[-1], self.z_lo[-1]
         if halved:
-            t = weight & 1
-            self.base = (weight + t, weight + t * (1 + self.y_step))
+            t = (_popcount(self.z_hi)[:, None] + _popcount(self.z_lo)) & 1
+            self.base = (t, 1 - t)
         else:
-            self.base = (weight,)
-        self.flat = np.zeros(self.k**3)
+            self.base = (0,)
+        self.flat = np.zeros(self.k**2)
 
     def add(self, power, xs):
         """Bin power[j, z] of the X-strings xs[j]; halved, they share the top bit."""
         top = int(xs[0]) >> (self.n - 1) if self.halved else 0
-        hi = _popcount(xs[:, None] & self.z_hi) * self.y_step + _popcount(xs)[:, None] * self.k**2
-        idx = hi[:, :, None] + (_popcount(xs[:, None] & self.z_lo) * self.y_step)[:, None, :]
+        hi = _popcount((xs & self.hi_mask)[:, None] ^ self.z_hi) + _popcount(xs)[:, None] * self.k
+        idx = hi[:, :, None] + _popcount((xs & self.lo_mask)[:, None] ^ self.z_lo)[:, None, :]
         idx += self.base[top]
-        self.flat += np.bincount(idx.reshape(-1), weights=power.reshape(-1), minlength=self.k**3)
+        self.flat += np.bincount(idx.reshape(-1), weights=power.reshape(-1), minlength=self.k**2)
 
     def histogram(self):
-        return self.flat.reshape(self.k, self.k, self.k)
+        return self.flat.reshape(self.k, self.k)
 
 
 def _gram_histogram(coeff, flip):
@@ -376,11 +376,11 @@ def _orbit_histogram(psi):
 
     g_x[a] = psi[a] psi[a ^ x].  A shift of x shifts g_x, and so z, and
     leaves every bin; the complement x~ has g_x~ = +-g_x, with |x~| = L - |x|
-    and n_Y exchanged with |z| - n_Y.  So each orbit representative x of
+    and |x~ ^ z| = L - |x ^ z|.  So each orbit representative x of
     `_sector_basis` adds its powers at weight orbit/2 in its own bins and at
-    orbit/2 in its complement's, which is the map (i, j, l) -> (L - i - j - l,
-    l, j) of the whole histogram.  g_x is flip-even, so the transform runs
-    over the L - 1 low bits (see `_PauliBins`).
+    orbit/2 in its complement's, which is the whole histogram reversed along
+    both axes.  g_x is flip-even, so the transform runs over the L - 1 low
+    bits (see `_PauliBins`).
     """
     dim = psi.size
     L = dim.bit_length() - 1
@@ -396,12 +396,8 @@ def _orbit_histogram(psi):
         power *= orbit[r0 : r0 + block, None]
         bins.add(power, xs)
     h = bins.histogram()
-    i, j, l = np.indices(h.shape)
-    inside = i + j + l <= L
-    comp = np.zeros_like(h)
-    comp[(L - i - j - l)[inside], l[inside], j[inside]] = h[inside]
     # orbit/2 weights, and the flip-even transform is twice its half: 4 / 2
-    return (h + comp) * (2.0 / dim)
+    return (h + h[::-1, ::-1]) * (2.0 / dim)
 
 
 class PauliWeightPlan:
@@ -410,12 +406,14 @@ class PauliWeightPlan:
     The window [start, start+length) of a pure state is dephased in Z at
     strength p_m, and every site carries the Y channel at strength p_y.
     Both channels are diagonal in the Pauli basis: with lam = 1 - 2p a
-    Pauli string on the window with n_X X's, n_Y Y's and n_Z Z's is scaled
-    by (lam_m lam_y)^n_X lam_m^n_Y lam_y^n_Z, and the Y channel outside the
-    window drops out under the partial trace.  The window purity is
-    2^-n sum_P <P>^2 over the scaled expectations, so the constructor bins
-    <P>^2 once into `histogram[n_X, n_Y, n_Z]` (normalization included) and
-    `entropy(p_m, p_y)` is an O(n^3) contraction.
+    Pauli string X^x Z^z on the window is scaled by lam_m on each site where
+    it anticommutes with Z (its X and Y sites, |x| of them) and by lam_y on
+    each site where it anticommutes with Y (its X and Z sites, |x ^ z| of
+    them), and the Y channel outside the window drops out under the partial
+    trace.  The window purity is 2^-n sum_P <P>^2 over the scaled
+    expectations, so the constructor bins <P>^2 once into
+    `histogram[|x|, |x ^ z|]` (normalization included) and
+    `entropy(p_m, p_y)` is the O(n^2) form lam_m^2i H[i, j] lam_y^2j.
 
     Each X-string x contributes a Walsh-Hadamard transform over a:
     <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x] = G[a, a^x],
@@ -454,9 +452,7 @@ class PauliWeightPlan:
         lam_m = _contraction(p_m, "p_m")
         lam_y = _contraction(p_y, "p_y")
         e = 2 * np.arange(self.histogram.shape[0])
-        return float(
-            np.einsum("ijk,i,j,k->", self.histogram, (lam_m * lam_y) ** e, lam_m**e, lam_y**e)
-        )
+        return float(lam_m**e @ self.histogram @ lam_y**e)
 
     def entropy(self, p_m, p_y):
         return _entropy_of(self.purity(p_m, p_y))

@@ -215,13 +215,14 @@ def effective_window(cfg: ExperimentConfig):
     return cfg.window if cfg.window else default_window(cfg.L)
 
 
-def _check_fittable(cfg: ExperimentConfig):
-    lo, hi = effective_window(cfg)
-    xs = {round(scaling_variable(cfg.L, la), 12) for la in cfg.L_A if lo <= la <= hi}
+def _check_fittable(L, l_a_values, window):
+    """Reject a fit window that holds fewer than two distinct scaling values of a chain of L."""
+    lo, hi = window
+    xs = {round(scaling_variable(L, la), 12) for la in l_a_values if lo <= la <= hi}
     if len(xs) < 2:
         raise ConfigError(
             f"window {lo}:{hi} leaves fewer than two distinct scaling values "
-            f"over L_A={list(cfg.L_A)}"
+            f"over L_A={list(l_a_values)}"
         )
 
 
@@ -247,7 +248,7 @@ def validate_case1(cfg: ExperimentConfig):
         raise ConfigError("case1 requires an L_A list")
     if cfg.p_y and set(cfg.p_y) != {0.0}:
         raise ConfigError("case1 is a pure-state sweep; p_y must be absent")
-    _check_fittable(cfg)
+    _check_fittable(cfg.L, cfg.L_A, effective_window(cfg))
 
 
 def validate_case2(cfg: ExperimentConfig):
@@ -260,7 +261,7 @@ def validate_case2(cfg: ExperimentConfig):
         raise ConfigError("case2 dephases in the Z basis; set axis = Z")
     if cfg.L > CASE2_MAX_SITES:
         raise ConfigError(f"case2 is capped at L <= {CASE2_MAX_SITES}")
-    _check_fittable(cfg)
+    _check_fittable(cfg.L, cfg.L_A, effective_window(cfg))
 
 
 def cached_ground_state(L, cache_dir="cache"):
@@ -339,6 +340,7 @@ def fit_points(points, window=None):
         group = groups[(axis, p_m, p_y)]
         win = window if window else default_window(group[0].L)
         _check_window(win, group[0].L)
+        _check_fittable(group[0].L, sorted({p.L_A for p in group}), win)
         res = _fit_group(group, win)
         fits.append(FitRow(axis, p_m, p_y, res.c2, res.b2, res.rms, win))
     return fits

@@ -196,9 +196,12 @@ def load_ground_state(path) -> GroundStateResult:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != CACHE_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        # the file size decides, before any read: np.fromfile would drop a partial
+        # amplitude, and bounding L by the size keeps 8 << L from growing huge
+        size = os.fstat(fh.fileno()).st_size
+        if L >= size.bit_length() or size != _CACHE_HEADER.size + (8 << L):
+            raise ValueError(f"{path}: expected 2^{L} amplitudes, found {size} bytes")
         state = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
-    if len(state) != 2**L:
-        raise ValueError(f"{path}: expected 2^{L} amplitudes, found {len(state)}")
     hpsi = apply_hamiltonian(TfimModel(L), state)
     hpsi -= energy * state
     residual = float(np.linalg.norm(hpsi))

@@ -549,6 +549,11 @@ def test_pauli_weight_plan_at_zero_decoherence_matches_gse_plan(critical):
         gse = GsePlan(psi, start, length)
         for p_m in (0.0, 0.1, 0.5):
             assert abs(plan.entropy(p_m, 0.0) - gse.entropy(p_m)) < 1e-12
+        # at p_y = 0 only |x| is damped: summing out |x ^ z| leaves the
+        # Hamming-distance bins of |G|^2, which pins every coefficient
+        coeff = window_coefficient_matrix(psi, start, length)
+        binned = entropy._DenseGramPlan(coeff, is_flip_symmetric(psi)).binned
+        assert np.max(np.abs(plan.histogram.sum(axis=1) - binned)) <= 1e-12
 
 
 def test_pauli_weight_plan_strength_out_of_range(critical):
@@ -577,16 +582,15 @@ def test_pauli_weight_plan_matches_doubled_oracle(L, seed, p_m, p_y):
 def _einsum_pauli_histogram(psi, start, length):
     # the gather-and-einsum formula the Gram-block path replaced, kept as its
     # reference: g[a, x] = sum_b C[a, b] conj(C[a ^ x, b]), transformed over a
-    # by the Sylvester Hadamard matrix and binned at (|x| - n_Y, n_Y, |z| - n_Y)
+    # by the Sylvester Hadamard matrix and binned at (|x|, |x ^ z|)
     coeff = window_coefficient_matrix(psi, start, length)
     dim, k = coeff.shape[0], length + 1
     labels = np.arange(dim)
     g = np.einsum("ab,axb->ax", coeff, coeff.conj()[labels[:, None] ^ labels])
     power = np.abs(hadamard(dim) @ g) ** 2  # [z, x]
-    weight = np.bitwise_count(labels)
-    n_y = np.bitwise_count(labels[:, None] & labels)
-    hist = np.zeros((k, k, k))
-    np.add.at(hist, (weight[None, :] - n_y, n_y, weight[:, None] - n_y), power / dim)
+    hist = np.zeros((k, k))
+    bins = (np.bitwise_count(labels)[None, :], np.bitwise_count(labels[:, None] ^ labels))
+    np.add.at(hist, bins, power / dim)
     return hist
 
 

@@ -680,21 +680,33 @@ def test_cli_fit_checks_the_window_as_case1_does(tmp_path, capsys):
     fits_csv = Path(experiments.fits_csv_path(str(csv)))
     fits_csv.unlink()
     capsys.readouterr()
-    for window in ("5:2", "3:30"):
+    for window, message in (
+        ("5:2", "window 5:2 outside (0, 8)"),
+        ("3:30", "window 3:30 outside (0, 8)"),
+        ("4:4", "window 4:4 leaves fewer than two distinct scaling values"),
+    ):
         for argv in (["case1", "--config", str(cfg_file)], ["fit", str(csv)]):
             assert cli.main([*argv, "--window", window]) == 2
-            assert f"config error: window {window} outside (0, 8)" in capsys.readouterr().err
+            assert f"config error: {message}" in capsys.readouterr().err
             assert not fits_csv.exists()
+    # symmetric L_A pairs collapse to one scaling value in the default window 2:6
+    pairs = tmp_path / "pairs.csv"
+    write_points_csv(pairs, [p for p in read_points_csv(csv) if p.L_A in (2, 6)])
+    assert cli.main(["fit", str(pairs)]) == 2
+    assert "leaves fewer than two distinct scaling values" in capsys.readouterr().err
+    assert not Path(experiments.fits_csv_path(str(pairs))).exists()
     assert cli.main(["fit", str(csv), "--window", "3:5"]) == 0
     rows = fits_csv.read_text().splitlines()[2:]
     assert len(rows) == 2 and all(row.endswith(",3:5") for row in rows)
 
 
-def test_cli_numeric_failure_exit_code(tmp_path):
-    # symmetric L_A pairs collapse to one scaling value: rank-deficient fit
-    csv = tmp_path / "pts.csv"
-    points, _ = run_case1(
-        small_cfg(tmp_path, L_A=(2, 3, 6), window=(2, 6), p_m=(0.5,))
-    )
-    write_points_csv(csv, [p for p in points if p.L_A in (2, 6)])
-    assert cli.main(["fit", str(csv)]) == 3
+def test_cli_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a solver that does not converge is a numeric failure, not a config error
+    def no_convergence(model):
+        raise tfim.LanczosError("no convergence")
+
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"L = 6\ncache_dir = {tmp_path / 'cache'}\n")
+    monkeypatch.setattr(experiments, "ground_state", no_convergence)
+    assert cli.main(["ground", "--config", str(cfg_file)]) == 3
+    assert "numeric failure: no convergence" in capsys.readouterr().err

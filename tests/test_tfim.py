@@ -242,8 +242,11 @@ def test_cache_rejects_truncated_file(tmp_path):
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     data = path.read_bytes()
-    for cut in (len(data) - 16, 15):  # inside the amplitudes, inside the energy field
-        path.write_bytes(data[:cut])
+    # inside the amplitudes, inside the energy field, a partial trailing
+    # amplitude, a header that claims 2^(2^32 - 1) amplitudes
+    huge = data[:8] + struct.pack("<I", 2**32 - 1) + data[12:]
+    for bad in (data[: len(data) - 16], data[:15], data + b"\0" * 3, huge):
+        path.write_bytes(bad)
         with pytest.raises(ValueError):
             load_ground_state(path)
 
