@@ -38,11 +38,12 @@ A rotated state with psi(a~) = +-psi(a), a~ the complement of every bit
 G[a~, a'~] = G[a, a'] on every window.  Both kernels then work on a half
 or less of the window configurations: dense_gram computes about a quarter
 of G's blocks, one per orbit under the flip and transposition, and
-low_rank splits G into its flip-even and flip-odd sectors and transforms
-pair vectors of definite parity over n - 1 bits.  The
-check `is_flip_symmetric` runs once per sweep (`sweep_plans` shares its
-answer among all the windows it builds); any other state (the X and Y
-axes, random states) keeps the full kernels.
+low_rank splits G into its flip-even and flip-odd sectors, takes one SVD
+per sector on half the complement configurations (the other half repeat
+them up to sign) and transforms pair vectors of definite parity over
+n - 1 bits.  The check `is_flip_symmetric` runs once per sweep
+(`sweep_plans` shares its answer among all the windows it builds); any
+other state (the X and Y axes, random states) keeps the full kernels.
 
 At p = 0 both reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
@@ -104,6 +105,11 @@ def _abs2(z):
     return out
 
 
+def _abs2_owned(z):
+    """|z|^2 of an array no one else holds: a real one is squared in place."""
+    return np.square(z, out=z) if z.dtype.kind == "f" else _abs2(z)
+
+
 def _popcount(labels):
     return np.bitwise_count(labels).astype(np.int64)
 
@@ -162,8 +168,7 @@ class _DenseGramPlan:
         for i in range(nq // 2 if flip else nq):
             j1 = nq - i if flip else nq
             gram = coeff[i * block : (i + 1) * block] @ coeff_h[:, i * block : j1 * block]
-            # the product is a fresh array, so a real one is squared in place
-            m = np.square(gram, out=gram) if gram.dtype.kind == "f" else _abs2(gram)
+            m = _abs2_owned(gram)
             # orbit sizes of the column blocks j = i .. j1 - 1
             weight = np.full(j1 - i, 4.0 if flip else 2.0)
             weight[0] /= 2.0
@@ -179,6 +184,38 @@ class _DenseGramPlan:
         return float(self.binned @ mu ** np.arange(self.n_bits + 1))
 
 
+def _schmidt_sectors(coeff, flip):
+    """Left singular vectors (rows, C-ordered), squared singular values and sector parities.
+
+    Without the flip: the SVD of C.  With it, one SVD per nonzero sector
+    Y = C[a, b] +- C[a~, b] over the a with top window bit 0; the zero
+    sector (one of the two on the whole chain) is skipped.  C[a~, b~] =
+    +-C[a, b] makes the columns b and b~ of Y equal up to sign, so the
+    columns of the first half of the b, unscaled, have Y's Gram matrix
+    (sqrt(1/2) times Y itself when the complement is one configuration).
+    Values below 1e-12 of the largest of both sectors are dropped.
+    """
+    na, nb = coeff.shape
+    if flip:
+        half, rev = coeff[: na // 2], coeff[na // 2 :][::-1]
+        if nb > 1:
+            half, rev = half[:, : nb // 2], rev[:, : nb // 2]
+    svds = []
+    for p, op in enumerate((np.add, np.subtract) if flip else (None,)):
+        y = op(half, rev) if flip else coeff
+        if flip and nb == 1:
+            y *= _SQRT_HALF
+        if y.any():
+            svds.append((p, *np.linalg.svd(y, full_matrices=False)[:2]))
+        del y  # not held through the next sector's SVD
+    s_max = max(s[0] for _, _, s in svds)
+    keep = [np.count_nonzero(s > 1e-12 * s_max) for _, _, s in svds]  # s descends
+    rows = [u[:, :k].T for (_, u, _), k in zip(svds, keep)]
+    vectors = np.ascontiguousarray(rows[0] if len(rows) == 1 else np.concatenate(rows))
+    weights2 = np.concatenate([s[:k] ** 2 for (_, _, s), k in zip(svds, keep)])
+    return vectors, weights2, np.repeat([p for p, _, _ in svds], keep)
+
+
 class _LowRankPlan:
     """Purity through the Schmidt expansion of the Gram matrix.
 
@@ -190,33 +227,23 @@ class _LowRankPlan:
 
     When the flip fixes the state up to sign, the rows (C[a] +- C[a~])/sqrt(2)
     over the a with top window bit 0 span orthogonal sectors of G, so two
-    half-height SVDs replace the full one (truncated against the largest
-    singular value of both).  The pair vector of two sector vectors is even
-    under a -> a~, or odd when exactly one of them is odd; its transform
+    half-height SVDs, each on half the complement columns, replace the full
+    one (see `_schmidt_sectors`).  The pair vector of two sector vectors is
+    even under a -> a~, or odd when exactly one of them is odd; its transform
     vanishes unless |k| has that parity, and there it equals the (n-1)-bit
     transform of x_k conj(x_l) (x the sector vectors, over the a with top
     bit 0) at the low bits k' of k.  So the power of k' is binned at
     |k'| + ((|k'| + parity) mod 2).
+
+    The working set is the coefficient matrix, the kept vectors and one
+    block of pair vectors in its transform: on the Z axis at L=16 the 14-site
+    plan and the whole chain peak at 3.0 state sizes (tracemalloc).
     """
 
     def __init__(self, coeff, flip):
         na = coeff.shape[0]
         self.n_bits = na.bit_length() - 1
-        if flip:
-            half, rev = coeff[: na // 2], coeff[na // 2 :][::-1]
-            sectors = ((half + rev) * _SQRT_HALF, (half - rev) * _SQRT_HALF)
-        else:
-            sectors = (coeff,)
-        svds = [np.linalg.svd(c, full_matrices=False)[:2] for c in sectors]
-        s_max = max(s[0] for _, s in svds)
-        vectors, weights2, parity = [], [], []
-        for sector, (u, s) in enumerate(svds):
-            keep = s > 1e-12 * s_max
-            vectors.append(u[:, keep].T)
-            weights2.append(s[keep] ** 2)
-            parity.append(np.full(np.count_nonzero(keep), sector))
-        vectors = np.ascontiguousarray(np.concatenate(vectors))  # (chi, m)
-        weights2, parity = np.concatenate(weights2), np.concatenate(parity)
+        vectors, weights2, parity = _schmidt_sectors(coeff, flip)  # vectors: (chi, m)
         m = vectors.shape[1]
         bits = m.bit_length() - 1
         pc = _parity_bins(m)
@@ -230,8 +257,9 @@ class _LowRankPlan:
             power = np.zeros(m)
             for c0 in range(0, kp.size, block):
                 c1 = min(kp.size, c0 + block)
-                w = _wht(vectors[kp[c0:c1]] * vectors[lp[c0:c1]].conj(), bits, -1)
-                power += pair_w[c0:c1] @ _abs2(w)
+                w = vectors[kp[c0:c1]]
+                w *= vectors[lp[c0:c1]].conj() if w.dtype.kind == "c" else vectors[lp[c0:c1]]
+                power += pair_w[c0:c1] @ _abs2_owned(_wht(w, bits, -1))
             bins = pc + ((pc + p) & 1) if flip else pc
             spectrum += np.bincount(bins, weights=power, minlength=self.n_bits + 1)
         self.spectrum = spectrum / na

@@ -331,7 +331,10 @@ def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
 
 
 def fit_points(points, window=None):
-    """Group loaded points by (axis, p_m, p_y) and fit each group."""
+    """Group loaded points by (axis, p_m, p_y) and fit each group; all share one L."""
+    chains = sorted({p.L for p in points})
+    if len(chains) > 1:
+        raise ConfigError(f"points of more than one chain length L {chains}; fit each L alone")
     groups = {}
     for p in points:
         groups.setdefault((p.axis, p.p_m, p.p_y), []).append(p)
@@ -371,6 +374,7 @@ def write_fits_csv(path, fits):
 
 
 def read_points_csv(path):
+    """MiPoints of a points CSV; a bad header or row, or a non-finite field, is a ConfigError."""
     points = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -387,6 +391,8 @@ def read_points_csv(path):
             values = [int(tok[0]), int(tok[1]), tok[2]] + [float(t) for t in tok[3:]]
         except ValueError as exc:
             raise ConfigError(f"{path}: non-numeric field in row {row!r}") from exc
+        if not np.all(np.isfinite(values[3:])):
+            raise ConfigError(f"{path}: non-finite field in row {row!r}")
         points.append(MiPoint(*values))
     return points
 

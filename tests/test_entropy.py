@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -399,6 +400,21 @@ def test_flip_halved_plans_match_oracle(critical, kind, L, seed, axis):
                     assert abs(value - oracle) < 1e-10
                     # the halved path against the full one on the same window
                     assert abs(value - entropy._entropy_of(g.purity(lam))) <= 1e-12
+
+
+@pytest.mark.parametrize("length, algorithm", [(16, "rank1_full"), (14, "low_rank")])
+def test_flip_halved_low_rank_plans_peak_near_three_states(critical, length, algorithm):
+    # the 14-site window's coefficient matrix is a copy of the state, the
+    # sector SVDs and pair vectors add the rest
+    psi = critical(16)
+    tracemalloc.start()
+    try:
+        plan = GsePlan(psi, 0, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (plan.algorithm, plan.flip_halved) == (algorithm, True)
+    assert peak <= 3.1 * psi.nbytes
 
 
 def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):

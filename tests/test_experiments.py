@@ -575,6 +575,33 @@ def test_cli_fit_non_numeric_field_exits_2(tmp_path, capsys):
     assert "non-numeric" in err and bad in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_fit_non_finite_field_exits_2_and_writes_nothing(tmp_path, capsys, value):
+    csv = tmp_path / "pts.csv"
+    points, _ = run_case1(small_cfg(tmp_path))
+    write_points_csv(csv, points)
+    lines = csv.read_text().splitlines()
+    bad = lines[3].rsplit(",", 1)[0] + "," + value  # the I2 cell
+    csv.write_text("\n".join(lines[:3] + [bad] + lines[4:]) + "\n")
+    assert cli.main(["fit", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite field" in err and bad in err
+    assert sorted(os.listdir(tmp_path)) == ["cache", "pts.csv"]
+
+
+def test_cli_fit_rejects_a_csv_of_two_chain_lengths(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    short, _ = run_case1(small_cfg(tmp_path, p_m=(0.5,)))
+    long, _ = run_case1(small_cfg(tmp_path, L=10, L_A=(2, 3, 4, 5, 6, 7, 8), p_m=(0.5,)))
+    write_points_csv(csv, short + long)
+    assert cli.main(["fit", str(csv)]) == 2
+    assert "more than one chain length L [8, 10]" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cache", "pts.csv"]
+    for points in (short, long):
+        write_points_csv(csv, points)
+        assert cli.main(["fit", str(csv)]) == 0
+
+
 @pytest.mark.parametrize(
     "out, message",
     [

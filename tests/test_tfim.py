@@ -2,12 +2,14 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from conftest import SEED, random_state
+from renyimi import tfim
 from renyimi import (
     GroundStateResult,
     LanczosError,
@@ -63,6 +65,19 @@ def test_dense_matches_matvec():
     rng = np.random.default_rng(SEED + 1)
     psi = random_state(5, rng)
     assert np.max(np.abs(h @ psi - apply_hamiltonian(m, psi))) < 1e-12
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+def test_blocked_hamiltonian_matches_dense_and_one_block(L, monkeypatch):
+    # blocks of 4 labels: flips of bits 0 and 1 stay in a block, the others
+    # move whole blocks; at L <= 10 the default blocks hold the whole vector
+    psi = random_state(L, np.random.default_rng(SEED + L))
+    whole = apply_hamiltonian(TfimModel(L), psi)
+    monkeypatch.setattr(tfim, "_BLOCK_BITS", 2)
+    blocked = apply_hamiltonian(TfimModel(L), psi)
+    assert blocked.dtype == psi.dtype
+    assert np.max(np.abs(dense_hamiltonian(L) @ psi - blocked)) < 1e-12
+    assert np.array_equal(blocked, whole)
 
 
 def test_L2_dense_energy():
@@ -195,6 +210,34 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.energy == res.energy
     assert np.array_equal(loaded.state, res.state)
     assert loaded.residual <= 1e-8
+
+
+def test_cache_residual_is_the_norm_of_the_residual_vector(tmp_path, monkeypatch):
+    L = 12
+    res = ground_state(TfimModel(L))
+    path = tmp_path / "gs.bin"
+    save_ground_state(path, res)
+    monkeypatch.setattr(tfim, "_BLOCK_BITS", 5)  # 128 blocks
+    loaded = load_ground_state(path)
+    hpsi = apply_hamiltonian(TfimModel(L), res.state)
+    assert abs(loaded.residual - np.linalg.norm(hpsi - res.energy * res.state)) <= 1e-15
+
+
+def test_cache_load_holds_no_state_sized_temporary(tmp_path, monkeypatch):
+    L = 16
+    res = ground_state(TfimModel(L))
+    path = tmp_path / "gs.bin"
+    save_ground_state(path, res)
+    monkeypatch.setattr(tfim, "_BLOCK_BITS", 12)
+    tracemalloc.start()
+    try:
+        loaded = load_ground_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.state, res.state)
+    # the loaded state itself, and the residual's blocks of 2^12 labels
+    assert peak <= 1.25 * res.state.nbytes
 
 
 def test_cache_file_byte_layout(tmp_path):
