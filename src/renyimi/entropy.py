@@ -22,8 +22,10 @@ behind one plan interface, and the window size picks one:
 
 The algorithm name rank1_full is the whole chain on low_rank: there G =
 psi psi+ has Schmidt rank chi = 1 and the purity is a quadratic form of
-the outcome distribution under the Kronecker kernel
-prod_j [[1, lam^2], [lam^2, 1]].
+the outcome distribution |psi|^2 under the Kronecker kernel
+prod_j [[1, lam^2], [lam^2, 1]].  The one pair vector is that
+distribution, so the whole chain takes no SVD: |psi|^2 is transformed
+and squared in place.
 
 The Kronecker kernel diagonalizes in the Walsh-Hadamard basis with
 eigenvalue (1+mu)^(n-d) (1-mu)^d on parity sector d (mu = lam^2), so
@@ -79,7 +81,6 @@ from .spin import (
     _wht,
     num_sites,
     rotate_to_basis,
-    translate,
     window_coefficient_matrix,
 )
 
@@ -94,7 +95,6 @@ _BLOCK_ELEMENTS = 1 << 20
 # 10-20% ahead of 1 << 17; 1 << 14 .. 1 << 17 lay within 15% of each other on
 # the whole-chain histogram at L=12..16
 _WHT_BLOCK_ELEMENTS = 1 << 16
-_SQRT_HALF = np.sqrt(0.5)
 
 
 def _abs2(z):
@@ -105,17 +105,37 @@ def _abs2(z):
     return out
 
 
-def _abs2_owned(z):
-    """|z|^2 of an array no one else holds: a real one is squared in place."""
-    return np.square(z, out=z) if z.dtype.kind == "f" else _abs2(z)
+def _abs2_owned(z, out=None):
+    """|z|^2 of an array no one else holds: a real one is squared in place.
+
+    A complex one squares its imaginary part in place and sums into `out`
+    (a new real array when None).
+    """
+    if z.dtype.kind == "f":
+        return np.square(z, out=z)
+    out = np.square(z.real, out=out)
+    out += np.square(z.imag, out=z.imag)
+    return out
 
 
 def _popcount(labels):
     return np.bitwise_count(labels).astype(np.int64)
 
 
-def _parity_bins(n):
-    return np.bitwise_count(np.arange(n, dtype=np.uint64)).astype(np.int64)
+def _popcount_sums(power, bits):
+    """s[d] = sum of power[a] over the labels a with d set bits, power of 2^bits entries.
+
+    Two one-hot tables, of the high and the low half of the bits, bin power
+    by GEMM into (|a_hi|, |a_lo|), whose anti-diagonals add up to |a|.
+    """
+    lo = bits // 2
+    one_hot = [
+        (_popcount(np.arange(1 << n))[:, None] == np.arange(n + 1)).astype(np.float64)
+        for n in (bits - lo, lo)
+    ]
+    binned = one_hot[0].T @ (power.reshape(-1, 1 << lo) @ one_hot[1])
+    d = np.add.outer(np.arange(bits - lo + 1), np.arange(lo + 1))
+    return np.bincount(d.reshape(-1), weights=binned.reshape(-1), minlength=bits + 1)
 
 
 def _xor_fold(m):
@@ -164,20 +184,20 @@ class _DenseGramPlan:
         block = min(rows, 1 << (max(1, _BLOCK_ELEMENTS // na).bit_length() - 1))
         nq = na // block
         g = np.zeros((nq, block))
-        coeff_h = coeff.conj().T
         for i in range(nq // 2 if flip else nq):
             j1 = nq - i if flip else nq
-            gram = coeff[i * block : (i + 1) * block] @ coeff_h[:, i * block : j1 * block]
-            m = _abs2_owned(gram)
+            # |G|^2 of the conjugate block: the row block is conjugated, not C
+            m = _abs2_owned(
+                coeff[i * block : (i + 1) * block].conj() @ coeff[i * block : j1 * block].T
+            )
             # orbit sizes of the column blocks j = i .. j1 - 1
             weight = np.full(j1 - i, 4.0 if flip else 2.0)
             weight[0] /= 2.0
             if flip:
                 weight[-1] /= 2.0
             g[i ^ np.arange(i, j1)] += weight[:, None] * _xor_fold(m)
-        self.binned = np.bincount(
-            _parity_bins(na), weights=g.reshape(-1), minlength=self.n_bits + 1
-        )
+            del m  # freed before the next row block's GEMM
+        self.binned = _popcount_sums(g, self.n_bits)
 
     def purity(self, lam):
         mu = lam * lam
@@ -187,33 +207,95 @@ class _DenseGramPlan:
 def _schmidt_sectors(coeff, flip):
     """Left singular vectors (rows, C-ordered), squared singular values and sector parities.
 
-    Without the flip: the SVD of C.  With it, one SVD per nonzero sector
-    Y = C[a, b] +- C[a~, b] over the a with top window bit 0; the zero
-    sector (one of the two on the whole chain) is skipped.  C[a~, b~] =
+    Without the flip: the SVD of C.  With it, one SVD per sector
+    Y = C[a, b] +- C[a~, b] over the a with top window bit 0.  C[a~, b~] =
     +-C[a, b] makes the columns b and b~ of Y equal up to sign, so the
-    columns of the first half of the b, unscaled, have Y's Gram matrix
-    (sqrt(1/2) times Y itself when the complement is one configuration).
-    Values below 1e-12 of the largest of both sectors are dropped.
+    columns of the first half of the b, unscaled, have Y's Gram matrix.
+    Values below 1e-12 of the largest of both sectors are dropped.  The
+    complement has at least two configurations (the whole chain is
+    `_outcome_power`).
     """
     na, nb = coeff.shape
     if flip:
-        half, rev = coeff[: na // 2], coeff[na // 2 :][::-1]
-        if nb > 1:
-            half, rev = half[:, : nb // 2], rev[:, : nb // 2]
+        half, rev = coeff[: na // 2, : nb // 2], coeff[na // 2 :, : nb // 2][::-1]
     svds = []
     for p, op in enumerate((np.add, np.subtract) if flip else (None,)):
         y = op(half, rev) if flip else coeff
-        if flip and nb == 1:
-            y *= _SQRT_HALF
-        if y.any():
-            svds.append((p, *np.linalg.svd(y, full_matrices=False)[:2]))
+        svds.append((p, *np.linalg.svd(y, full_matrices=False)[:2]))
         del y  # not held through the next sector's SVD
     s_max = max(s[0] for _, _, s in svds)
     keep = [np.count_nonzero(s > 1e-12 * s_max) for _, _, s in svds]  # s descends
-    rows = [u[:, :k].T for (_, u, _), k in zip(svds, keep)]
-    vectors = np.ascontiguousarray(rows[0] if len(rows) == 1 else np.concatenate(rows))
+    u0 = svds[0][1]
+    vectors = np.empty((sum(keep), u0.shape[0]), u0.dtype)
+    for r, (_, u, _), k in zip(np.cumsum([0, *keep]), svds, keep):
+        vectors[r : r + k] = u[:, :k].T
     weights2 = np.concatenate([s[:k] ** 2 for (_, _, s), k in zip(svds, keep)])
     return vectors, weights2, np.repeat([p for p, _, _ in svds], keep)
+
+
+def _pair_power(vectors, weights2, parity, flip):
+    """Weighted power spectra of the pair vectors, summed per pair parity (one row each).
+
+    Each block of pair vectors is gathered, multiplied, transformed and
+    squared in buffers allocated once (`np.take(out=)`, `_wht` with a
+    spare), so no block allocates.  Per-block arrays of 512 KB go to mmap
+    whenever glibc's mmap threshold is at its 128 KB default: allocated per
+    block, their page faults doubled the X-axis case-1 run time at L=22.
+    """
+    chi, m = vectors.shape
+    bits = m.bit_length() - 1
+    ks, ls = np.triu_indices(chi)
+    pair_parity = parity[ks] ^ parity[ls]
+    rows = max(1, min(ks.size, _WHT_BLOCK_ELEMENTS // m))
+    left, right = np.empty((2, rows, m), vectors.dtype)
+    squares = None if vectors.dtype.kind == "f" else np.empty((rows, m))
+    row = np.empty(m)
+    power = np.zeros((2 if flip else 1, m))
+    for p, acc in enumerate(power):
+        kp, lp = ks[pair_parity == p], ls[pair_parity == p]
+        pair_w = weights2[kp] * weights2[lp] * np.where(kp == lp, 1.0, 2.0)
+        for c0 in range(0, kp.size, rows):
+            c1 = min(kp.size, c0 + rows)
+            w, spare = left[: c1 - c0], right[: c1 - c0]
+            np.take(vectors, kp[c0:c1], axis=0, out=w, mode="clip")
+            np.take(vectors, lp[c0:c1], axis=0, out=spare, mode="clip")
+            if squares is not None:
+                np.conjugate(spare, out=spare)
+            w *= spare
+            t = _wht(w, bits, -1, spare)
+            sq = _abs2_owned(t, None if squares is None else squares[: c1 - c0])
+            acc += np.matmul(pair_w[c0:c1], sq, out=row)
+    return power
+
+
+def _outcome_power(psi, flip):
+    """|WHT(P)|^2 of the outcome distribution P = |psi|^2 of the whole chain.
+
+    On the flip P(a~) = P(a), so the transform of P vanishes at odd |k|,
+    and at k = (t, k') with t = |k'| mod 2 it is the (n-1)-bit transform of
+    2 P over the labels with top bit 0 (the sector rule of `_LowRankPlan`
+    with one sector vector).  P is transformed and squared in place: the
+    low half of the bits along the rows of its (2^hi, 2^lo) view, then the
+    high half down the columns, a block at a time through two buffers.
+    """
+    if flip:
+        p = _abs2(psi[: psi.size // 2])
+        p *= 2.0
+    else:
+        p = _abs2(psi)
+    bits = p.size.bit_length() - 1
+    lo = bits // 2
+    mat = p.reshape(-1, 1 << lo)
+    size = min(p.size, max(_WHT_BLOCK_ELEMENTS, 1 << (bits - lo)))
+    buf, spare = np.empty((2, size))
+    for axis, n in ((1, lo), (0, bits - lo)):
+        step = size >> n
+        for c0 in range(0, mat.shape[1 - axis], step):
+            sub = mat[c0 : c0 + step] if axis else mat[:, c0 : c0 + step]
+            a, b = (x[: sub.size].reshape(sub.shape) for x in (buf, spare))
+            a[...] = sub
+            sub[...] = _wht(a, n, axis, b)
+    return np.square(p, out=p)
 
 
 class _LowRankPlan:
@@ -223,7 +305,10 @@ class _LowRankPlan:
     w_kl[a] = u_k[a] conj(u_l[a]); their Walsh-Hadamard power spectra,
     binned by parity sector, are accumulated once (chi bounded by the
     complement dimension).  The pair vectors are transformed by `_wht` in
-    blocks of rows, a few GEMMs with small +-1 Hadamard factors per block.
+    blocks of rows, a few GEMMs with small +-1 Hadamard factors per block
+    (`_pair_power`).  On the whole chain chi = 1 and the one pair vector
+    is the outcome distribution |psi|^2, which `_outcome_power` transforms
+    with no SVD.
 
     When the flip fixes the state up to sign, the rows (C[a] +- C[a~])/sqrt(2)
     over the a with top window bit 0 span orthogonal sectors of G, so two
@@ -235,33 +320,29 @@ class _LowRankPlan:
     bit 0) at the low bits k' of k.  So the power of k' is binned at
     |k'| + ((|k'| + parity) mod 2).
 
-    The working set is the coefficient matrix, the kept vectors and one
-    block of pair vectors in its transform: on the Z axis at L=16 the 14-site
-    plan and the whole chain peak at 3.0 state sizes (tracemalloc).
+    The working set beside the state: the sector SVDs and the kept vectors,
+    then those and the block buffers; on the whole chain the outcome
+    distribution (half a state on the flip) and two buffers.  tracemalloc
+    at L=20: the 14-site plan peaks at 1.0 state sizes on Z (2.0 on X,
+    where the one SVD's u and the kept vectors copied out of it are both
+    state-sized), the whole chain at 0.6 (1.1 on X).
     """
 
     def __init__(self, coeff, flip):
-        na = coeff.shape[0]
+        na, nb = coeff.shape
         self.n_bits = na.bit_length() - 1
-        vectors, weights2, parity = _schmidt_sectors(coeff, flip)  # vectors: (chi, m)
-        m = vectors.shape[1]
-        bits = m.bit_length() - 1
-        pc = _parity_bins(m)
-        ks, ls = np.triu_indices(weights2.size)
-        pair_parity = parity[ks] ^ parity[ls]
+        if nb == 1:
+            power = _outcome_power(coeff[:, 0], flip)[None]
+        else:
+            power = _pair_power(*_schmidt_sectors(coeff, flip), flip)
+        bits = self.n_bits - flip
+        d = np.arange(bits + 1)
         spectrum = np.zeros(self.n_bits + 1)
-        block = max(1, _WHT_BLOCK_ELEMENTS // m)
-        for p in (0, 1) if flip else (0,):
-            kp, lp = ks[pair_parity == p], ls[pair_parity == p]
-            pair_w = weights2[kp] * weights2[lp] * np.where(kp == lp, 1.0, 2.0)
-            power = np.zeros(m)
-            for c0 in range(0, kp.size, block):
-                c1 = min(kp.size, c0 + block)
-                w = vectors[kp[c0:c1]]
-                w *= vectors[lp[c0:c1]].conj() if w.dtype.kind == "c" else vectors[lp[c0:c1]]
-                power += pair_w[c0:c1] @ _abs2_owned(_wht(w, bits, -1))
-            bins = pc + ((pc + p) & 1) if flip else pc
-            spectrum += np.bincount(bins, weights=power, minlength=self.n_bits + 1)
+        for p, row in enumerate(power):
+            bins = d + ((d + p) & 1) if flip else d
+            spectrum += np.bincount(
+                bins, weights=_popcount_sums(row, bits), minlength=self.n_bits + 1
+            )
         self.spectrum = spectrum / na
 
     def purity(self, lam):
@@ -521,6 +602,7 @@ def r2gse_pure(state, part: Bipartition, axis, p_m):
     Computed without forming the full density matrix, by the kernel that
     `GsePlan` picks for a window of L_A sites.
     """
+    _check_length(state, part)
     return GsePlan(rotate_to_basis(state, axis), 0, part.L_A).entropy(p_m)
 
 
@@ -578,10 +660,36 @@ class MiPlan:
         )
 
 
+def _near(a, b, ops):
+    """True when |op(a, b)| <= 1e-12 in the 2-norm for one of the ufuncs `ops`.
+
+    a and b are equal-shape 2-D views; the squared differences are summed
+    a block of rows at a time through one buffer, and the test stops once
+    every sum is past the bound.  (The sum |a|^2 + |b|^2 -+ 2 Re <a, b>
+    would need no buffer, but it cancels to far above 1e-24.)
+    """
+    sums = np.zeros(len(ops))
+    rows = max(1, _WHT_BLOCK_ELEMENTS // a.shape[1])
+    buf = np.empty(min(a.shape[0], rows) * a.shape[1], np.result_type(a, b))
+    for r0 in range(0, a.shape[0], rows):
+        a_rows, b_rows = a[r0 : r0 + rows], b[r0 : r0 + rows]
+        d = buf[: a_rows.size].reshape(a_rows.shape)
+        for i, op in enumerate(ops):
+            op(a_rows, b_rows, out=d)
+            sums[i] += np.vdot(d, d).real
+        if not np.sqrt(sums.min()) <= 1e-12:  # nan fails as well
+            return False
+    return True
+
+
 def is_translation_invariant(state):
-    """True when the one-site shift T of the ring fixes the state, |T psi - psi| <= 1e-12."""
+    """True when the one-site shift T of the ring fixes the state, |T psi - psi| <= 1e-12.
+
+    (T psi)[2r + t] = psi[2^(L-1) t + r] (see `spin.translate`), so T psi
+    is the transposed (2, 2^(L-1)) view of the amplitudes.
+    """
     psi = np.asarray(state)
-    return float(np.linalg.norm(translate(psi) - psi)) <= 1e-12
+    return _near(psi.reshape(2, -1).T, psi.reshape(-1, 2), (np.subtract,))
 
 
 def is_flip_symmetric(state):
@@ -589,9 +697,8 @@ def is_flip_symmetric(state):
 
     a~ is the complement of every bit of a, so psi(a~) is `psi[::-1]`.
     """
-    psi = np.asarray(state)
-    rev = psi[::-1]
-    return any(float(np.linalg.norm(rev - sign * psi)) <= 1e-12 for sign in (1.0, -1.0))
+    psi = np.asarray(state)[:, None]
+    return _near(psi[::-1], psi, (np.subtract, np.add))
 
 
 def sweep_plans(state, L_A_values, plan, workers=1):

@@ -68,13 +68,18 @@ _HADAMARD = [_hadamard(k) for k in range(_WHT_FACTOR_BITS + 1)]
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _wht(arr, n_bits, axis):
+def _wht(arr, n_bits, axis, spare=None):
     """Unnormalized Walsh-Hadamard transform along `axis`; `arr` is left as it is.
 
     H_{2^n} = H_{2^k1} (x) H_{2^k2} (x) ..., with near-equal factors of at
     most _WHT_FACTOR_BITS bits taken from the top bit down, so each factor
     is one GEMM on a reshape of the array: a batched `matmul` when bits
     below the factor's group remain, a plain `@` on its last group.
+
+    With `spare`, a C-contiguous array of arr's shape and dtype (arr
+    C-contiguous too), the factors write into spare and arr in turn and
+    nothing is allocated: arr is overwritten, and the one of the two that
+    holds the result is returned.
     """
     axis %= arr.ndim
     outer = int(np.prod(arr.shape[:axis]))
@@ -85,10 +90,13 @@ def _wht(arr, n_bits, axis):
         k = n_bits // n_factors + (f < n_bits % n_factors)
         h = _HADAMARD[k]
         lo = n_bits - hi - k
-        if inner << lo == 1:
-            x = x.reshape(-1, 1 << k) @ h
+        plain = inner << lo == 1
+        shape = (-1, 1 << k) if plain else (outer << hi, 1 << k, inner << lo)
+        out = None if spare is None else (spare, arr)[f % 2].reshape(shape)
+        if plain:
+            x = np.matmul(x.reshape(shape), h, out=out)
         else:
-            x = np.matmul(h, x.reshape(outer << hi, 1 << k, inner << lo))
+            x = np.matmul(h, x.reshape(shape), out=out)
         hi += k
     return x.reshape(arr.shape)
 

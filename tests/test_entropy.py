@@ -417,6 +417,148 @@ def test_flip_halved_low_rank_plans_peak_near_three_states(critical, length, alg
     assert peak <= 3.1 * psi.nbytes
 
 
+@pytest.mark.parametrize("axis, work, expected, bound", [
+    ("Z", is_flip_symmetric, True, 0.25),
+    ("Z", is_translation_invariant, True, 0.25),
+    ("Z", 20, "rank1_full", 1.0),
+    ("X", 20, "rank1_full", 1.5),
+    ("Z", 14, "low_rank", 1.05),
+    ("Z", 13, "dense_gram", 1.1),
+])
+def test_case1_stages_hold_one_working_copy_beside_the_state(critical, axis, work, expected, bound):
+    # peak traced bytes over the state's, on the L=20 ground state (8 MB), of
+    # a symmetry check or of the GsePlan of a window length: the checks sum
+    # over blocks, the whole chain transforms |psi|^2 in place, the low_rank
+    # blocks reuse their buffers and a dense_gram row block's GEMM runs after
+    # the last one's product is freed
+    psi = rotate_to_basis(critical(20), axis)
+    tracemalloc.start()
+    try:
+        answer = work(psi) if callable(work) else GsePlan(psi, 0, work).algorithm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer == expected
+    assert peak <= bound * psi.nbytes
+
+
+@pytest.mark.parametrize("block", [1 << 3, 1 << 16])
+def test_symmetry_checks_match_the_norms_they_bound(critical, monkeypatch, block):
+    # the blocked sums against |T psi - psi| and |psi(a~) -+ psi(a)| in one
+    # piece, on states that pass, that fail by 1e-11 at the first label, the
+    # last one or one block in, and that fail by 6e-13 at two labels, under
+    # the bound in every 8-entry block but over it in sum
+    monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(SEED + 9)
+    base = [critical(8), _flip_case_state(critical, 8, "odd", SEED), random_state(8, rng)]
+    changes = [(), ((0, 1e-11),), ((255, 1e-11),), ((9, 1e-11),), ((3, 6e-13), (100, 6e-13))]
+    for psi in base:
+        for change in changes:
+            phi = psi.copy()
+            for where, by in change:
+                phi[where] += by
+            flip = min(np.linalg.norm(phi[::-1] - s * phi) for s in (1, -1)) <= 1e-12
+            assert is_flip_symmetric(phi) == flip
+            assert is_translation_invariant(phi) == (np.linalg.norm(translate(phi) - phi) <= 1e-12)
+    assert is_flip_symmetric(base[0]) and is_translation_invariant(base[0])
+    phi = base[0].copy()
+    phi[[3, 100]] += 6e-13
+    assert not is_flip_symmetric(phi) and not is_translation_invariant(phi)
+    assert is_flip_symmetric(base[1]) and not is_flip_symmetric(base[2])
+    # a nan anywhere fails both
+    phi = base[0].copy()
+    phi[200] = np.nan
+    assert not is_flip_symmetric(phi) and not is_translation_invariant(phi)
+
+
+def _svd_pair_spectrum(coeff):
+    # the generic low_rank formulation: the full SVD of C, every pair vector
+    # u_k conj(u_l) transformed over all window bits by a dense Hadamard matrix,
+    # the power spectrum binned by popcount
+    na = coeff.shape[0]
+    n = na.bit_length() - 1
+    u, s, _ = np.linalg.svd(coeff, full_matrices=False)
+    kept = s > 1e-12 * s[0]
+    u, w2 = u[:, kept], s[kept] ** 2
+    ks, ls = np.triu_indices(w2.size)
+    power = np.abs(hadamard(na) @ (u[:, ks] * u[:, ls].conj())) ** 2
+    power = power @ (w2[ks] * w2[ls] * np.where(ks == ls, 1.0, 2.0))
+    return np.bincount(np.bitwise_count(np.arange(na)), weights=power, minlength=n + 1) / na
+
+
+def _equivalence_state(kind, L, rng):
+    v = rng.standard_normal(2**L)
+    if kind != "real":
+        v = v + 1j * rng.standard_normal(2**L)
+    if kind in ("even", "odd"):
+        v = v - v[::-1] if kind == "odd" else v + v[::-1]
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("shrunk", [False, True])
+@pytest.mark.parametrize("kind", ["complex", "real", "even", "odd"])
+def test_low_rank_plan_matches_the_svd_pair_reference(monkeypatch, kind, shrunk):
+    # the whole chain (one complement configuration: the outcome distribution,
+    # no SVD) and the buffered pair loop against the generic formulation; shrunk
+    # blocks run the pair loop one or two pairs at a time, with a partial last
+    # block, and the in-place transform of the whole chain over many blocks
+    if shrunk:
+        monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", 1 << 6)
+    rng = np.random.default_rng(SEED + 6)
+    for L in (1, 2, 3, 5, 8, 10):
+        psi = _equivalence_state(kind, L, rng)
+        for axis in ("X", "Y", "Z"):
+            rot = rotate_to_basis(psi, axis)
+            flip = is_flip_symmetric(rot)
+            if axis == "Z":
+                assert flip == (kind in ("even", "odd"))
+            for length in range(1, L + 1):
+                for start in sorted({0, L - length}):
+                    coeff = window_coefficient_matrix(rot, start, length)
+                    ref = _svd_pair_spectrum(coeff)
+                    plans = [entropy._LowRankPlan(coeff, False)]
+                    if flip:
+                        plans.append(entropy._LowRankPlan(coeff, True))
+                    for plan in plans:
+                        assert np.max(np.abs(plan.spectrum - ref)) <= 1e-13
+                        for p_m in (0.0, 0.1, 0.3, 0.5):
+                            lam = entropy._contraction(p_m, "p_m")
+                            ref_purity = ref @ ((1 + lam**2) ** np.arange(length, -1, -1)
+                                                * (1 - lam**2) ** np.arange(length + 1))
+                            value = entropy._entropy_of(plan.purity(lam))
+                            assert abs(value - entropy._entropy_of(ref_purity)) <= 1e-13
+
+
+def test_wht_with_a_spare_writes_only_into_its_two_buffers():
+    # the factors alternate between the input and the spare; the result is
+    # the allocating transform's, in whichever of the two took the last factor
+    rng = np.random.default_rng(SEED + 7)
+    for n in (0, 1, 5, 6, 11, 12):
+        for dtype in (np.float64, np.complex128):
+            a = rng.standard_normal((3, 2**n))
+            if dtype == np.complex128:
+                a = a + 1j * rng.standard_normal(a.shape)
+            for arr, axis in ((a, -1), (np.ascontiguousarray(a.T), 0)):
+                ref = _wht(arr, n, axis)
+                work, spare = arr.copy(), np.empty_like(arr)
+                out = _wht(work, n, axis, spare)
+                assert np.shares_memory(out, work) or np.shares_memory(out, spare)
+                assert out.shape == arr.shape and np.array_equal(out, ref)
+
+
+def test_r2gse_pure_checks_the_state_against_the_bipartition():
+    # as renyi2_ee and the other (state, bipartition) entropies do, rather
+    # than reading an L=8 state as a window of some other chain
+    psi = random_state(8, np.random.default_rng(SEED + 8))
+    for part in (Bipartition(10, 3), Bipartition(6, 3)):
+        for entropy_of in (
+            lambda: r2gse_pure(psi, part, "Z", 0.1),
+            lambda: renyi2_ee(psi, part),
+        ):
+            with pytest.raises(ValueError, match="not 2\\^L"):
+                entropy_of()
+
+
 def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
     psi = critical(10)
     assert GsePlan(psi, 0, 4).flip_halved
