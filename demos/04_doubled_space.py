@@ -8,22 +8,23 @@ is checked against the dense matrix calculation.
 
 import numpy as np
 
-from renyimi import (
-    Bipartition,
+from renyimi import Bipartition, TfimModel, ground_state
+from renyimi.oracle import (
     ChannelSpec,
-    TfimModel,
     apply_channel_dense,
     apply_lifted_channel,
+    density_from_state,
     depolarize_subsystem,
     devectorize,
-    ground_state,
     lift_channel,
+    partial_trace_dense,
     pure_supervector,
+    purity_dense,
+    r2gse_dense,
     r2gse_supervector,
     vectorize,
     y_decohere_dense,
 )
-from renyimi.oracle import density_from_state, partial_trace_dense, purity_dense, r2gse_dense
 
 rng = np.random.default_rng(7)
 

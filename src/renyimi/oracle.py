@@ -1,26 +1,83 @@
-"""Brute-force dense reference implementations, used in tests as ground truth.
+"""Brute-force references, used in tests as ground truth; `import renyimi` loads none of it.
 
-Everything here favors being obviously correct over being fast and is
-hard-capped at L <= 8, except the full-space ground-state solver, which
-checks the sector solver of `tfim` up to L = 12, and the free-fermion
-entropies, which cost O(L^3) and anchor the window plans at any L.
+Everything here favors being obviously correct over being fast.  Three parts:
+  * dense references: density matrices, partial traces, purities and the
+    literal generalized entropy, capped at L <= ORACLE_MAX_SITES = 8; the
+    full-space ground state, which checks the sector solver of `tfim` up to
+    L = DENSE_MAX_SITES = 12; and the free-fermion entropies, which cost
+    O(L^3) and anchor the window plans at any L;
+  * Kraus channels: products of per-site two-Kraus maps
+    E_j[rho] = (1-p) rho + p M_j rho M_j with M a Pauli axis, stored as
+    (axis, p, sites), never as full-dimension Kraus matrices;
+  * the supervector engine, capped at L <= SUPERVECTOR_MAX_SITES = 12:
+    density matrices as vectors over 4^L labels, lifted channels and
+    per-site depolarizers (the partial trace).  Case 2 runs on
+    `entropy.PauliWeightPlan`; this is its reference.
+
+Vectorization convention (pinned once, unnormalized):
+  * component (k_u, m_l) of |rho>> is rho[m, k], flat index k * 2^L + m,
+  * so site j owns the l-bit at position j and the u-bit at position j + L,
+  * for a pure state psi psi+ the supervector is kron(conj(psi), psi),
+  * <<a|b>> = Tr[a+ b], hence the squared norm of a vectorized state is its
+    purity and no dimension prefactors appear in the subsystem-entropy
+    identity of `generalized_entropy_supervector`.
+
+A channel with Kraus operators {K} acts on supervectors as the lifted
+operator sum(conj(K)_u x K_l); for the single-site two-Kraus channels used
+here that is one 4x4 factor per site on the (u, l) bit pair.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import eigh
+import math
+from dataclasses import dataclass
 
-from .channels import ChannelSpec, apply_channel_dense
-from .spin import Bipartition
+import numpy as np
+
+from .spin import Bipartition, check_axis, num_sites
 
 ORACLE_MAX_SITES = 8
 DENSE_MAX_SITES = 12
+SUPERVECTOR_MAX_SITES = 12
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+_SQ2 = 1.0 / np.sqrt(2.0)
+# Columns are normalized eigenvectors of the axis operator, the +1
+# eigenvector mapped to label 0, as `spin.rotate_to_basis` labels them.
+BASIS_COLUMNS = {
+    "Z": np.eye(2, dtype=complex),
+    "X": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    "Y": np.array([[_SQ2, _SQ2], [1.0j * _SQ2, -1.0j * _SQ2]], dtype=complex),
+}
 
 
-def _check_cap(L):
-    if L > ORACLE_MAX_SITES:
-        raise ValueError(f"oracle paths are capped at L <= {ORACLE_MAX_SITES}, got L={L}")
+def _check_cap(L, cap, what):
+    if L > cap:
+        raise ValueError(
+            f"{what} is capped at L <= {cap}, got L={L}; "
+            "the pure-state algorithms take larger chains"
+        )
+
+
+def _sites_of(arr, ndim):
+    """L of a 2^L x 2^L density matrix (ndim 2) or of a 4^L-component supervector (ndim 1)."""
+    shape = np.shape(arr)
+    n = math.prod(shape)
+    L = (n.bit_length() - 1) // 2
+    if len(shape) != ndim or shape[0] ** ndim != n or L < 1 or n != 4**L:
+        want = "2^L x 2^L" if ndim == 2 else "4^L"
+        raise ValueError(f"shape {shape} is not {want} with L >= 1")
+    return L
+
+
+def _check_sites(sites, L):
+    for site in sites:
+        if not 0 <= site < L:
+            raise ValueError(f"site {site} out of range for L={L}")
 
 
 def dense_hamiltonian(L):
@@ -29,8 +86,7 @@ def dense_hamiltonian(L):
     The diagonal is summed bond by bond; at L=2 the periodic sum counts the
     single bond twice.
     """
-    if L > DENSE_MAX_SITES:
-        raise ValueError(f"dense Hamiltonian capped at L <= {DENSE_MAX_SITES}")
+    _check_cap(L, DENSE_MAX_SITES, "the dense Hamiltonian")
     idx = np.arange(2**L)
     z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(L)) & 1)  # z[s, j] = +-1
     h = np.diag(-np.sum(z * np.roll(z, -1, axis=1), axis=1))
@@ -45,6 +101,9 @@ def dense_ground_state(L):
     psi is real, normalized and sign-fixed so its largest-magnitude
     amplitude is positive, as `tfim.ground_state` returns it.
     """
+    # imported here: scipy.linalg costs ~0.3 s to import, and only this solver needs it
+    from scipy.linalg import eigh
+
     w, v = eigh(dense_hamiltonian(L), subset_by_index=[0, 0])
     psi = v[:, 0] / np.linalg.norm(v[:, 0])
     psi *= np.sign(psi[np.argmax(np.abs(psi))])
@@ -94,7 +153,7 @@ def density_from_state(state):
 
 def partial_trace_dense(rho, part: Bipartition, keep="A"):
     """Exact index-summed partial trace onto subsystem `keep`."""
-    _check_cap(part.L)
+    _check_cap(part.L, ORACLE_MAX_SITES, "the dense oracle")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2**part.L, 2**part.L):
         raise ValueError(f"density matrix shape {rho.shape} does not match L={part.L}")
@@ -125,7 +184,7 @@ def r2gse_dense(state_or_rho, part: Bipartition, axis, p_m, subsystem="A"):
     "AB" dephases the whole chain with no trace, both there for
     cross-checking the fast paths.
     """
-    _check_cap(part.L)
+    _check_cap(part.L, ORACLE_MAX_SITES, "the dense oracle")
     arr = np.asarray(state_or_rho, dtype=complex)
     rho = density_from_state(arr) if arr.ndim == 1 else arr
     if subsystem == "A":
@@ -140,3 +199,161 @@ def r2gse_dense(state_or_rho, part: Bipartition, axis, p_m, subsystem="A"):
     if keep is not None:
         rho = partial_trace_dense(rho, part, keep=keep)
     return -np.log(purity_dense(rho))
+
+
+@dataclass(frozen=True)
+class ChannelSpec:
+    """Axis dephasing of strength p on a set of sites.
+
+    p is capped at 1/2 (the projective limit); larger values are rejected
+    rather than silently mirrored.
+    """
+
+    axis: str
+    p: float
+    sites: tuple
+
+    def __post_init__(self):
+        check_axis(self.axis)
+        if not 0.0 <= self.p <= 0.5:
+            raise ValueError(f"channel strength p={self.p} outside [0, 1/2]")
+        sites = tuple(int(s) for s in self.sites)
+        if len(set(sites)) != len(sites):
+            raise ValueError(f"duplicate sites in channel spec: {sites}")
+        object.__setattr__(self, "sites", sites)
+
+
+def _pauli_sandwich(rho, axis, site, L):
+    """M_j rho M_j by index manipulation (no full-dimension operator)."""
+    h = 2 ** (L - 1 - site)
+    low = 2**site
+    v = rho.reshape(h, 2, low, h, 2, low)
+    if axis == "Z":
+        out = v.copy()
+        out[:, 0, :, :, 1, :] *= -1.0
+        out[:, 1, :, :, 0, :] *= -1.0
+    elif axis == "X":
+        out = v[:, ::-1, :, :, ::-1, :].copy()
+    else:  # Y: flip both indices, negate where the two configs differ at the site
+        out = v[:, ::-1, :, :, ::-1, :].copy()
+        out[:, 0, :, :, 1, :] *= -1.0
+        out[:, 1, :, :, 0, :] *= -1.0
+    return out.reshape(rho.shape)
+
+
+def apply_channel_dense(rho, spec: ChannelSpec):
+    """Apply the per-site Kraus sum sequentially over spec.sites."""
+    rho = np.asarray(rho, dtype=complex)
+    L = _sites_of(rho, 2)
+    _check_sites(spec.sites, L)
+    out = rho.copy()
+    for site in spec.sites:
+        out = (1.0 - spec.p) * out + spec.p * _pauli_sandwich(out, spec.axis, site, L)
+    return out
+
+
+def y_decohere_dense(rho, p_y):
+    """Local Y channel of strength p_y applied at every site of the chain."""
+    return apply_channel_dense(rho, ChannelSpec("Y", p_y, tuple(range(_sites_of(rho, 2)))))
+
+
+def vectorize(rho):
+    """Density matrix -> supervector, component (k_u, m_l) = rho[m, k]."""
+    rho = np.asarray(rho, dtype=complex)
+    _check_cap(_sites_of(rho, 2), SUPERVECTOR_MAX_SITES, "the supervector path")
+    return rho.T.reshape(-1).copy()
+
+
+def devectorize(sv):
+    """Exact inverse of vectorize."""
+    dim = 2 ** _sites_of(sv, 1)
+    return np.asarray(sv, dtype=complex).reshape(dim, dim).T.copy()
+
+
+def pure_supervector(state):
+    """Supervector of |psi><psi| without forming the density matrix."""
+    psi = np.asarray(state, dtype=complex)
+    _check_cap(num_sites(psi), SUPERVECTOR_MAX_SITES, "the supervector path")
+    return np.kron(psi.conj(), psi)
+
+
+@dataclass(frozen=True)
+class LiftedChannel:
+    """Doubled-space image of a ChannelSpec: one 4x4 factor per listed site."""
+
+    site_factor: np.ndarray
+    sites: tuple
+
+
+def lift_channel(spec: ChannelSpec) -> LiftedChannel:
+    """(1-p) IxI + p conj(M)_u x M_l per site; for M=Y the conjugation flips the sign."""
+    m = PAULIS[spec.axis]
+    factor = (1.0 - spec.p) * np.eye(4, dtype=complex) + spec.p * np.kron(m.conj(), m)
+    return LiftedChannel(site_factor=factor, sites=spec.sites)
+
+
+def _apply_pair_inplace(sv, L, site, factor):
+    # (u, l) bit pair of `site` sits at flat bit positions (site + L, site)
+    v = sv.reshape(2 ** (L - 1 - site), 2, 2 ** (L - 1), 2, 2**site)
+    s = (v[:, 0, :, 0, :], v[:, 0, :, 1, :], v[:, 1, :, 0, :], v[:, 1, :, 1, :])
+    new = [
+        factor[r, 0] * s[0] + factor[r, 1] * s[1] + factor[r, 2] * s[2] + factor[r, 3] * s[3]
+        for r in range(4)
+    ]
+    v[:, 0, :, 0, :] = new[0]
+    v[:, 0, :, 1, :] = new[1]
+    v[:, 1, :, 0, :] = new[2]
+    v[:, 1, :, 1, :] = new[3]
+
+
+def _apply_site_factor(sv, sites, factor):
+    L = _sites_of(sv, 1)
+    _check_sites(sites, L)
+    out = np.array(sv, dtype=complex)
+    for site in sites:
+        _apply_pair_inplace(out, L, site, factor)
+    return out
+
+
+def apply_lifted_channel(sv, lifted: LiftedChannel):
+    """Apply the per-site doubled factors; site order is irrelevant."""
+    return _apply_site_factor(sv, lifted.sites, lifted.site_factor)
+
+
+# per-site factor of the maximal depolarizer: the (u, l) pairs 00 and 11
+# both become their mean, 01 and 10 vanish
+_DEPOLARIZER = np.zeros((4, 4))
+_DEPOLARIZER[np.ix_((0, 3), (0, 3))] = 0.5
+
+
+def depolarize_subsystem(sv, sites):
+    """Maximal depolarizer on `sites`: de-vectorizes to (I/d) x Tr_sites[rho]."""
+    return _apply_site_factor(sv, tuple(int(s) for s in sites), _DEPOLARIZER)
+
+
+def generalized_entropy_supervector(sv, dephase_sites, depolarize_sites, axis, p):
+    """-log(d_B ||D_B E_A |rho>>||^2): dephase one site set, sweep out the other.
+
+    Under the unnormalized convention the depolarized norm equals
+    Tr[(Tr_B E[rho])^2] / d_B, so the d_B prefactor makes the result the
+    subsystem Renyi-2 entropy of the dephased state.
+    """
+    check_axis(axis)
+    dephase_sites = tuple(int(s) for s in dephase_sites)
+    w = sv
+    if dephase_sites and p > 0.0:
+        w = apply_lifted_channel(w, lift_channel(ChannelSpec(axis, p, dephase_sites)))
+    w = depolarize_subsystem(w, depolarize_sites)
+    purity = 2 ** len(tuple(depolarize_sites)) * float(np.real(np.vdot(w, w)))
+    if not np.isfinite(purity) or purity <= 0.0:
+        raise FloatingPointError(
+            f"purity {purity} underflowed; input supervector was not a valid trace-1 state"
+        )
+    return float(-np.log(purity) + 0.0)
+
+
+def r2gse_supervector(sv, part: Bipartition, axis, p_m):
+    """Subsystem-A generalized entropy of a vectorized (possibly mixed) state."""
+    if _sites_of(sv, 1) != part.L:
+        raise ValueError("supervector length does not match bipartition")
+    return generalized_entropy_supervector(sv, part.sites_A, part.sites_B, axis, p_m)

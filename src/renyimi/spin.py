@@ -19,20 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-# Columns are normalized eigenvectors of the axis operator, the +1
-# eigenvector mapped to label 0.  Fixed once so all modules agree.
-BASIS_COLUMNS = {
-    "Z": np.eye(2, dtype=complex),
-    "X": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "Y": np.array([[_SQ2, _SQ2], [1.0j * _SQ2, -1.0j * _SQ2]], dtype=complex),
-}
-
 AXES = ("X", "Y", "Z")
 
 
@@ -106,11 +92,13 @@ def rotate_to_basis(state, axis):
 
     Z is the computational basis: the amplitudes come back as given
     (`np.asarray`, no copy, dtype kept), so callers must not write to them.
-    X and Y return a new array.  The adjoint of the eigenvector matrix of
-    BASIS_COLUMNS is H/sqrt(2) on X and H diag(1, -i)/sqrt(2) on Y (H the
-    2x2 Hadamard matrix), so on L sites X is the Walsh-Hadamard transform
-    times 2^(-L/2), and Y is the same after the phase (-i)^popcount(s) on
-    each amplitude psi[s].  A real state stays real on X; Y is complex.
+    X and Y return a new array.  Label 0 of a site is the +1 eigenvector of
+    the axis operator; the tests' `oracle.BASIS_COLUMNS` holds these 2x2
+    eigenvector matrices.  The adjoint of that matrix is H/sqrt(2) on X and
+    H diag(1, -i)/sqrt(2) on Y (H the 2x2 Hadamard matrix), so on L sites X
+    is the Walsh-Hadamard transform times 2^(-L/2), and Y is the same after
+    the phase (-i)^popcount(s) on each amplitude psi[s].  A real state
+    stays real on X; Y is complex.
     """
     check_axis(axis)
     psi = np.asarray(state)

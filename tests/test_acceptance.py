@@ -15,26 +15,30 @@ import pytest
 from conftest import SEED, ghz_state, kernel_entropy, random_density, random_state, zero_state
 from renyimi import (
     Bipartition,
-    ChannelSpec,
     GsePlan,
-    apply_channel_dense,
-    apply_lifted_channel,
-    depolarize_subsystem,
-    devectorize,
     entropy,
     fit_cft,
-    lift_channel,
-    pure_supervector,
     r2gse_pure,
-    r2gse_supervector,
     r2gsmi,
     renyi2_ee,
     renyi2_shannon_entropy,
     scaling_variable,
-    vectorize,
 )
 from renyimi.experiments import ExperimentConfig, cached_ground_state, run_case1, run_case2
-from renyimi.oracle import partial_trace_dense, purity_dense, r2gse_dense
+from renyimi.oracle import (
+    ChannelSpec,
+    apply_channel_dense,
+    apply_lifted_channel,
+    depolarize_subsystem,
+    devectorize,
+    lift_channel,
+    partial_trace_dense,
+    pure_supervector,
+    purity_dense,
+    r2gse_dense,
+    r2gse_supervector,
+    vectorize,
+)
 
 LOG2 = np.log(2.0)
 

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import SEED, kron_chain, random_density
-from renyimi import ChannelSpec, apply_channel_dense, y_decohere_dense
-from renyimi.oracle import density_from_state
-from renyimi.spin import BASIS_COLUMNS
+from renyimi.oracle import (
+    BASIS_COLUMNS,
+    ChannelSpec,
+    apply_channel_dense,
+    density_from_state,
+    y_decohere_dense,
+)
 
 
 def test_spec_validation():

@@ -2,21 +2,24 @@ import numpy as np
 import pytest
 
 from conftest import SEED, bell_state, ghz_state, random_density, zero_state
-from renyimi import (
-    Bipartition,
+from renyimi import Bipartition
+from renyimi.oracle import (
+    SUPERVECTOR_MAX_SITES,
     ChannelSpec,
     apply_channel_dense,
     apply_lifted_channel,
+    density_from_state,
     depolarize_subsystem,
     devectorize,
     lift_channel,
+    partial_trace_dense,
     pure_supervector,
+    purity_dense,
+    r2gse_dense,
     r2gse_supervector,
     vectorize,
     y_decohere_dense,
 )
-from renyimi.doubled import SUPERVECTOR_MAX_SITES
-from renyimi.oracle import density_from_state, partial_trace_dense, purity_dense, r2gse_dense
 
 
 def test_vectorize_pure_zero_state():
@@ -159,6 +162,12 @@ def test_site_cap_enforced():
     too_big = np.zeros((2 ** (SUPERVECTOR_MAX_SITES + 1),) * 2, dtype=complex)
     with pytest.raises(ValueError, match="pure-state"):
         vectorize(too_big)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_pure_supervector_rejects_non_power_of_two_state(n):
+    with pytest.raises(ValueError, match="power of two"):
+        pure_supervector(np.ones(n, dtype=complex))
 
 
 def test_bad_supervector_length_rejected():

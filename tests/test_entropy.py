@@ -18,16 +18,11 @@ from conftest import (
 )
 from renyimi import (
     Bipartition,
-    ChannelSpec,
     GsePlan,
     PauliWeightPlan,
-    apply_lifted_channel,
     build_mi_plans,
     conjectured_cn,
-    generalized_entropy_supervector,
-    lift_channel,
     marginal_probabilities,
-    pure_supervector,
     r2gse_pure,
     r2gsmi,
     r2smi,
@@ -36,8 +31,17 @@ from renyimi import (
     translate,
 )
 from renyimi import entropy
-from renyimi.channels import y_decohere_dense
-from renyimi.oracle import partial_trace_dense, density_from_state, r2gse_dense
+from renyimi.oracle import (
+    ChannelSpec,
+    apply_lifted_channel,
+    density_from_state,
+    generalized_entropy_supervector,
+    lift_channel,
+    partial_trace_dense,
+    pure_supervector,
+    r2gse_dense,
+    y_decohere_dense,
+)
 from renyimi.entropy import is_flip_symmetric, is_translation_invariant, sweep_plans
 from renyimi.spin import _sector_basis, _wht, rotate_to_basis, window_coefficient_matrix
 

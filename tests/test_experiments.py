@@ -6,19 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyimi import (
-    Bipartition,
+from renyimi import Bipartition, cli, entropy, experiments, tfim
+from renyimi.oracle import (
     ChannelSpec,
     apply_lifted_channel,
-    cli,
-    entropy,
-    experiments,
+    free_fermion_renyi2,
     generalized_entropy_supervector,
     lift_channel,
     pure_supervector,
-    tfim,
 )
-from renyimi.oracle import free_fermion_renyi2
 from renyimi.experiments import (
     CASE2_MAX_SITES,
     ConfigError,

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import SEED, bell_state, kron_chain, random_state, zero_state
 from renyimi import Bipartition, rotate_to_basis, translate, window_coefficient_matrix
-from renyimi.spin import BASIS_COLUMNS, PAULIS, num_sites
+from renyimi.oracle import BASIS_COLUMNS, PAULIS
+from renyimi.spin import num_sites
 
 
 def test_rotate_z_is_identity():
