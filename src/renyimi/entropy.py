@@ -62,21 +62,25 @@ builds each length once, and evaluates it once per strength (see `MiPlan`).
 The decohered windows of case 2 run on `PauliWeightPlan`, which bins a
 window's squared Pauli expectations by the two counts the channels damp:
 the sites where the string anticommutes with Z, and those where it
-anticommutes with Y.  It reads
-g_x[a] = G[a, a ^ x] off G's aligned blocks, one batched GEMM per block
-offset, halved by the flip as above; the whole chain of a real state that
-the shift and the flip fix (the ground state) transforms only the orbit
-representatives of the X-strings, about 2^L / 2L of them.
+anticommutes with Y.  It reads g_x[a] = G[a, a ^ x] off G's aligned
+blocks, one batched GEMM per block offset, halved by the flip as above;
+the whole chain of a real state that the shift and the flip fix (the
+ground state) transforms only the orbit representatives of the X-strings,
+about 2^L / 2L of them.  Twisted by (-1)^(x.a), g_x transforms to the
+power of z ^ x at z, so every spectrum of cases 1 and 2 is binned by
+`_popcount_sums`, and `_fold_parity` puts back a flip-halved top bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spin import (
     Bipartition,
+    _hadamard,
     _sector_basis,
     _wht,
     num_sites,
@@ -118,24 +122,45 @@ def _abs2_owned(z, out=None):
     return out
 
 
-def _popcount(labels):
-    return np.bitwise_count(labels).astype(np.int64)
+@functools.cache
+def _bit_table(k, signs=False):
+    """One-hot popcounts or signs (-1)^(x.a) of the k-bit labels; read-only, as threads share it."""
+    a = np.arange(1 << k)
+    t = _hadamard(k) if signs else (np.bitwise_count(a)[:, None] == np.arange(k + 1)) * 1.0
+    t.flags.writeable = False
+    return t
 
 
 def _popcount_sums(power, bits):
-    """s[d] = sum of power[a] over the labels a with d set bits, power of 2^bits entries.
+    """s[i, d] = sum of power's row i (2^bits labels a) over the a with d set bits.
 
-    Two one-hot tables, of the high and the low half of the bits, bin power
-    by GEMM into (|a_hi|, |a_lo|), whose anti-diagonals add up to |a|.
+    Two one-hot tables, of the high and the low half of the bits, bin each
+    row by GEMM into (|a_hi|, |a_lo|), whose anti-diagonals add up to |a|.
+    The Pauli-weight rows come twisted, so their bins |x ^ z| are |z| too.
     """
     lo = bits // 2
-    one_hot = [
-        (_popcount(np.arange(1 << n))[:, None] == np.arange(n + 1)).astype(np.float64)
-        for n in (bits - lo, lo)
-    ]
-    binned = one_hot[0].T @ (power.reshape(-1, 1 << lo) @ one_hot[1])
+    hi_hot, lo_hot = _bit_table(bits - lo), _bit_table(lo)
     d = np.add.outer(np.arange(bits - lo + 1), np.arange(lo + 1))
-    return np.bincount(d.reshape(-1), weights=binned.reshape(-1), minlength=bits + 1)
+    # one GEMM per half for all rows, the high half on the (2^hi, rows, lo + 1) layout
+    y = (power.reshape(-1, len(lo_hot)) @ lo_hot).reshape(-1, len(hi_hot), lo_hot.shape[1])
+    binned = hi_hot.T @ y.transpose(1, 0, 2).reshape(len(hi_hot), -1)
+    # and one bincount: (|a_hi|, row i, |a_lo|) lands at i (bits + 1) + |a_hi| + |a_lo|
+    bins = d[:, None, :] + (bits + 1) * np.arange(len(y))[:, None]
+    sums = np.bincount(bins.reshape(-1), binned.reshape(-1), minlength=len(y) * (bits + 1))
+    return sums.reshape(-1, bits + 1)
+
+
+def _fold_parity(rows, parity):
+    """t[i, d + ((d + parity[i]) & 1)] += rows[i, d]: popcount sums of n - 1 bits put on n.
+
+    A g over n bits with g(a~) = (-1)^p g(a) transforms to twice the
+    (n-1)-bit transform of its top-bit-0 half at the low bits z' of z, where
+    z's top bit is (|z'| + p) mod 2, and to 0 elsewhere.
+    """
+    d = np.arange(rows.shape[1])
+    bins = d + ((d + parity[:, None]) & 1) + (d.size + 1) * np.arange(len(rows))[:, None]
+    t = np.bincount(bins.reshape(-1), rows.reshape(-1), minlength=bins.size + len(rows))
+    return t.reshape(len(rows), -1)
 
 
 def _xor_fold(m):
@@ -197,7 +222,7 @@ class _DenseGramPlan:
                 weight[-1] /= 2.0
             g[i ^ np.arange(i, j1)] += weight[:, None] * _xor_fold(m)
             del m  # freed before the next row block's GEMM
-        self.binned = _popcount_sums(g, self.n_bits)
+        self.binned = _popcount_sums(g, self.n_bits)[0]
 
     def purity(self, lam):
         mu = lam * lam
@@ -273,10 +298,10 @@ def _outcome_power(psi, flip):
 
     On the flip P(a~) = P(a), so the transform of P vanishes at odd |k|,
     and at k = (t, k') with t = |k'| mod 2 it is the (n-1)-bit transform of
-    2 P over the labels with top bit 0 (the sector rule of `_LowRankPlan`
-    with one sector vector).  P is transformed and squared in place: the
-    low half of the bits along the rows of its (2^hi, 2^lo) view, then the
-    high half down the columns, a block at a time through two buffers.
+    2 P over the labels with top bit 0 (`_fold_parity` with parity 0).  P
+    is transformed and squared in place: the low half of the bits along the
+    rows of its (2^hi, 2^lo) view, then the high half down the columns, a
+    block at a time through two buffers.
     """
     if flip:
         p = _abs2(psi[: psi.size // 2])
@@ -317,8 +342,7 @@ class _LowRankPlan:
     even under a -> a~, or odd when exactly one of them is odd; its transform
     vanishes unless |k| has that parity, and there it equals the (n-1)-bit
     transform of x_k conj(x_l) (x the sector vectors, over the a with top
-    bit 0) at the low bits k' of k.  So the power of k' is binned at
-    |k'| + ((|k'| + parity) mod 2).
+    bit 0) at the low bits k' of k; `_fold_parity` bins it.
 
     The working set beside the state: the sector SVDs and the kept vectors,
     then those and the block buffers; on the whole chain the outcome
@@ -335,14 +359,9 @@ class _LowRankPlan:
             power = _outcome_power(coeff[:, 0], flip)[None]
         else:
             power = _pair_power(*_schmidt_sectors(coeff, flip), flip)
-        bits = self.n_bits - flip
-        d = np.arange(bits + 1)
-        spectrum = np.zeros(self.n_bits + 1)
-        for p, row in enumerate(power):
-            bins = d + ((d + p) & 1) if flip else d
-            spectrum += np.bincount(
-                bins, weights=_popcount_sums(row, bits), minlength=self.n_bits + 1
-            )
+        sums = _popcount_sums(power, self.n_bits - flip)
+        # row p of a flip-halved power holds the pair vectors of parity p
+        spectrum = _fold_parity(sums, np.arange(len(sums))).sum(axis=0) if flip else sums[0]
         self.spectrum = spectrum / na
 
     def purity(self, lam):
@@ -404,44 +423,22 @@ def _entropy_of(purity):
     return float(-np.log(purity) + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
-class _PauliBins:
-    """Flat (|x|, |x ^ z|) histogram of the powers |<X^x Z^z>|^2 of a window of n sites.
+def _twisted_bins(g, xs, n, weights=1.0):
+    """H[|x|, |z|] of the rows g[j] = g_x (x = xs[j]) of a block, twisted in place.
 
-    The pair (x, z) lands at the flat index |x| k + |x ^ z| (k = n + 1).
-    |x ^ z| adds over the high and the low bits of z, so the indices of a
-    block of X-strings are one broadcast sum of two small tables, with z's
-    bits split in two near-equal halves.
-
-    Halved: the powers run over the n - 1 low bits z' of z, the transform of a
-    flip-even g, whose odd |z| vanish.  The top bit of z is then t = |z'| mod 2,
-    which adds t ^ top(x) to |x ^ z|; every block of X-strings shares top(x),
-    so the t terms are a table per value of it.
+    Twisted by (-1)^(x.a), two sign tables of the high and low bits of a,
+    g_x transforms to the power of z ^ x at z, so `_popcount_sums` bins
+    |x ^ z| at |z|; a one-hot GEMM (times `weights`) adds the rows at |x|.
     """
-
-    def __init__(self, n, halved):
-        self.n, self.k, self.halved = n, n + 1, halved
-        bits = n - halved
-        lo = bits // 2
-        self.z_hi = np.arange(1 << (bits - lo), dtype=np.int64) << lo
-        self.z_lo = np.arange(1 << lo, dtype=np.int64)
-        self.hi_mask, self.lo_mask = self.z_hi[-1], self.z_lo[-1]
-        if halved:
-            t = (_popcount(self.z_hi)[:, None] + _popcount(self.z_lo)) & 1
-            self.base = (t, 1 - t)
-        else:
-            self.base = (0,)
-        self.flat = np.zeros(self.k**2)
-
-    def add(self, power, xs):
-        """Bin power[j, z] of the X-strings xs[j]; halved, they share the top bit."""
-        top = int(xs[0]) >> (self.n - 1) if self.halved else 0
-        hi = _popcount((xs & self.hi_mask)[:, None] ^ self.z_hi) + _popcount(xs)[:, None] * self.k
-        idx = hi[:, :, None] + _popcount((xs & self.lo_mask)[:, None] ^ self.z_lo)[:, None, :]
-        idx += self.base[top]
-        self.flat += np.bincount(idx.reshape(-1), weights=power.reshape(-1), minlength=self.k**2)
-
-    def histogram(self):
-        return self.flat.reshape(self.k, self.k)
+    m, size = g.shape
+    bits = size.bit_length() - 1
+    lo = bits - bits // 2
+    t = g.reshape(m, -1, 1 << lo)
+    t *= _bit_table(bits - lo, signs=True)[(xs >> lo) & ((size >> lo) - 1), :, None]
+    t *= _bit_table(lo, signs=True)[xs & ((1 << lo) - 1), None, :]
+    power = _abs2_owned(_wht(t.reshape(m, size), bits, -1))
+    one_hot = np.where(np.bitwise_count(xs)[:, None] == np.arange(n + 1), weights, 0.0)
+    return one_hot.T @ _popcount_sums(power, bits)
 
 
 def _gram_histogram(coeff, flip):
@@ -451,10 +448,10 @@ def _gram_histogram(coeff, flip):
     (blocks of B configurations) holds G[iB + r, (i ^ X)B + c] with
     x = XB + (r ^ c).  So for each block offset X one batched GEMM over the
     row blocks i, and one gather of the entries (r, r ^ e) of every block,
-    give g_x for the B strings x = XB + e, which `_wht` transforms over a.
-    With the flip, G[a~, a'~] = G[a, a'] makes g_x flip-even, and the row
-    blocks of the lower half of the a (top bit 0) and an (n-1)-bit transform
-    suffice (see `_PauliBins`).
+    give g_x for the B strings x = XB + e, binned by `_twisted_bins`.  With
+    the flip, G[a~, a'~] = G[a, a'] gives g_x twisted by (-1)^(x.a) the flip
+    parity |x| mod 2: the row blocks with top bit 0 and an (n-1)-bit
+    transform suffice, and `_fold_parity` puts the top bit of z back.
     """
     dim = coeff.shape[0]
     n = dim.bit_length() - 1
@@ -471,13 +468,13 @@ def _gram_histogram(coeff, flip):
     # g[e, iB + r] is the entry (i, r, r ^ e) of the (rows, B, B) block products
     take = ((i * block)[:, None] + r) * block + (r[:, None] ^ r)[:, None, :]
     take = take.reshape(block, -1)
-    bins = _PauliBins(n, flip)
+    h = np.zeros((n + 1, n + 1 - flip))
     for x_block in range(nq):
         gram = np.matmul(blocks[:rows], blocks_c[i ^ x_block].transpose(0, 2, 1))
-        g = _wht(gram.reshape(-1)[take], n - flip, -1)
-        bins.add(_abs2(g), x_block * block + r)
+        h += _twisted_bins(gram.reshape(-1)[take], x_block * block + r, n)
     # a flip-even transform is twice its (n-1)-bit half
-    return bins.histogram() * ((4.0 if flip else 1.0) / dim)
+    h = _fold_parity(h, np.arange(n + 1) & 1) * 4.0 if flip else h
+    return h / dim
 
 
 def _orbit_histogram(psi):
@@ -488,8 +485,8 @@ def _orbit_histogram(psi):
     and |x~ ^ z| = L - |x ^ z|.  So each orbit representative x of
     `_sector_basis` adds its powers at weight orbit/2 in its own bins and at
     orbit/2 in its complement's, which is the whole histogram reversed along
-    both axes.  g_x is flip-even, so the transform runs over the L - 1 low
-    bits (see `_PauliBins`).
+    both axes.  x has top bit 0, so `_twisted_bins` runs over L - 1 bits as
+    in `_gram_histogram`, with the orbit sizes as weights.
     """
     dim = psi.size
     L = dim.bit_length() - 1
@@ -497,14 +494,12 @@ def _orbit_histogram(psi):
     reps, _, orbit = _sector_basis(L)
     head = psi[:half]
     low = np.arange(half)
-    bins = _PauliBins(L, True)
+    h = np.zeros((L + 1, L))
     block = max(1, _WHT_BLOCK_ELEMENTS // half)
     for r0 in range(0, reps.size, block):
         xs = reps[r0 : r0 + block]
-        power = _abs2(_wht(head * psi[xs[:, None] ^ low], L - 1, -1))
-        power *= orbit[r0 : r0 + block, None]
-        bins.add(power, xs)
-    h = bins.histogram()
+        h += _twisted_bins(head * psi[xs[:, None] ^ low], xs, L, orbit[r0 : r0 + block, None])
+    h = _fold_parity(h, np.arange(L + 1) & 1)
     # orbit/2 weights, and the flip-even transform is twice its half: 4 / 2
     return (h + h[::-1, ::-1]) * (2.0 / dim)
 
@@ -527,7 +522,9 @@ class PauliWeightPlan:
     Each X-string x contributes a Walsh-Hadamard transform over a:
     <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x] = G[a, a^x],
     G = C C+ the Gram matrix of the window coefficient matrix C, so the
-    reduced density matrix is never formed.  `algorithm` names the path:
+    reduced density matrix is never formed.  Twisted by (-1)^(x.a), g_x
+    transforms to <X^x Z^(z^x)> at z, so both paths bin at plain |z|, as
+    case 1 does (`_twisted_bins`, `_fold_parity`).  `algorithm` names the path:
 
       * chain_orbits: the whole chain of a real state that the shift and
         the flip fix (the critical ground state) transforms only the orbit

@@ -39,7 +39,7 @@ from .tfim import (
 
 # the whole-chain Pauli-weight histogram transforms about 2^L / 2L orbit
 # representatives over L - 1 bits; a warm run (L_A 4:L-4, 6x6 grid, one BLAS
-# thread) takes 1.4 s at L=16 and 18 s at L=18, past a 15 s budget
+# thread, 2-vCPU VM) takes 1.0 s at L=16 and 24 s at L=18, past a 15 s budget
 CASE2_MAX_SITES = 16
 
 _POINTS_PREAMBLE = "# entropies in nats (natural log)"
@@ -268,14 +268,15 @@ def cached_ground_state(L, cache_dir="cache"):
     """Ground state with on-disk reuse; returns (result, cache_hit).
 
     A record of another format version, such as version 3 with the solver
-    name in its header, is a miss; it is overwritten.  A cache_dir that
-    cannot be made a directory is a ConfigError, raised before any solve.
+    name in its header, is a miss; it is overwritten.  A cache_dir or a
+    record path that cannot be used is a ConfigError, raised before any solve.
     """
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use cache directory {cache_dir}: {exc}") from exc
     path = cache_path(cache_dir, L)
+    check_output_paths(path)
     if os.path.exists(path):
         try:
             result = load_ground_state(path)
@@ -303,6 +304,8 @@ def _sweep(cfg: ExperimentConfig, ground, plan, grid):
     """
     if ground is None:
         ground, _ = cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
+    if len(ground.state) != 2**cfg.L:
+        raise ConfigError(f"ground state of {len(ground.state)} amplitudes is not one of L={cfg.L}")
     l_a_values = sorted(set(cfg.L_A))
     # the module global, looked up at each call, so a traced one is the one that runs
     plans = build_mi_plans(ground.state, l_a_values, cfg.axis, cfg.workers, plan)

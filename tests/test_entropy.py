@@ -718,6 +718,23 @@ def test_pauli_weight_plan_at_zero_decoherence_matches_gse_plan(critical):
         assert np.max(np.abs(plan.histogram.sum(axis=1) - binned)) <= 1e-12
 
 
+def test_y_dephased_window_matches_y_decohered_pauli_weights_L14(critical):
+    # dephasing a window along Y damps exactly the Pauli strings that the Y
+    # channel of case 2 damps, so the complex Y-basis GsePlan kernels and the
+    # real Pauli-weight bins (gram_blocks below 14 sites, chain_orbits on 14)
+    # give one entropy with no kernel in common
+    L = 14
+    psi = critical(L)
+    rot = rotate_to_basis(psi, "Y")
+    for n in range(1, L + 1):
+        plan = PauliWeightPlan(psi, 0, n)
+        assert plan.algorithm == ("chain_orbits" if n == L else "gram_blocks")
+        gse = GsePlan(rot, 0, n)
+        for p in (0.1, 0.3, 0.5):
+            ref = gse.entropy(p)
+            assert abs(plan.entropy(0.0, p) - ref) <= 1e-12 * abs(ref), (n, p)
+
+
 def test_pauli_weight_plan_strength_out_of_range(critical):
     plan = PauliWeightPlan(critical(6), 0, 3)
     with pytest.raises(ValueError, match="p_y"):
@@ -842,6 +859,18 @@ def test_whole_chain_orbit_path_needs_a_real_shift_and_flip_invariant_state(crit
         "translation-broken": 2**L,
         "complex": 2**L,
     }
+
+
+def test_cached_bit_tables_are_read_only():
+    # worker threads share the cached tables, so none may be written
+    for k in range(5):
+        labels = np.arange(2**k)
+        hot, signs = entropy._bit_table(k), entropy._bit_table(k, signs=True)
+        assert np.array_equal(hot, np.bitwise_count(labels)[:, None] == np.arange(k + 1))
+        assert np.array_equal(signs, hadamard(2**k))
+        for table in (hot, signs):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", range(13))

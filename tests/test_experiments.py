@@ -406,6 +406,14 @@ def _doubled_case2_rows(state, cfg):
     return rows
 
 
+@pytest.mark.parametrize("run", [run_case1, run_case2])
+def test_runs_reject_a_ground_state_of_another_length(tmp_path, run):
+    ground, _ = cached_ground_state(8, cache_dir=str(tmp_path / "cache"))
+    cfg = small_cfg(tmp_path, L=10, window=(), p_y=(0.0, 0.3) if run is run_case2 else ())
+    with pytest.raises(ConfigError, match="L=10"):
+        run(cfg, ground=ground)
+
+
 def test_run_case2_matches_doubled_path_L9(tmp_path):
     cfg = small_cfg(
         tmp_path, L=9, L_A=(3, 4, 5, 6), window=(3, 6),
@@ -670,6 +678,26 @@ def test_cli_unusable_cache_dir_exits_2_before_the_solve(
     assert cli.main([command, "--config", str(cfg_file)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "cache directory" in err
+    assert not os.path.exists(tmp_path / "pts.csv")
+
+
+@pytest.mark.parametrize("command", ["ground", "case1"])
+def test_cli_cache_record_naming_a_directory_exits_2_before_the_solve(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a directory where the L=8 cache record should be written
+    record = Path(tfim.cache_path(str(tmp_path / "cache"), 8))
+    record.mkdir(parents=True)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "L = 8\naxis = Z\np_m = 0.0, 0.5\nL_A = 2:6\nwindow = 2:6\n"
+        f"out = {tmp_path / 'pts.csv'}\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    monkeypatch.setattr(experiments, "ground_state", _no_solve)
+    assert cli.main([command, "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{record} is a directory" in err
+    assert record.is_dir() and not os.listdir(record)
     assert not os.path.exists(tmp_path / "pts.csv")
 
 
