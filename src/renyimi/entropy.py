@@ -43,9 +43,9 @@ of G's blocks, one per orbit under the flip and transposition, and
 low_rank splits G into its flip-even and flip-odd sectors, takes one SVD
 per sector on half the complement configurations (the other half repeat
 them up to sign) and transforms pair vectors of definite parity over
-n - 1 bits.  The check `is_flip_symmetric` runs once per sweep
-(`sweep_plans` shares its answer among all the windows it builds); any
-other state (the X and Y axes, random states) keeps the full kernels.
+n - 1 bits.  `Symmetry.of` tests the flip and the one-site shift once
+per sweep, and `sweep_plans` hands that record to every window it builds;
+any other state (the X and Y axes, random states) keeps the full kernels.
 
 At p = 0 both reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
@@ -64,11 +64,11 @@ window's squared Pauli expectations by the two counts the channels damp:
 the sites where the string anticommutes with Z, and those where it
 anticommutes with Y.  It reads g_x[a] = G[a, a ^ x] off G's aligned
 blocks, one batched GEMM per block offset, halved by the flip as above;
-the whole chain of a real state that the shift and the flip fix (the
-ground state) transforms only the orbit representatives of the X-strings,
-about 2^L / 2L of them.  Twisted by (-1)^(x.a), g_x transforms to the
-power of z ^ x at z, so every spectrum of cases 1 and 2 is binned by
-`_popcount_sums`, and `_fold_parity` puts back a flip-halved top bit.
+the whole chain of a real state whose `Symmetry` holds the shift and the
+flip (the ground state) transforms only the orbit representatives of the
+X-strings, about 2^L / 2L of them.  Twisted by (-1)^(x.a), g_x transforms
+to the power of z ^ x at z, so every spectrum of cases 1 and 2 is binned
+by `_popcount_sums`, and `_fold_parity` puts back a flip-halved top bit.
 """
 
 from __future__ import annotations
@@ -380,27 +380,23 @@ class GsePlan:
     is then cheap across a strength grid.  The window size picks the
     kernel, named in `algorithm`: rank1_full (low_rank on the whole chain),
     dense_gram up to DENSE_GRAM_MAX_SITES sites, low_rank above.
-    `flip_halved` tells whether the state passed the flip check of
-    `is_flip_symmetric`, so that the kernel worked on half the window
-    configurations; `sweep_plans` runs that check once for all the windows
-    of a sweep and hands the answer in as `_flip`.  Thread-safe after
+    `symmetry` is the state's `Symmetry`, and its `flip` tells whether the
+    kernel worked on half the window configurations; `sweep_plans` tests
+    it once for all the windows of a sweep and hands it in as `_symmetry`,
+    and a plan built on its own tests it itself.  Thread-safe after
     construction (evaluation only reads the stored arrays).
     """
 
-    def __init__(self, state, start, length, *, _flip=None):
+    def __init__(self, state, start, length, *, _symmetry=None):
         self.window = (start, length)
         if length == num_sites(state):
             self.algorithm = "rank1_full"
         else:
             self.algorithm = "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
-        self._flip = is_flip_symmetric(state) if _flip is None else _flip
+        self.symmetry = Symmetry.of(state) if _symmetry is None else _symmetry
         coeff = window_coefficient_matrix(state, start, length)
         kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
-        self._impl = kernel(coeff, self._flip)
-
-    @property
-    def flip_halved(self):
-        return self._flip
+        self._impl = kernel(coeff, self.symmetry.flip)
 
     def purity(self, p_m):
         return self._impl.purity(_contraction(p_m, "p_m"))
@@ -526,33 +522,29 @@ class PauliWeightPlan:
     transforms to <X^x Z^(z^x)> at z, so both paths bin at plain |z|, as
     case 1 does (`_twisted_bins`, `_fold_parity`).  `algorithm` names the path:
 
-      * chain_orbits: the whole chain of a real state that the shift and
-        the flip fix (the critical ground state) transforms only the orbit
-        representatives of the X-strings, over L - 1 bits;
+      * chain_orbits: the whole chain of a real state whose `symmetry`
+        holds both the shift and the flip (the critical ground state)
+        transforms only the orbit representatives of the X-strings, over
+        L - 1 bits;
       * gram_blocks: any other window or state forms g_x from G's aligned
         blocks by GEMM, over n - 1 bits on a flip-symmetric state.
 
     `state` is in the Z (dephasing) basis, and a real (float64) one runs in
-    real arithmetic; `_flip` is handed in as to GsePlan.  Thread-safe after
-    construction.
+    real arithmetic; `symmetry` and `_symmetry` are as on GsePlan.
+    Thread-safe after construction.
     """
 
-    def __init__(self, state, start, length, *, _flip=None):
+    def __init__(self, state, start, length, *, _symmetry=None):
         psi = np.asarray(state)
         self.window = (start, length)
-        flip = is_flip_symmetric(psi) if _flip is None else _flip
-        if (
-            length == num_sites(psi)
-            and flip
-            and psi.dtype.kind == "f"
-            and is_translation_invariant(psi)
-        ):
+        self.symmetry = sym = Symmetry.of(psi) if _symmetry is None else _symmetry
+        if length == num_sites(psi) and sym.flip and sym.translation and psi.dtype.kind == "f":
             self.algorithm = "chain_orbits"
             self.histogram = _orbit_histogram(psi)
         else:
             self.algorithm = "gram_blocks"
             coeff = window_coefficient_matrix(psi, start, length)
-            self.histogram = _gram_histogram(coeff, flip)
+            self.histogram = _gram_histogram(coeff, sym.flip)
 
     def purity(self, p_m, p_y):
         lam_m = _contraction(p_m, "p_m")
@@ -679,47 +671,52 @@ def _near(a, b, ops):
     return True
 
 
-def is_translation_invariant(state):
-    """True when the one-site shift T of the ring fixes the state, |T psi - psi| <= 1e-12.
+@dataclass(frozen=True)
+class Symmetry:
+    """The symmetries of a state that the plans use, each tested to 1e-12 in the 2-norm.
 
-    (T psi)[2r + t] = psi[2^(L-1) t + r] (see `spin.translate`), so T psi
-    is the transposed (2, 2^(L-1)) view of the amplitudes.
+    flip: the global flip fixes the state up to sign, |psi(a~) -+ psi(a)|
+    <= 1e-12, with a~ the complement of every bit of a, so psi(a~) is
+    `psi[::-1]`; the kernels then work on half the window configurations.
+    translation: the one-site shift T of the ring fixes it, |T psi - psi|
+    <= 1e-12, where (T psi)[2r + t] = psi[2^(L-1) t + r] (see
+    `spin.translate`) is the transposed (2, 2^(L-1)) view of the amplitudes;
+    `sweep_plans` then shares plans between windows of one length.
     """
-    psi = np.asarray(state)
-    return _near(psi.reshape(2, -1).T, psi.reshape(-1, 2), (np.subtract,))
 
+    flip: bool
+    translation: bool
 
-def is_flip_symmetric(state):
-    """True when the global flip fixes the state up to sign, |psi(a~) -+ psi(a)| <= 1e-12.
-
-    a~ is the complement of every bit of a, so psi(a~) is `psi[::-1]`.
-    """
-    psi = np.asarray(state)[:, None]
-    return _near(psi[::-1], psi, (np.subtract, np.add))
+    @classmethod
+    def of(cls, state):
+        psi = np.asarray(state)
+        return cls(
+            flip=_near(psi[::-1, None], psi[:, None], (np.subtract, np.add)),
+            translation=_near(psi.reshape(2, -1).T, psi.reshape(-1, 2), (np.subtract,)),
+        )
 
 
 def sweep_plans(state, L_A_values, plan, workers=1):
     """One plan per distinct window of an L_A sweep, keyed by each window it serves.
 
-    The sweep reads the `Bipartition.windows` of each L_A.  On a
+    The sweep reads the `Bipartition.windows` of each L_A.  The state's
+    `Symmetry` is tested once here and handed to every `plan(state, start,
+    length, _symmetry=symmetry)` (GsePlan or PauliWeightPlan).  On a
     translation-invariant state the B window has the reduced density matrix
     of the start-0 window of the same length, so that one plan serves both;
-    any other state keeps its own B window.  The flip is tested once here,
-    for every `plan(state, start, length, _flip=flip)` (GsePlan or
-    PauliWeightPlan); with workers > 1 the builds share a thread pool.
-    Returns {(start, length): plan}.
+    any other state keeps its own B window.  With workers > 1 the builds
+    share a thread pool.  Returns {(start, length): plan}.
     """
     L = num_sites(state)
-    invariant = is_translation_invariant(state)
-    flip = is_flip_symmetric(state)
+    symmetry = Symmetry.of(state)
     parts = [Bipartition(L, l_a) for l_a in L_A_values]
-    source = {w: (0, w[1]) if invariant else w for part in parts for w in part.windows}
+    source = {w: (0, w[1]) if symmetry.translation else w for part in parts for w in part.windows}
     # largest first: the pool ends on short builds, and the peak resident set
     # stays that of the largest plan (smallest first raised it 7% at L=14, Y axis)
     windows = sorted(set(source.values()), key=lambda w: (-w[1], w[0]))
 
     def build(window):
-        return plan(state, *window, _flip=flip)
+        return plan(state, *window, _symmetry=symmetry)
 
     if workers <= 1:
         built = [build(w) for w in windows]

@@ -134,13 +134,13 @@ def _sector_hamiltonian(L, reps, sidx, orbit):
 
 
 def _lanczos_lowest(model):
-    """Lowest eigenvector, solved in the momentum-0, flip-even sector and expanded to 2^L.
+    """Lowest (energy, state): the unit sector vector's Rayleigh quotient, and it expanded to 2^L.
 
-    The sector holds the ground state of the critical ring.  ARPACK's
-    implicitly restarted Lanczos (`eigsh`) solves it; sectors below
-    _SECTOR_DENSE_DIM states take a dense `eigh`.  Aborts if the gap to the
-    next sector level is below 1e-10: the critical chain has a unique ground
-    state, so a collapsed gap signals a broken iteration, not physics.
+    The momentum-0, flip-even sector holds the ground state of the critical
+    ring.  ARPACK's implicitly restarted Lanczos (`eigsh`) solves it; sectors
+    below _SECTOR_DENSE_DIM states take a dense `eigh`.  Aborts if the gap to
+    the next sector level is below 1e-10: the critical chain has a unique
+    ground state, so a collapsed gap signals a broken iteration, not physics.
     """
     # imported here: scipy.linalg costs ~0.3 s to import, and warm cached runs never solve
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -160,7 +160,20 @@ def _lanczos_lowest(model):
             f"Ritz gap {theta[1] - theta[0]:.3e} below 1e-10; refusing to "
             "return a possibly mixed eigenvector"
         )
-    return (vecs[:, 0] / np.sqrt(orbit))[sidx]
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    return float(x @ (h @ x)), (vecs[:, 0] / np.sqrt(orbit))[sidx]
+
+
+def _residual(L, psi, energy):
+    """||H psi - E psi|| of a real state over `_hamiltonian_block`'s blocks: no 2^L temporary."""
+    n = 1 << min(L, _BLOCK_BITS)
+    block = np.empty(n)
+    squares = 0.0
+    for lo in range(0, 2**L, n):
+        _hamiltonian_block(L, psi, lo, block)
+        block -= energy * psi[lo : lo + n]
+        squares += float(block @ block)
+    return float(np.sqrt(squares))
 
 
 def ground_state(model: TfimModel) -> GroundStateResult:
@@ -175,13 +188,10 @@ def ground_state(model: TfimModel) -> GroundStateResult:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
     if L > LANCZOS_MAX_SITES:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
-    psi = _lanczos_lowest(model)
+    energy, psi = _lanczos_lowest(model)
     psi /= np.linalg.norm(psi)
     psi *= np.sign(psi[np.argmax(np.abs(psi))])
-    hpsi = apply_hamiltonian(model, psi)
-    energy = float(psi @ hpsi)
-    hpsi -= energy * psi
-    residual = float(np.linalg.norm(hpsi))
+    residual = _residual(L, psi, energy)
     if residual > _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
     return GroundStateResult(energy=energy, state=psi, residual=residual)
@@ -221,9 +231,8 @@ def save_ground_state(path, result: GroundStateResult):
 def load_ground_state(path) -> GroundStateResult:
     """Read a cache record back; recomputes the residual as an integrity check.
 
-    The residual ||H psi - E psi|| is summed over the blocks of
-    `_hamiltonian_block`, in one block-sized buffer, so the check holds no
-    2^L temporary beside the state.
+    The residual ||H psi - E psi|| is `_residual`'s blocked pass, the one
+    `ground_state` takes, so a record loads with the residual it was solved with.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CACHE_HEADER.size)
@@ -240,14 +249,7 @@ def load_ground_state(path) -> GroundStateResult:
         if L >= size.bit_length() or size != _CACHE_HEADER.size + (8 << L):
             raise ValueError(f"{path}: expected 2^{L} amplitudes, found {size} bytes")
         state = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
-    n = 1 << min(L, _BLOCK_BITS)
-    block = np.empty(n)
-    squares = 0.0
-    for lo in range(0, 2**L, n):
-        _hamiltonian_block(L, state, lo, block)
-        block -= energy * state[lo : lo + n]
-        squares += float(block @ block)
-    return GroundStateResult(energy=energy, state=state, residual=float(np.sqrt(squares)))
+    return GroundStateResult(energy=energy, state=state, residual=_residual(L, state, energy))
 
 
 def cache_path(cache_dir, L):

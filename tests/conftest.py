@@ -54,7 +54,7 @@ def kernel_entropy(kernel, state, start, length, axis, p_m):
     """
     rot = rotate_to_basis(state, axis)
     coeff = window_coefficient_matrix(rot, start, length)
-    plan = kernel(coeff, entropy.is_flip_symmetric(rot))
+    plan = kernel(coeff, entropy.Symmetry.of(rot).flip)
     return entropy._entropy_of(plan.purity(entropy._contraction(p_m, "p_m")))
 
 

@@ -42,7 +42,7 @@ from renyimi.oracle import (
     r2gse_dense,
     y_decohere_dense,
 )
-from renyimi.entropy import is_flip_symmetric, is_translation_invariant, sweep_plans
+from renyimi.entropy import Symmetry, sweep_plans
 from renyimi.spin import _sector_basis, _wht, rotate_to_basis, window_coefficient_matrix
 
 LOG2 = np.log(2.0)
@@ -314,7 +314,7 @@ def test_build_mi_plans_matches_per_window_plans(critical, L, data, axis, p_m):
     l_a = data.draw(st.integers(1, L - 1))
     psi = critical(L)
     rot = rotate_to_basis(psi, axis)
-    assert is_translation_invariant(rot)
+    assert Symmetry.of(rot).translation
     plans = build_mi_plans(psi, [l_a, L - l_a], axis)
     # on the invariant state the B window of L_A is the A window of L - L_A
     assert plans[l_a]._plan_b is plans[L - l_a]._plan_a
@@ -330,7 +330,7 @@ def test_build_mi_plans_matches_per_window_plans(critical, L, data, axis, p_m):
 def test_non_invariant_state_keeps_its_own_b_window(L, data, seed, axis):
     l_a = data.draw(st.integers(1, L - 1))
     psi = random_state(L, np.random.default_rng(seed))
-    assert not is_translation_invariant(psi)
+    assert not Symmetry.of(psi).translation
     plans = sweep_plans(psi, [l_a], PauliWeightPlan)
     assert all(plan.window == window for window, plan in plans.items())
     rot = rotate_to_basis(psi, axis)
@@ -379,14 +379,14 @@ def _shift_to_start(psi, start):
 def test_flip_halved_plans_match_oracle(critical, kind, L, seed, axis):
     psi = _flip_case_state(critical, L, kind, seed)
     rot = rotate_to_basis(psi, axis)
-    flip = is_flip_symmetric(rot)
+    flip = Symmetry.of(rot).flip
     if axis == "Z":
         # a 1e-6 change of one amplitude breaks the symmetry past the 1e-12 check
         assert flip == (kind != "near")
     for length in range(1, L + 1):
         for start in range(L - length + 1):
             plan = GsePlan(rot, start, length)
-            assert plan.flip_halved == flip
+            assert plan.symmetry.flip == flip
             coeff = window_coefficient_matrix(rot, start, length)
             kernels = [k(coeff, flip) for k in (entropy._DenseGramPlan, entropy._LowRankPlan)]
             generic = [k(coeff, False) for k in (entropy._DenseGramPlan, entropy._LowRankPlan)]
@@ -417,11 +417,23 @@ def test_flip_halved_low_rank_plans_peak_near_three_states(critical, length, alg
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (plan.algorithm, plan.flip_halved) == (algorithm, True)
+    assert (plan.algorithm, plan.symmetry.flip) == (algorithm, True)
     assert peak <= 3.1 * psi.nbytes
 
 
+def is_flip_symmetric(psi):
+    # the flip half of `Symmetry.of` on its own
+    return entropy._near(psi[::-1, None], psi[:, None], (np.subtract, np.add))
+
+
+def is_translation_invariant(psi):
+    # the shift half of `Symmetry.of` on its own
+    return entropy._near(psi.reshape(2, -1).T, psi.reshape(-1, 2), (np.subtract,))
+
+
 @pytest.mark.parametrize("axis, work, expected, bound", [
+    pytest.param("Z", Symmetry.of, Symmetry(flip=True, translation=True), 0.25,
+                 id="Z-Symmetry.of-0.25"),
     ("Z", is_flip_symmetric, True, 0.25),
     ("Z", is_translation_invariant, True, 0.25),
     ("Z", 20, "rank1_full", 1.0),
@@ -431,10 +443,10 @@ def test_flip_halved_low_rank_plans_peak_near_three_states(critical, length, alg
 ])
 def test_case1_stages_hold_one_working_copy_beside_the_state(critical, axis, work, expected, bound):
     # peak traced bytes over the state's, on the L=20 ground state (8 MB), of
-    # a symmetry check or of the GsePlan of a window length: the checks sum
-    # over blocks, the whole chain transforms |psi|^2 in place, the low_rank
-    # blocks reuse their buffers and a dense_gram row block's GEMM runs after
-    # the last one's product is freed
+    # `Symmetry.of`, of each of its two checks alone or of the GsePlan of a
+    # window length: the checks sum over blocks, the whole chain transforms
+    # |psi|^2 in place, the low_rank blocks reuse their buffers and a
+    # dense_gram row block's GEMM runs after the last one's product is freed
     psi = rotate_to_basis(critical(20), axis)
     tracemalloc.start()
     try:
@@ -462,17 +474,18 @@ def test_symmetry_checks_match_the_norms_they_bound(critical, monkeypatch, block
             for where, by in change:
                 phi[where] += by
             flip = min(np.linalg.norm(phi[::-1] - s * phi) for s in (1, -1)) <= 1e-12
-            assert is_flip_symmetric(phi) == flip
-            assert is_translation_invariant(phi) == (np.linalg.norm(translate(phi) - phi) <= 1e-12)
-    assert is_flip_symmetric(base[0]) and is_translation_invariant(base[0])
+            symmetry = Symmetry.of(phi)
+            assert symmetry.flip == flip
+            assert symmetry.translation == (np.linalg.norm(translate(phi) - phi) <= 1e-12)
+    assert Symmetry.of(base[0]) == Symmetry(flip=True, translation=True)
     phi = base[0].copy()
     phi[[3, 100]] += 6e-13
-    assert not is_flip_symmetric(phi) and not is_translation_invariant(phi)
-    assert is_flip_symmetric(base[1]) and not is_flip_symmetric(base[2])
+    assert Symmetry.of(phi) == Symmetry(flip=False, translation=False)
+    assert Symmetry.of(base[1]).flip and not Symmetry.of(base[2]).flip
     # a nan anywhere fails both
     phi = base[0].copy()
     phi[200] = np.nan
-    assert not is_flip_symmetric(phi) and not is_translation_invariant(phi)
+    assert Symmetry.of(phi) == Symmetry(flip=False, translation=False)
 
 
 def _svd_pair_spectrum(coeff):
@@ -513,7 +526,7 @@ def test_low_rank_plan_matches_the_svd_pair_reference(monkeypatch, kind, shrunk)
         psi = _equivalence_state(kind, L, rng)
         for axis in ("X", "Y", "Z"):
             rot = rotate_to_basis(psi, axis)
-            flip = is_flip_symmetric(rot)
+            flip = Symmetry.of(rot).flip
             if axis == "Z":
                 assert flip == (kind in ("even", "odd"))
             for length in range(1, L + 1):
@@ -565,35 +578,34 @@ def test_r2gse_pure_checks_the_state_against_the_bipartition():
 
 def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
     psi = critical(10)
-    assert GsePlan(psi, 0, 4).flip_halved
-    assert GsePlan(psi, 0, 10).flip_halved
-    assert not GsePlan(rotate_to_basis(psi, "X"), 0, 4).flip_halved
-    assert not GsePlan(rotate_to_basis(psi, "Y"), 0, 4).flip_halved
-    assert not GsePlan(random_state(10, np.random.default_rng(SEED + 3)), 0, 4).flip_halved
+    assert GsePlan(psi, 0, 4).symmetry.flip
+    assert GsePlan(psi, 0, 10).symmetry.flip
+    assert not GsePlan(rotate_to_basis(psi, "X"), 0, 4).symmetry.flip
+    assert not GsePlan(rotate_to_basis(psi, "Y"), 0, 4).symmetry.flip
+    assert not GsePlan(random_state(10, np.random.default_rng(SEED + 3)), 0, 4).symmetry.flip
     with pytest.raises(AttributeError):
-        GsePlan(psi, 0, 4).flip_halved = False
-    checks = []
+        GsePlan(psi, 0, 4).symmetry.flip = False
+    records = []
+    of = Symmetry.of
 
     def counting(state):
-        checks.append(len(state))
-        return is_flip_symmetric(state)
+        records.append(of(state))
+        return records[-1]
 
-    monkeypatch.setattr(entropy, "is_flip_symmetric", counting)
-    for axis, halved in (("Z", True), ("X", False)):
-        checks.clear()
-        plans = build_mi_plans(psi, range(2, 9), axis)
-        assert checks == [2**10]
+    monkeypatch.setattr(Symmetry, "of", staticmethod(counting))
+    nears = _counting(monkeypatch, "_near")
+    # the Pauli-weight sweep of case 2 shares the one record as well, and
+    # its whole-chain plan still takes the orbit path that the record permits
+    for axis, plan, halved in (("Z", None, True), ("X", None, False), ("Z", PauliWeightPlan, True)):
+        records.clear()
+        nears.clear()
+        plans = build_mi_plans(psi, range(2, 9), axis, plan=plan)
+        assert len(records) == 1 and len(nears) == 2
+        assert records[0] == Symmetry(flip=halved, translation=True)
         built = {id(p): p for mi in plans.values()
                  for p in (mi._plan_a, mi._plan_b, mi._plan_ab)}
         assert len(built) == 8
-        assert all(p.flip_halved == halved for p in built.values())
-    # the Pauli-weight sweep of case 2 shares the one check as well, and
-    # its whole-chain plan still takes the orbit path that the flip permits
-    checks.clear()
-    plans = build_mi_plans(psi, range(2, 9), "Z", plan=PauliWeightPlan)
-    assert checks == [2**10]
-    built = {id(p): p for mi in plans.values() for p in (mi._plan_a, mi._plan_b, mi._plan_ab)}
-    assert len(built) == 8
+        assert all(p.symmetry is records[0] for p in built.values())
     assert plans[2]._plan_ab.algorithm == "chain_orbits"
 
 
@@ -627,7 +639,7 @@ def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
     else:
         psi = _flip_case_state(critical, L, kind, SEED + 4)
     rot = rotate_to_basis(psi, axis)
-    flip = is_flip_symmetric(rot)
+    flip = Symmetry.of(rot).flip
     assert flip == (axis == "Z" and kind != "random")
     assert np.iscomplexobj(rot) == (kind != "critical" or axis == "Y")
     for length in range(1, L + 1):
@@ -714,7 +726,7 @@ def test_pauli_weight_plan_at_zero_decoherence_matches_gse_plan(critical):
         # at p_y = 0 only |x| is damped: summing out |x ^ z| leaves the
         # Hamming-distance bins of |G|^2, which pins every coefficient
         coeff = window_coefficient_matrix(psi, start, length)
-        binned = entropy._DenseGramPlan(coeff, is_flip_symmetric(psi)).binned
+        binned = entropy._DenseGramPlan(coeff, Symmetry.of(psi).flip).binned
         assert np.max(np.abs(plan.histogram.sum(axis=1) - binned)) <= 1e-12
 
 
@@ -787,7 +799,7 @@ def test_gram_block_windows_match_einsum_reference(monkeypatch, kind, L, shrunk)
     if kind != "random":
         psi = psi + psi[::-1] if kind == "even" else psi - psi[::-1]
         psi /= np.linalg.norm(psi)
-    assert is_flip_symmetric(psi) == (kind != "random")
+    assert Symmetry.of(psi).flip == (kind != "random")
     for length in range(1, L + 1):
         for start in range(L - length + 1):
             del transforms[:]
@@ -850,7 +862,7 @@ def test_whole_chain_orbit_path_needs_a_real_shift_and_flip_invariant_state(crit
         plan = PauliWeightPlan(psi, 0, L)
         assert plan.algorithm == algorithm, name
         counts[name] = sum(transforms)
-    assert not is_translation_invariant(flip_even) and is_flip_symmetric(flip_even)
+    assert Symmetry.of(flip_even) == Symmetry(flip=True, translation=False)
     # the orbit path transforms one vector per representative, the Gram
     # blocks one per X-string
     assert counts == {

@@ -223,6 +223,15 @@ def test_cache_residual_is_the_norm_of_the_residual_vector(tmp_path, monkeypatch
     assert abs(loaded.residual - np.linalg.norm(hpsi - res.energy * res.state)) <= 1e-15
 
 
+def test_solve_and_load_report_one_residual(tmp_path):
+    # the solve and the load share one blocked residual pass over the same
+    # state bytes and header energy, so they agree to the last bit
+    res = ground_state(TfimModel(16))
+    path = tmp_path / "gs.bin"
+    save_ground_state(path, res)
+    assert load_ground_state(path).residual == res.residual
+
+
 def test_cache_load_holds_no_state_sized_temporary(tmp_path, monkeypatch):
     L = 16
     res = ground_state(TfimModel(L))
