@@ -17,15 +17,18 @@ behind one plan interface, and the window size picks one:
     blocks, one per orbit of the block pairs under G's symmetries (its
     Hermiticity, and the flip below), each weighted by its orbit size; an
     XOR fold sums a block's |G|^2 by a ^ a' with no index array.
-  * low_rank: expand G through the Schmidt vectors; cost is governed by
-    the Schmidt rank, which is bounded by the complement dimension.
+  * low_rank: expand G through the Schmidt vectors, which one `eigh` of
+    the small complement-side Gram matrix gives (no SVD), and drop the
+    Schmidt pairs whose proven bounds sum to at most 2^-53 of the
+    smallest purity; cost is governed by the complement dimension and the
+    pairs kept.  It runs on n sites of L when 2n >= L + 4, dense_gram below.
 
 The algorithm name rank1_full is the whole chain on low_rank: there G =
 psi psi+ has Schmidt rank chi = 1 and the purity is a quadratic form of
 the outcome distribution |psi|^2 under the Kronecker kernel
 prod_j [[1, lam^2], [lam^2, 1]].  The one pair vector is that
-distribution, so the whole chain takes no SVD: |psi|^2 is transformed
-and squared in place.
+distribution, so the whole chain takes no Gram matrix: |psi|^2 is
+transformed and squared in place.
 
 The Kronecker kernel diagonalizes in the Walsh-Hadamard basis with
 eigenvalue (1+mu)^(n-d) (1-mu)^d on parity sector d (mu = lam^2), so
@@ -40,10 +43,10 @@ A rotated state with psi(a~) = +-psi(a), a~ the complement of every bit
 G[a~, a'~] = G[a, a'] on every window.  Both kernels then work on a half
 or less of the window configurations: dense_gram computes about a quarter
 of G's blocks, one per orbit under the flip and transposition, and
-low_rank splits G into its flip-even and flip-odd sectors, takes one SVD
-per sector on half the complement configurations (the other half repeat
-them up to sign) and transforms pair vectors of definite parity over
-n - 1 bits.  `Symmetry.of` tests the flip and the one-site shift once
+low_rank splits G into its flip-even and flip-odd sectors, takes one
+Gram `eigh` per sector on half the complement configurations (the other
+half repeat them up to sign) and transforms pair vectors of definite
+parity over n - 1 bits.  `Symmetry.of` tests the flip and the one-site shift once
 per sweep, and `sweep_plans` hands that record to every window it builds;
 any other state (the X and Y axes, random states) keeps the full kernels.
 
@@ -87,8 +90,6 @@ from .spin import (
     rotate_to_basis,
     window_coefficient_matrix,
 )
-
-DENSE_GRAM_MAX_SITES = 13
 
 # working-set bound of a dense_gram row of blocks: smaller blocks bring the
 # computed share of G nearer its orbit count, and of 1 << 19 .. 1 << 22,
@@ -206,7 +207,12 @@ class _DenseGramPlan:
         na = coeff.shape[0]
         self.n_bits = na.bit_length() - 1
         rows = na // 2 if flip else na
-        block = min(rows, 1 << (max(1, _BLOCK_ELEMENTS // na).bit_length() - 1))
+        # a row block's product holds at most _BLOCK_ELEMENTS entries and half
+        # of C's: at L=20 an 8 MB product of the 11-site window went to mmap on
+        # top of the heap that glibc keeps after the low_rank plans built
+        # before it (+14% peak RSS of case 1), where 4 MB reuses that heap
+        bound = min(_BLOCK_ELEMENTS, coeff.size // 2)
+        block = min(rows, 1 << (max(1, bound // na).bit_length() - 1))
         nq = na // block
         g = np.zeros((nq, block))
         for i in range(nq // 2 if flip else nq):
@@ -229,37 +235,81 @@ class _DenseGramPlan:
         return float(self.binned @ mu ** np.arange(self.n_bits + 1))
 
 
-def _schmidt_sectors(coeff, flip):
-    """Left singular vectors (rows, C-ordered), squared singular values and sector parities.
+def _row_norms2(m):
+    """sum_j |m[i, j]|^2 of every row i, by einsum on the real and imaginary views: no copy of m."""
+    parts = (m.real, m.imag) if m.dtype.kind == "c" else (m,)
+    return sum(np.einsum("ij,ij->i", x, x) for x in parts)
 
-    Without the flip: the SVD of C.  With it, one SVD per sector
-    Y = C[a, b] +- C[a~, b] over the a with top window bit 0.  C[a~, b~] =
-    +-C[a, b] makes the columns b and b~ of Y equal up to sign, so the
-    columns of the first half of the b, unscaled, have Y's Gram matrix.
-    Values below 1e-12 of the largest of both sectors are dropped.  The
-    complement has at least two configurations (the whole chain is
+
+def _schmidt_sectors(coeff, flip):
+    """Unit Schmidt vectors (rows, C-ordered), their weights and sector parities.
+
+    Without the flip the one sector is Y = C; with it, Y = C[a, b] +- C[a~, b]
+    over the a with top window bit 0.  C[a~, b~] = +-C[a, b] makes the
+    columns b and b~ of Y equal up to sign, so the columns of the first half
+    of the b, unscaled, have Y's Gram matrix.  Each sector's Y^T is written
+    into its rows of one array, which `eigh` of the complement-side Gram
+    matrix Y+ Y turns in place into the rows of y = Y V: sum_k y_k y_k+ =
+    Y V V+ Y+ = Y Y+ for any unitary V, so an inaccurate eigenvector costs
+    nothing.  The Gram matrix and V^T Y^T are taken a block of columns at a
+    time (a complex block's conjugate is a copy), so nothing but that array
+    is state-sized.  The weights w_k = |y_k|^2 are measured, not read off
+    the eigenvalues, and the rows with w_k > 0 are normalized in place.
+    The complement has at least two configurations (the whole chain is
     `_outcome_power`).
     """
     na, nb = coeff.shape
+    sectors = 2 if flip else 1
+    m = nb // sectors  # vectors per sector, one per complement column of Y
+    vectors = np.empty((nb, na // sectors), coeff.dtype)
     if flip:
-        half, rev = coeff[: na // 2, : nb // 2], coeff[na // 2 :, : nb // 2][::-1]
-    svds = []
-    for p, op in enumerate((np.add, np.subtract) if flip else (None,)):
-        y = op(half, rev) if flip else coeff
-        svds.append((p, *np.linalg.svd(y, full_matrices=False)[:2]))
-        del y  # not held through the next sector's SVD
-    s_max = max(s[0] for _, _, s in svds)
-    keep = [np.count_nonzero(s > 1e-12 * s_max) for _, _, s in svds]  # s descends
-    u0 = svds[0][1]
-    vectors = np.empty((sum(keep), u0.shape[0]), u0.dtype)
-    for r, (_, u, _), k in zip(np.cumsum([0, *keep]), svds, keep):
-        vectors[r : r + k] = u[:, :k].T
-    weights2 = np.concatenate([s[:k] ** 2 for (_, _, s), k in zip(svds, keep)])
-    return vectors, weights2, np.repeat([p for p, _, _ in svds], keep)
+        half, rev = coeff[: na // 2, : nb // 2].T, coeff[na // 2 :, : nb // 2][::-1].T
+        np.add(half, rev, out=vectors[:m])
+        np.subtract(half, rev, out=vectors[m:])
+    else:
+        vectors[...] = coeff.T
+    for yt in vectors.reshape(sectors, m, -1):
+        # sixteen blocks of columns: a temporary is a sixteenth of the array,
+        # and at L=24 blocks of 1024 columns ran as fast as one GEMM
+        step = max(1, yt.shape[1] // 16)
+        blocks = [yt[:, c0 : c0 + step] for c0 in range(0, yt.shape[1], step)]
+        gram = sum(t.conj() @ t.T for t in blocks)
+        vt = np.linalg.eigh(gram)[1].T
+        for t in blocks:
+            t[...] = vt @ t
+    weights = _row_norms2(vectors)
+    vectors /= np.sqrt(np.where(weights > 0.0, weights, 1.0))[:, None]
+    return vectors, weights, np.repeat(np.arange(sectors), m)
 
 
-def _pair_power(vectors, weights2, parity, flip):
-    """Weighted power spectra of the pair vectors, summed per pair parity (one row each).
+def _kept_pairs(weights, floor):
+    """The pairs k <= l of the vectors with w > 0 that survive the pair truncation, and their weights.
+
+    Pair (k, l) adds w_k w_l sum_{a,a'} x[a] conj(x[a']) mu^ham(a,a') to the
+    purity (doubled off the diagonal), x = u_k conj(u_l), at most
+    w_k w_l |x|_1^2 <= w_k w_l at every strength (Cauchy-Schwarz, |u| = 1).
+    The smallest pairs are dropped while the sum of their bounds stays at or
+    below `floor`.  Returns (k, l, pair weight w_k w_l or 2 w_k w_l).
+    """
+    nonzero = np.flatnonzero(weights > 0.0)
+    ks, ls = (nonzero[t] for t in np.triu_indices(nonzero.size))
+    bound = weights[ks] * weights[ls] * np.where(ks == ls, 1.0, 2.0)
+    order = np.argsort(bound, kind="stable")
+    dropped = np.searchsorted(np.cumsum(bound[order]), floor, side="right")
+    keep = np.sort(order[dropped:])
+    return ks[keep], ls[keep], bound[keep]
+
+
+def _purity_floor(coeff):
+    """2^-53 P(1/2): P(1/2) = sum_a G[a, a]^2, from C's row norms, bounds every purity from below.
+
+    Dephasing channels compose, so the purity falls as p rises to 1/2.
+    """
+    return 2.0**-53 * float(np.sum(_row_norms2(coeff) ** 2))
+
+
+def _pair_power(vectors, ks, ls, pair_w, parity, flip):
+    """Weighted power spectra of the pair vectors (ks, ls), summed per pair parity (one row each).
 
     Each block of pair vectors is gathered, multiplied, transformed and
     squared in buffers allocated once (`np.take(out=)`, `_wht` with a
@@ -267,9 +317,8 @@ def _pair_power(vectors, weights2, parity, flip):
     whenever glibc's mmap threshold is at its 128 KB default: allocated per
     block, their page faults doubled the X-axis case-1 run time at L=22.
     """
-    chi, m = vectors.shape
+    m = vectors.shape[1]
     bits = m.bit_length() - 1
-    ks, ls = np.triu_indices(chi)
     pair_parity = parity[ks] ^ parity[ls]
     rows = max(1, min(ks.size, _WHT_BLOCK_ELEMENTS // m))
     left, right = np.empty((2, rows, m), vectors.dtype)
@@ -277,8 +326,8 @@ def _pair_power(vectors, weights2, parity, flip):
     row = np.empty(m)
     power = np.zeros((2 if flip else 1, m))
     for p, acc in enumerate(power):
-        kp, lp = ks[pair_parity == p], ls[pair_parity == p]
-        pair_w = weights2[kp] * weights2[lp] * np.where(kp == lp, 1.0, 2.0)
+        sel = pair_parity == p
+        kp, lp, wp = ks[sel], ls[sel], pair_w[sel]
         for c0 in range(0, kp.size, rows):
             c1 = min(kp.size, c0 + rows)
             w, spare = left[: c1 - c0], right[: c1 - c0]
@@ -289,7 +338,7 @@ def _pair_power(vectors, weights2, parity, flip):
             w *= spare
             t = _wht(w, bits, -1, spare)
             sq = _abs2_owned(t, None if squares is None else squares[: c1 - c0])
-            acc += np.matmul(pair_w[c0:c1], sq, out=row)
+            acc += np.matmul(wp[c0:c1], sq, out=row)
     return power
 
 
@@ -326,30 +375,37 @@ def _outcome_power(psi, flip):
 class _LowRankPlan:
     """Purity through the Schmidt expansion of the Gram matrix.
 
-    G = sum_k s_k^2 u_k u_k+ splits the quadratic form into pair vectors
-    w_kl[a] = u_k[a] conj(u_l[a]); their Walsh-Hadamard power spectra,
-    binned by parity sector, are accumulated once (chi bounded by the
-    complement dimension).  The pair vectors are transformed by `_wht` in
-    blocks of rows, a few GEMMs with small +-1 Hadamard factors per block
-    (`_pair_power`).  On the whole chain chi = 1 and the one pair vector
-    is the outcome distribution |psi|^2, which `_outcome_power` transforms
-    with no SVD.
+    G = sum_k w_k u_k u_k+ splits the quadratic form into pair vectors
+    u_k[a] conj(u_l[a]); their Walsh-Hadamard power spectra, binned by
+    parity sector, are accumulated once.  The vectors come from one `eigh`
+    of the complement-side Gram matrix per sector, so chi is at most the
+    complement dimension, and no SVD is taken (`_schmidt_sectors`).  The
+    pairs are cut by a certified bound (`_kept_pairs`): pair (k, l) adds at
+    most w_k w_l to the purity at every strength, and the smallest pairs
+    are dropped while their bounds sum to at most 2^-53 P(1/2), the purity
+    at p = 1/2, below every other (`_purity_floor`), so every purity moves
+    by at most that fraction of itself; on the 14-site window at L=20, 698
+    of 2080 pairs are kept, and 3867 of 524,800 on X at L=24.  The pair
+    vectors are transformed by `_wht` in blocks of rows, a few GEMMs with
+    small +-1 Hadamard factors per block (`_pair_power`).  On the whole
+    chain chi = 1 and the one pair vector is the outcome distribution
+    |psi|^2, which `_outcome_power` transforms with no Gram matrix.
 
     When the flip fixes the state up to sign, the rows (C[a] +- C[a~])/sqrt(2)
     over the a with top window bit 0 span orthogonal sectors of G, so two
-    half-height SVDs, each on half the complement columns, replace the full
-    one (see `_schmidt_sectors`).  The pair vector of two sector vectors is
-    even under a -> a~, or odd when exactly one of them is odd; its transform
-    vanishes unless |k| has that parity, and there it equals the (n-1)-bit
-    transform of x_k conj(x_l) (x the sector vectors, over the a with top
-    bit 0) at the low bits k' of k; `_fold_parity` bins it.
+    half-height sectors, each on half the complement columns, replace the
+    full one (see `_schmidt_sectors`).  The pair vector of two sector vectors
+    is even under a -> a~, or odd when exactly one of them is odd; its
+    transform vanishes unless |k| has that parity, and there it equals the
+    (n-1)-bit transform of x_k conj(x_l) (x the sector vectors, over the a
+    with top bit 0) at the low bits k' of k; `_fold_parity` bins it.
 
-    The working set beside the state: the sector SVDs and the kept vectors,
-    then those and the block buffers; on the whole chain the outcome
-    distribution (half a state on the flip) and two buffers.  tracemalloc
-    at L=20: the 14-site plan peaks at 1.0 state sizes on Z (2.0 on X,
-    where the one SVD's u and the kept vectors copied out of it are both
-    state-sized), the whole chain at 0.6 (1.1 on X).
+    The working set beside the state: the one array of Schmidt vectors
+    (half a state on the flip), then it and the block buffers; on the whole
+    chain the outcome distribution (half a state on the flip) and two
+    buffers.  tracemalloc at L=20: the 14-site plan peaks at 0.65 state
+    sizes on Z, 1.16 on X and 1.18 on Y (1.0, 2.0 and 2.0 through the
+    SVD), the whole chain at 0.6 (1.1 on X).
     """
 
     def __init__(self, coeff, flip):
@@ -358,7 +414,9 @@ class _LowRankPlan:
         if nb == 1:
             power = _outcome_power(coeff[:, 0], flip)[None]
         else:
-            power = _pair_power(*_schmidt_sectors(coeff, flip), flip)
+            vectors, weights, parity = _schmidt_sectors(coeff, flip)
+            pairs = _kept_pairs(weights, _purity_floor(coeff))
+            power = _pair_power(vectors, *pairs, parity, flip)
         sums = _popcount_sums(power, self.n_bits - flip)
         # row p of a flip-halved power holds the pair vectors of parity p
         spectrum = _fold_parity(sums, np.arange(len(sums))).sum(axis=0) if flip else sums[0]
@@ -379,7 +437,12 @@ class GsePlan:
     state-dependent work happens once in the constructor and `entropy(p_m)`
     is then cheap across a strength grid.  The window size picks the
     kernel, named in `algorithm`: rank1_full (low_rank on the whole chain),
-    dense_gram up to DENSE_GRAM_MAX_SITES sites, low_rank above.
+    low_rank on n sites of an L-site chain when 2n >= L + 4, dense_gram
+    below.  That rule is fitted to both kernels' build times on the Z axis
+    at L = 16 to 24, where they cross at 2n = L + 4 (`BENCH_case1_eigh.json`):
+    the GEMMs of dense_gram take about 2^(L+n) multiply-adds and those of
+    low_rank about 2^(2L-n), plus the transforms of its kept pairs, a few
+    thousand at most.
     `symmetry` is the state's `Symmetry`, and its `flip` tells whether the
     kernel worked on half the window configurations; `sweep_plans` tests
     it once for all the windows of a sweep and hands it in as `_symmetry`,
@@ -389,10 +452,11 @@ class GsePlan:
 
     def __init__(self, state, start, length, *, _symmetry=None):
         self.window = (start, length)
-        if length == num_sites(state):
+        L = num_sites(state)
+        if length == L:
             self.algorithm = "rank1_full"
         else:
-            self.algorithm = "dense_gram" if length <= DENSE_GRAM_MAX_SITES else "low_rank"
+            self.algorithm = "low_rank" if 2 * length >= L + 4 else "dense_gram"
         self.symmetry = Symmetry.of(state) if _symmetry is None else _symmetry
         coeff = window_coefficient_matrix(state, start, length)
         kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
@@ -579,10 +643,17 @@ def renyi2_shannon_entropy(state, part: Bipartition, axis):
 
 
 def renyi2_ee(state, part: Bipartition):
-    """Renyi-2 entanglement entropy, -log sum_k s_k^4 over the Schmidt values s_k."""
+    """Renyi-2 entanglement entropy, -log |M|_F^2 with M = C C+ or C+ C, whichever is smaller.
+
+    Both are Gram matrices of the Schmidt decomposition, sum_k s_k^4 = |M|_F^2,
+    and one GEMM forms either.
+    """
     _check_length(state, part)
-    s = np.linalg.svd(window_coefficient_matrix(state, 0, part.L_A), compute_uv=False)
-    return _entropy_of(np.sum(s**4))
+    c = window_coefficient_matrix(state, 0, part.L_A)
+    if c.shape[0] > c.shape[1]:
+        c = c.T
+    gram = c @ c.conj().T
+    return _entropy_of(np.vdot(gram, gram).real)
 
 
 def r2gse_pure(state, part: Bipartition, axis, p_m):

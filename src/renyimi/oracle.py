@@ -5,7 +5,9 @@ Everything here favors being obviously correct over being fast.  Three parts:
     literal generalized entropy, capped at L <= ORACLE_MAX_SITES = 8; the
     full-space ground state, which checks the sector solver of `tfim` up to
     L = DENSE_MAX_SITES = 12; and the free-fermion entropies, which cost
-    O(L^3) and anchor the window plans at any L;
+    O(L^3) and anchor the window plans at any L, unmeasured
+    (`free_fermion_renyi2`) or dephased on a start-0 window of up to 16
+    sites (`gaussian_dephased_renyi2`, 2^n Gaussian overlaps);
   * Kraus channels: products of per-site two-Kraus maps
     E_j[rho] = (1-p) rho + p M_j rho M_j with M a Pauli axis, stored as
     (axis, p, sites), never as full-dimension Kraus matrices;
@@ -137,13 +139,54 @@ def free_fermion_renyi2(L):
     Latorre, Rico, Kitaev, PRL 90, 227902 (2003); Peschel, J. Phys. A 36,
     L205 (2003)).  Shares no code with the state-vector paths.
     """
-    w, v = np.linalg.eigh(1j * majorana_couplings(L))
-    m = (v * np.sign(w)) @ v.conj().T
+    m = _majorana_correlations(L)
     out = np.zeros(L + 1)
     for l_a in range(1, L + 1):
         nu = np.linalg.eigvalsh(m[: 2 * l_a, : 2 * l_a])[l_a:]  # the upper of each +-nu pair
         out[l_a] = -np.sum(np.log((1.0 + nu**2) / 2.0))
     return out
+
+
+def _majorana_correlations(L):
+    """M = sign(iA), A from `majorana_couplings`: i times the real antisymmetric Gamma of the ground state."""
+    w, v = np.linalg.eigh(1j * majorana_couplings(L))
+    return (v * np.sign(w)) @ v.conj().T
+
+
+def gaussian_dephased_renyi2(L, n, axis, p_m):
+    """Renyi-2 entropy of the ground-state window [0, n) of the ring after strength-p_m dephasing along `axis`.
+
+    On a start-0 window every Pauli is a Gaussian unitary: with the
+    Majoranas of `majorana_couplings`, X_j flips the signs of Majoranas 2j
+    and 2j+1, Z_j those of every l > 2j, and Y_j, their product, those of
+    2j and every l > 2j+1.  The channel is the mixture of P^t rho P^t over
+    the strings t, so Tr[E(rho_A)^2] = sum_s W(s) Tr[rho_A P^s rho_A P^s]
+    with W(s) = (2p(1-p))^|s| ((1-p)^2 + p^2)^(n-|s|), and the overlap of
+    the two Gaussian states is sqrt(det((1 - Gamma D_s Gamma D_s) / 2)),
+    Gamma the window block of Im M (`_majorana_correlations`) and D_s the
+    signs of P^s.  2^n determinants of size 2n, at any L: the cap is on the
+    window, n <= 16.  Shares no code with the state-vector paths.
+    """
+    check_axis(axis)
+    if not 1 <= n <= min(L, 16):
+        raise ValueError(f"window of {n} sites outside 1..{min(L, 16)} for L={L}")
+    if not 0.0 <= p_m <= 0.5:
+        raise ValueError(f"p_m={p_m} outside [0, 1/2]")
+    gamma = _majorana_correlations(L).imag[: 2 * n, : 2 * n]
+    j, l = np.arange(n)[:, None], np.arange(2 * n)
+    x_flips, z_flips = l // 2 == j, l > 2 * j
+    flips = {"X": x_flips, "Z": z_flips, "Y": x_flips ^ z_flips}[axis]  # (site, Majorana)
+    strings = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signs = 1.0 - 2.0 * ((strings @ flips) & 1)  # D_s, one row per string s
+    count = strings.sum(axis=1)
+    weight = (2 * p_m * (1 - p_m)) ** count * ((1 - p_m) ** 2 + p_m**2) ** (n - count)
+    purity = 0.0
+    for s0 in range(0, 1 << n, 1024):
+        d = signs[s0 : s0 + 1024]
+        m = np.eye(2 * n) - gamma @ (d[:, :, None] * gamma * d[:, None, :])
+        overlap = np.sqrt(np.maximum(np.linalg.det(m / 2.0), 0.0))
+        purity += weight[s0 : s0 + 1024] @ overlap
+    return float(-np.log(purity))
 
 
 def density_from_state(state):

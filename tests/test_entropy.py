@@ -35,6 +35,7 @@ from renyimi.oracle import (
     ChannelSpec,
     apply_lifted_channel,
     density_from_state,
+    gaussian_dephased_renyi2,
     generalized_entropy_supervector,
     lift_channel,
     partial_trace_dense,
@@ -159,20 +160,28 @@ def test_full_chain_plans_agree(critical):
                 assert abs(kernel_entropy(kernel, psi, 0, 8, axis, p_m) - oracle) < 1e-10
 
 
-def test_window_size_picks_the_kernel(critical, monkeypatch):
-    # a cap of 3 sites at L = 6 puts every branch of the rule in reach of the oracle
-    monkeypatch.setattr(entropy, "DENSE_GRAM_MAX_SITES", 3)
-    psi = critical(6)
-    rules = {3: "dense_gram", 4: "low_rank", 6: "rank1_full"}
-    for length, algorithm in rules.items():
-        plan = GsePlan(psi, 0, length)
-        assert plan.algorithm == algorithm
-        for p_m in (0.0, 0.2, 0.5):
-            if length == 6:
-                oracle = r2gse_dense(psi, Bipartition(6, 3), "Z", p_m, subsystem="AB")
+def test_window_size_picks_the_kernel(critical):
+    # low_rank when 2 n >= L + 4, dense_gram below, rank1_full on the whole
+    # chain; at L = 6 every branch is in reach of the oracle
+    for L in range(3, 9):
+        psi = critical(L)
+        for length in range(1, L + 1):
+            if length == L:
+                algorithm = "rank1_full"
             else:
-                oracle = r2gse_dense(psi, Bipartition(6, length), "Z", p_m)
-            assert abs(plan.entropy(p_m) - oracle) < 1e-10
+                algorithm = "low_rank" if 2 * length >= L + 4 else "dense_gram"
+            plan = GsePlan(psi, 0, length)
+            assert plan.algorithm == algorithm, (L, length)
+            if L != 6:
+                continue
+            for p_m in (0.0, 0.2, 0.5):
+                if length == 6:
+                    oracle = r2gse_dense(psi, Bipartition(6, 3), "Z", p_m, subsystem="AB")
+                else:
+                    oracle = r2gse_dense(psi, Bipartition(6, length), "Z", p_m)
+                assert abs(plan.entropy(p_m) - oracle) < 1e-10
+    assert [GsePlan(critical(6), 0, n).algorithm for n in (4, 5, 6)] == [
+        "dense_gram", "low_rank", "rank1_full"]
 
 
 def test_gse_strength_out_of_range():
@@ -351,8 +360,11 @@ def test_symmetric_sweep_builds_each_window_once(critical, monkeypatch):
 
     monkeypatch.setattr(entropy, "GsePlan", Recording)
     build_mi_plans(critical(10), range(2, 9), "Z")
+    # 2 n >= L + 4 puts the 7- and 8-site windows on low_rank
     assert sorted(built) == sorted(
-        [((0, n), "dense_gram") for n in range(2, 9)] + [((0, 10), "rank1_full")]
+        [((0, n), "dense_gram") for n in range(2, 7)]
+        + [((0, n), "low_rank") for n in (7, 8)]
+        + [((0, 10), "rank1_full")]
     )
 
 
@@ -409,7 +421,7 @@ def test_flip_halved_plans_match_oracle(critical, kind, L, seed, axis):
 @pytest.mark.parametrize("length, algorithm", [(16, "rank1_full"), (14, "low_rank")])
 def test_flip_halved_low_rank_plans_peak_near_three_states(critical, length, algorithm):
     # the 14-site window's coefficient matrix is a copy of the state, the
-    # sector SVDs and pair vectors add the rest
+    # sector Schmidt vectors and pair vectors add the rest
     psi = critical(16)
     tracemalloc.start()
     try:
@@ -439,14 +451,15 @@ def is_translation_invariant(psi):
     ("Z", 20, "rank1_full", 1.0),
     ("X", 20, "rank1_full", 1.5),
     ("Z", 14, "low_rank", 1.05),
-    ("Z", 13, "dense_gram", 1.1),
+    ("Z", 13, "low_rank", 1.1),
+    ("X", 14, "low_rank", 1.25),
 ])
 def test_case1_stages_hold_one_working_copy_beside_the_state(critical, axis, work, expected, bound):
     # peak traced bytes over the state's, on the L=20 ground state (8 MB), of
     # `Symmetry.of`, of each of its two checks alone or of the GsePlan of a
     # window length: the checks sum over blocks, the whole chain transforms
-    # |psi|^2 in place, the low_rank blocks reuse their buffers and a
-    # dense_gram row block's GEMM runs after the last one's product is freed
+    # |psi|^2 in place, low_rank holds its Schmidt vectors (one state size
+    # on X, where no flip halves them) and block buffers that it reuses
     psi = rotate_to_basis(critical(20), axis)
     tracemalloc.start()
     try:
@@ -544,6 +557,135 @@ def test_low_rank_plan_matches_the_svd_pair_reference(monkeypatch, kind, shrunk)
                                                 * (1 - lam**2) ** np.arange(length + 1))
                             value = entropy._entropy_of(plan.purity(lam))
                             assert abs(value - entropy._entropy_of(ref_purity)) <= 1e-13
+
+
+def _pair_set_purity(power, n, flip, lam):
+    # the purity that _pair_power's rows add, binned by popcount here: row p of
+    # a flip-halved power holds the parity-p pairs over n - 1 bits, whose
+    # transform at k' lies at |k| = |k'| + ((|k'| + p) mod 2)
+    mu = lam * lam
+    d = np.bitwise_count(np.arange(power.shape[1]))
+    total = 0.0
+    for p, row in enumerate(power):
+        dk = d + ((d + p) & 1) if flip else d
+        total += row @ ((1 + mu) ** (n - dk) * (1 - mu) ** dk)
+    return total / 2**n
+
+
+@pytest.mark.parametrize("kind", ["critical", "real", "complex", "even", "odd"])
+def test_pair_truncation_stays_within_its_certified_bound(critical, kind):
+    # the dropped pairs' bounds sum to at most 2^-53 P(1/2); at every strength
+    # the dropped pairs add at most that sum, and the kept and dropped pairs
+    # add up to the untruncated pair sum.  The random states are damped by
+    # 1e-3 per domain wall (flip-invariant), so their Schmidt weights spread
+    # far enough for pairs to drop
+    rng = np.random.default_rng(SEED + 10)
+    dropped_any = False
+    for L in (6, 8, 10):
+        if kind == "critical":
+            psi = critical(L)
+        else:
+            a = np.arange(2**L)
+            psi = _equivalence_state(kind, L, rng) * 1e-3 ** np.bitwise_count(a ^ (a >> 1))
+            psi /= np.linalg.norm(psi)
+        for axis in ("X", "Y", "Z"):
+            rot = rotate_to_basis(psi, axis)
+            flip = Symmetry.of(rot).flip
+            for length in range(L // 2, L):
+                coeff = window_coefficient_matrix(rot, 0, length)
+                vectors, weights, parity = entropy._schmidt_sectors(coeff, flip)
+                floor = entropy._purity_floor(coeff)
+                p_half = np.sum(np.sum(np.abs(coeff) ** 2, axis=1) ** 2)
+                assert floor == pytest.approx(2.0**-53 * p_half, rel=1e-12, abs=0.0)
+                every = entropy._kept_pairs(weights, 0.0)
+                kept = entropy._kept_pairs(weights, floor)
+                chi = weights.size
+                dropped = ~np.isin(every[0] * chi + every[1], kept[0] * chi + kept[1])
+                assert dropped.sum() == every[0].size - kept[0].size
+                bound = every[2][dropped].sum()
+                assert bound <= floor
+                dropped_any |= bool(dropped.any())
+                parts = [
+                    entropy._pair_power(vectors, *(x[sel] for x in every), parity, flip)
+                    for sel in (np.ones_like(dropped), ~dropped, dropped)
+                ]
+                for p_m in (0.0, 0.1, 0.3, 0.5):
+                    lam = entropy._contraction(p_m, "p_m")
+                    full, kept_sum, dropped_sum = (
+                        _pair_set_purity(power, length, flip, lam) for power in parts
+                    )
+                    assert abs(dropped_sum) <= bound * (1 + 1e-12) + 1e-300
+                    assert abs(full - kept_sum - dropped_sum) <= 1e-15 * full
+                    assert abs(entropy._LowRankPlan(coeff, flip).purity(lam) - kept_sum) <= (
+                        1e-15 * full)
+    assert dropped_any
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "even", "odd"])
+def test_low_rank_kernel_matches_oracle_on_every_window(monkeypatch, kind):
+    # the Gram eigh, the measured weights and the truncated pair loop on every
+    # window of L <= 8, past GsePlan's size rule, with blocks of one to a few
+    # pair vectors
+    monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", 1 << 5)
+    rng = np.random.default_rng(SEED + 11)
+    for L in (3, 5, 8):
+        psi = _equivalence_state(kind, L, rng)
+        for axis in ("X", "Y", "Z"):
+            rot = rotate_to_basis(psi, axis)
+            flip = Symmetry.of(rot).flip
+            if axis == "Z":
+                assert flip == (kind in ("even", "odd"))
+            for length in range(1, L):
+                for start in range(L - length + 1):
+                    coeff = window_coefficient_matrix(rot, start, length)
+                    plan = entropy._LowRankPlan(coeff, flip)
+                    for p_m in (0.0, 0.1, 0.3, 0.5):
+                        oracle = r2gse_dense(
+                            _shift_to_start(psi, start), Bipartition(L, length), axis, p_m
+                        )
+                        value = entropy._entropy_of(plan.purity(entropy._contraction(p_m, "p_m")))
+                        assert abs(value - oracle) < 1e-12
+
+
+def test_rank_one_windows_skip_their_zero_weight_vectors():
+    # product windows: the Gram matrix has rank 1 per sector, so every other
+    # Schmidt vector measures w = 0 exactly (basis states, the flip sectors of
+    # GHZ) or nearly (a random product), is not normalized and forms no pair
+    rng = np.random.default_rng(SEED + 12)
+    phi_a, phi_b = (random_state(k, rng) for k in (5, 2))
+    states = {"zero": (zero_state(7), True), "ghz": (ghz_state(7), True),
+              "product": (np.kron(phi_b, phi_a), False)}
+    for name, (psi, exact) in states.items():
+        flip = Symmetry.of(psi).flip
+        assert flip == (name == "ghz")
+        coeff = window_coefficient_matrix(psi, 0, 5)
+        _, weights, _ = entropy._schmidt_sectors(coeff, flip)
+        if exact:
+            assert np.count_nonzero(weights == 0.0) >= weights.size - 2
+        ks, ls, _ = entropy._kept_pairs(weights, entropy._purity_floor(coeff))
+        # GHZ: one vector per flip sector, and their cross pair
+        assert ks.size == (3 if name == "ghz" else 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = entropy._LowRankPlan(coeff, flip)
+            for p_m in (0.0, 0.2, 0.5):
+                oracle = r2gse_dense(psi, Bipartition(7, 5), "Z", p_m)
+                value = entropy._entropy_of(plan.purity(entropy._contraction(p_m, "p_m")))
+                assert abs(value - oracle) < 1e-12
+
+
+def test_gaussian_oracle_checks_both_kernels_at_L20(critical):
+    # the free-fermion mixture oracle on a dense_gram window (10 sites) and a
+    # truncated low_rank one (13 sites) of the L=20 ground state, all axes
+    psi = critical(20)
+    for axis in ("X", "Y", "Z"):
+        rot = rotate_to_basis(psi, axis)
+        for length, algorithm in ((10, "dense_gram"), (13, "low_rank")):
+            plan = GsePlan(rot, 0, length)
+            assert plan.algorithm == algorithm
+            for p_m in (0.1, 0.35):
+                exact = gaussian_dephased_renyi2(20, length, axis, p_m)
+                assert abs(plan.entropy(p_m) - exact) <= 1e-11, (axis, length, p_m)
 
 
 def test_wht_with_a_spare_writes_only_into_its_two_buffers():

@@ -7,6 +7,7 @@ from renyimi.oracle import (
     density_from_state,
     dense_ground_state,
     free_fermion_renyi2,
+    gaussian_dephased_renyi2,
     majorana_couplings,
     partial_trace_dense,
     purity_dense,
@@ -81,3 +82,28 @@ def test_free_fermion_renyi2_matches_exact_diagonalisation(critical):
         assert exact[0] == 0.0 and abs(exact[L]) < 1e-12
         for l_a in range(1, L):
             assert abs(renyi2_ee(psi, Bipartition(L, l_a)) - exact[l_a]) < 1e-12
+
+
+@pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+def test_gaussian_dephased_renyi2_matches_the_dense_oracle(axis):
+    # the mixture of Gaussian overlaps against the literal channel on the
+    # dense ground state, every start-0 window of L = 8
+    psi = dense_ground_state(8)[1]
+    for n in range(1, 9):
+        for p_m in (0.0, 0.1, 0.3, 0.5):
+            if n == 8:
+                dense = r2gse_dense(psi, Bipartition(8, 4), axis, p_m, subsystem="AB")
+            else:
+                dense = r2gse_dense(psi, Bipartition(8, n), axis, p_m)
+            assert abs(gaussian_dephased_renyi2(8, n, axis, p_m) - dense) < 1e-12
+    # at p_m = 0 it is the free-fermion entanglement entropy
+    exact = free_fermion_renyi2(12)
+    for n in (3, 6):
+        assert abs(gaussian_dephased_renyi2(12, n, axis, 0.0) - exact[n]) < 1e-12
+
+
+def test_gaussian_dephased_renyi2_rejects_bad_arguments():
+    for args in ((8, 0, "Z", 0.1), (8, 9, "Z", 0.1), (20, 17, "Z", 0.1), (8, 4, "W", 0.1),
+                 (8, 4, "Z", 0.6)):
+        with pytest.raises(ValueError):
+            gaussian_dephased_renyi2(*args)
