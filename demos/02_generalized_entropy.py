@@ -11,7 +11,6 @@ import numpy as np
 from renyimi import (
     Bipartition,
     GsePlan,
-    TfimModel,
     ground_state,
     r2gse_pure,
     renyi2_ee,
@@ -20,7 +19,7 @@ from renyimi import (
 )
 
 L = 12
-psi = ground_state(TfimModel(L)).state
+psi = ground_state(L).state
 part = Bipartition(L, L // 2)
 
 print("=" * 70)

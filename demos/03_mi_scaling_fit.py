@@ -7,7 +7,6 @@ class at Renyi index 2.
 """
 
 from renyimi import (
-    TfimModel,
     build_mi_plans,
     conjectured_cn,
     default_window,
@@ -17,7 +16,7 @@ from renyimi import (
 )
 
 L = 14
-psi = ground_state(TfimModel(L)).state
+psi = ground_state(L).state
 window = default_window(L)
 l_a_values = list(range(window[0], window[1] + 1))
 print(f"L = {L}, fit window L_A in [{window[0]}, {window[1]}]")

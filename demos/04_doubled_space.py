@@ -8,7 +8,7 @@ is checked against the dense matrix calculation.
 
 import numpy as np
 
-from renyimi import Bipartition, TfimModel, ground_state
+from renyimi import Bipartition, ground_state
 from renyimi.oracle import (
     ChannelSpec,
     apply_channel_dense,
@@ -64,7 +64,7 @@ print("=" * 70)
 print("Subsystem entropy of a decohered critical chain")
 print("=" * 70)
 L = 6
-psi = ground_state(TfimModel(L)).state
+psi = ground_state(L).state
 part = Bipartition(L, 3)
 sv = pure_supervector(psi)
 for p_y in (0.0, 0.2, 0.4):

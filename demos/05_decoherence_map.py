@@ -11,7 +11,6 @@ import time
 
 from renyimi import (
     PauliWeightPlan,
-    TfimModel,
     build_mi_plans,
     default_window,
     fit_cft,
@@ -19,7 +18,7 @@ from renyimi import (
 )
 
 L = 12
-psi = ground_state(TfimModel(L)).state
+psi = ground_state(L).state
 window = default_window(L)
 l_a_values = list(range(window[0], window[1] + 1))
 p_m_grid = (0.0, 0.1, 0.25, 0.5)

@@ -39,7 +39,6 @@ from .spin import (
 from .tfim import (
     GroundStateResult,
     LanczosError,
-    TfimModel,
     apply_hamiltonian,
     ground_state,
     load_ground_state,
@@ -55,7 +54,6 @@ __all__ = [
     "MiPlan",
     "MiPoint",
     "PauliWeightPlan",
-    "TfimModel",
     "apply_hamiltonian",
     "build_mi_plans",
     "conjectured_cn",

@@ -39,7 +39,8 @@ product of small +-1 Hadamard matrices, H_{2^n} = H_{2^k1} (x) H_{2^k2}
 the X and Y basis rotations.
 
 A rotated state with psi(a~) = +-psi(a), a~ the complement of every bit
-(the Z-axis ground state, which lies in the prod X = +1 sector), has
+(the ground state on the Z axis, which lies in the prod X = +1 sector, and
+on the Y axis in the labels of `rotate_to_basis`), has
 G[a~, a'~] = G[a, a'] on every window.  Both kernels then work on a half
 or less of the window configurations: dense_gram computes about a quarter
 of G's blocks, one per orbit under the flip and transposition, and
@@ -48,7 +49,7 @@ Gram `eigh` per sector on half the complement configurations (the other
 half repeat them up to sign) and transforms pair vectors of definite
 parity over n - 1 bits.  `Symmetry.of` tests the flip and the one-site shift once
 per sweep, and `sweep_plans` hands that record to every window it builds;
-any other state (the X and Y axes, random states) keeps the full kernels.
+any other state (the X axis, random states) keeps the full kernels.
 
 At p = 0 both reduce to the Renyi-2 entanglement entropy, at
 p = 1/2 to the Renyi-2 entropy of the measurement outcome distribution.
@@ -404,8 +405,8 @@ class _LowRankPlan:
     (half a state on the flip), then it and the block buffers; on the whole
     chain the outcome distribution (half a state on the flip) and two
     buffers.  tracemalloc at L=20: the 14-site plan peaks at 0.65 state
-    sizes on Z, 1.16 on X and 1.18 on Y (1.0, 2.0 and 2.0 through the
-    SVD), the whole chain at 0.6 (1.1 on X).
+    sizes on Z, 1.16 on X and 0.67 on Y (1.0, 2.0 and 2.0 through the
+    SVD), the whole chain at 0.6 (1.1 on X, 0.5 on Y).
     """
 
     def __init__(self, coeff, flip):

@@ -23,13 +23,12 @@ from itertools import product
 import numpy as np
 
 from .entropy import MiPoint, PauliWeightPlan, build_mi_plans
-from .scaling import default_window, fit_cft, scaling_variable
+from .scaling import default_window, degenerate_design, fit_cft, scaling_variable
 from .spin import AXES
 from .tfim import (
     LANCZOS_MAX_SITES,
     _RESIDUAL_BOUND,
     GroundStateResult,
-    TfimModel,
     atomic_write,
     cache_path,
     ground_state,
@@ -218,8 +217,7 @@ def effective_window(cfg: ExperimentConfig):
 def _check_fittable(L, l_a_values, window):
     """Reject a fit window that holds fewer than two distinct scaling values of a chain of L."""
     lo, hi = window
-    xs = {round(scaling_variable(L, la), 12) for la in l_a_values if lo <= la <= hi}
-    if len(xs) < 2:
+    if degenerate_design([scaling_variable(L, la) for la in l_a_values if lo <= la <= hi]):
         raise ConfigError(
             f"window {lo}:{hi} leaves fewer than two distinct scaling values "
             f"over L_A={list(l_a_values)}"
@@ -284,7 +282,7 @@ def cached_ground_state(L, cache_dir="cache"):
                 return result, True
         except (ValueError, OSError):
             pass  # stale or foreign file: recompute and overwrite
-    result = ground_state(TfimModel(L))
+    result = ground_state(L)
     save_ground_state(path, result)
     return result, False
 

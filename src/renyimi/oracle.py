@@ -53,7 +53,7 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 BASIS_COLUMNS = {
     "Z": np.eye(2, dtype=complex),
     "X": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "Y": np.array([[_SQ2, _SQ2], [1.0j * _SQ2, -1.0j * _SQ2]], dtype=complex),
+    "Y": np.array([[_SQ2, 1.0j * _SQ2], [1.0j * _SQ2, _SQ2]], dtype=complex),
 }
 
 

@@ -18,6 +18,11 @@ def scaling_variable(L, L_A):
     return math.log((L / math.pi) * math.sin(math.pi * L_A / L))
 
 
+def degenerate_design(xs):
+    """True when the scaling values xs fix no slope: fewer than two, or all within 1e-12."""
+    return len(xs) < 2 or max(xs) - min(xs) < 1e-12
+
+
 def default_window(L):
     """Interior fit window: excludes L_A < L/4 and L_A > 3L/4."""
     return (math.ceil(L / 4), math.floor(3 * L / 4))
@@ -45,13 +50,11 @@ def fit_cft(points) -> FitResult:
     two distinct scaling-variable values, e.g. only symmetric L_A pairs).
     """
     data = sorted((scaling_variable(L, L_A), float(i2)) for L, L_A, i2 in points)
-    if len(data) < 2:
-        raise ValueError("need at least two points to fit")
     x = np.array([d[0] for d in data])
     y = np.array([d[1] for d in data])
-    if np.max(x) - np.min(x) < 1e-12:
+    if degenerate_design(x):
         raise ValueError(
-            "rank-deficient design: all points share one scaling-variable value "
+            "rank-deficient design: fewer than two distinct scaling-variable values "
             "(symmetric L_A pairs collapse)"
         )
     xm = x.mean()

@@ -94,20 +94,26 @@ def rotate_to_basis(state, axis):
     (`np.asarray`, no copy, dtype kept), so callers must not write to them.
     X and Y return a new array.  Label 0 of a site is the +1 eigenvector of
     the axis operator; the tests' `oracle.BASIS_COLUMNS` holds these 2x2
-    eigenvector matrices.  The adjoint of that matrix is H/sqrt(2) on X and
-    H diag(1, -i)/sqrt(2) on Y (H the 2x2 Hadamard matrix), so on L sites X
-    is the Walsh-Hadamard transform times 2^(-L/2), and Y is the same after
-    the phase (-i)^popcount(s) on each amplitude psi[s].  A real state
-    stays real on X; Y is complex.
+    eigenvector matrices.  The adjoint of that matrix is H/sqrt(2) on X (H
+    the 2x2 Hadamard matrix), so on L sites X is the Walsh-Hadamard
+    transform times 2^(-L/2).  On Y it is (1 - iX)/sqrt(2) = diag(1, -i) H
+    diag(1, -i)/sqrt(2), the pi/2 rotation about X that takes Y to Z, so
+    label 1 is i|y->, and Y is the same transform between two phases
+    (-i)^popcount(s) on each amplitude psi[s].  The Y-rotated ground state
+    is then flip-symmetric, as on Z.  A real state stays real on X.
     """
     check_axis(axis)
     psi = np.asarray(state)
     if axis == "Z":
         return psi
     L = num_sites(psi)
-    if axis == "Y":
-        psi = psi * _MINUS_I_POWERS[np.bitwise_count(np.arange(psi.size, dtype=np.uint64)) & 3]
-    return _wht(psi, L, 0) * 2.0 ** (-L / 2)
+    if axis == "X":
+        return _wht(psi, L, 0) * 2.0 ** (-L / 2)
+    k = np.bitwise_count(np.arange(psi.size, dtype=np.uint64)) & 3
+    # through a spare, the transform holds two complex arrays, not three
+    out = _wht(psi * _MINUS_I_POWERS[k], L, 0, np.empty(psi.shape, complex))
+    out *= (_MINUS_I_POWERS * 2.0 ** (-L / 2))[k]
+    return out
 
 
 def translate(state, shift=1):

@@ -1,11 +1,14 @@
 """Critical transverse-field Ising chain, H = -sum_j (Z_j Z_{j+1} + X_j), periodic.
 
-The ground state lies in the momentum-0, spin-flip-even (prod X = +1)
-sector.  `ground_state` builds that sector from orbit representatives
-(about 2^L / 2L states), solves it with ARPACK's implicitly restarted
-Lanczos method (scipy `eigsh`, fixed start vector, so results are
-bit-reproducible) and expands the result to the 2^L float64 amplitudes, so
-the state is real and exactly shift- and flip-invariant by construction.
+The couplings are fixed at unit strength, so the chain is its length L:
+every function here takes the integer L, as `renyimi.oracle` and
+`experiments.cached_ground_state` do.  The ground state lies in the
+momentum-0, spin-flip-even (prod X = +1) sector.  `ground_state` builds
+that sector from orbit representatives (about 2^L / 2L states), solves it
+with ARPACK's implicitly restarted Lanczos method (scipy `eigsh`, fixed
+start vector, so results are bit-reproducible) and expands the result to
+the 2^L float64 amplitudes, so the state is real and exactly shift- and
+flip-invariant by construction.
 The independent full-space check is `renyimi.oracle.dense_ground_state`.
 """
 
@@ -37,20 +40,6 @@ _CACHE_HEADER = struct.Struct("<4sIId")  # magic, version, L, energy
 
 class LanczosError(RuntimeError):
     """ARPACK's Lanczos (`eigsh`) did not converge, or the Ritz gap collapsed."""
-
-
-@dataclass(frozen=True)
-class TfimModel:
-    """Periodic chain of L sites, couplings fixed at unit strength.
-
-    L=2 double-counts the single bond; only the dense oracle solves it.
-    """
-
-    L: int
-
-    def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("TfimModel needs L >= 2")
 
 
 @dataclass(frozen=True)
@@ -92,13 +81,15 @@ def _hamiltonian_block(L, psi, lo, out):
         np.subtract(out, psi[src : src + n], out=out)
 
 
-def apply_hamiltonian(model: TfimModel, state):
-    """Matrix-free H @ state: bond diagonal plus -1 per single-bit flip.
+def apply_hamiltonian(L, state):
+    """Matrix-free H @ state on a ring of L >= 2 sites: bond diagonal plus -1 per site flip.
 
-    Filled in blocks of 2^_BLOCK_BITS labels by `_hamiltonian_block`; a
-    real state gives a real product, a complex one a complex product.
+    L=2 double-counts the single bond, as the dense oracle does.  Filled in
+    blocks of 2^_BLOCK_BITS labels by `_hamiltonian_block`; a real state
+    gives a real product, a complex one a complex product.
     """
-    L = model.L
+    if L < 2:
+        raise ValueError(f"the ring needs L >= 2, got L={L}")
     if len(state) != 2**L:
         raise ValueError(f"state length {len(state)} does not match L={L}")
     psi = np.asarray(state)
@@ -133,7 +124,7 @@ def _sector_hamiltonian(L, reps, sidx, orbit):
     return csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(dim, dim))
 
 
-def _lanczos_lowest(model):
+def _lanczos_lowest(L):
     """Lowest (energy, state): the unit sector vector's Rayleigh quotient, and it expanded to 2^L.
 
     The momentum-0, flip-even sector holds the ground state of the critical
@@ -145,8 +136,8 @@ def _lanczos_lowest(model):
     # imported here: scipy.linalg costs ~0.3 s to import, and warm cached runs never solve
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    reps, sidx, orbit = _sector_basis(model.L)
-    h = _sector_hamiltonian(model.L, reps, sidx, orbit)
+    reps, sidx, orbit = _sector_basis(L)
+    h = _sector_hamiltonian(L, reps, sidx, orbit)
     if len(reps) < _SECTOR_DENSE_DIM:
         theta, vecs = np.linalg.eigh(h.toarray())
     else:
@@ -176,19 +167,18 @@ def _residual(L, psi, energy):
     return float(np.sqrt(squares))
 
 
-def ground_state(model: TfimModel) -> GroundStateResult:
-    """Lowest eigenpair of the chain, solved in its symmetry sector (3 <= L <= 24).
+def ground_state(L) -> GroundStateResult:
+    """Lowest eigenpair of the ring of L sites, solved in its symmetry sector (3 <= L <= 24).
 
     The returned state is real (float64), normalized, and sign-fixed so the
     largest-magnitude amplitude is positive; the residual satisfies
     ||H psi - E psi|| <= 1e-8.
     """
-    L = model.L
     if L < 3:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
     if L > LANCZOS_MAX_SITES:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
-    energy, psi = _lanczos_lowest(model)
+    energy, psi = _lanczos_lowest(L)
     psi /= np.linalg.norm(psi)
     psi *= np.sign(psi[np.argmax(np.abs(psi))])
     residual = _residual(L, psi, energy)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from renyimi import TfimModel, ground_state, rotate_to_basis, window_coefficient_matrix
+from renyimi import ground_state, rotate_to_basis, window_coefficient_matrix
 from renyimi import entropy
 
 SEED = 20250810
@@ -65,7 +65,7 @@ def critical():
 
     def get(L):
         if L not in cache:
-            cache[L] = ground_state(TfimModel(L)).state
+            cache[L] = ground_state(L).state
         return cache[L]
 
     return get

@@ -718,12 +718,18 @@ def test_r2gse_pure_checks_the_state_against_the_bipartition():
                 entropy_of()
 
 
+@pytest.mark.parametrize("L", range(3, 13))
+def test_y_rotated_ground_state_is_flip_symmetric(critical, L):
+    # label 1 is i|y->, so the flip maps the Y-rotated ring ground state to +-itself
+    assert Symmetry.of(rotate_to_basis(critical(L), "Y")) == Symmetry(flip=True, translation=True)
+
+
 def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
     psi = critical(10)
     assert GsePlan(psi, 0, 4).symmetry.flip
     assert GsePlan(psi, 0, 10).symmetry.flip
     assert not GsePlan(rotate_to_basis(psi, "X"), 0, 4).symmetry.flip
-    assert not GsePlan(rotate_to_basis(psi, "Y"), 0, 4).symmetry.flip
+    assert GsePlan(rotate_to_basis(psi, "Y"), 0, 4).symmetry.flip
     assert not GsePlan(random_state(10, np.random.default_rng(SEED + 3)), 0, 4).symmetry.flip
     with pytest.raises(AttributeError):
         GsePlan(psi, 0, 4).symmetry.flip = False
@@ -782,7 +788,7 @@ def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
         psi = _flip_case_state(critical, L, kind, SEED + 4)
     rot = rotate_to_basis(psi, axis)
     flip = Symmetry.of(rot).flip
-    assert flip == (axis == "Z" and kind != "random")
+    assert flip == (axis in ("Z", "Y") and kind != "random")
     assert np.iscomplexobj(rot) == (kind != "critical" or axis == "Y")
     for length in range(1, L + 1):
         for start in range(L - length + 1):

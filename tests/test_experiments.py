@@ -751,9 +751,22 @@ def test_cli_fit_checks_the_window_as_case1_does(tmp_path, capsys):
     assert len(rows) == 2 and all(row.endswith(",3:5") for row in rows)
 
 
+@pytest.mark.parametrize("pair", [(4, 38), (5, 37)])
+def test_cli_fit_rejects_symmetric_pairs_that_round_apart(tmp_path, capsys, pair):
+    # s(42, 4) and s(42, 38) differ in their last digits, past a 12-decimal
+    # rounding; the fit's own spread test sees one value, as for (5, 37)
+    csv = tmp_path / "pts.csv"
+    write_points_csv(csv, [
+        entropy.MiPoint(42, la, "Z", 0.0, 0.0, 0.5, 0.5, 0.0, 1.0 + la / 100) for la in pair
+    ])
+    assert cli.main(["fit", str(csv), "--window", "4:38"]) == 2
+    assert "leaves fewer than two distinct scaling values" in capsys.readouterr().err
+    assert not Path(experiments.fits_csv_path(str(csv))).exists()
+
+
 def test_cli_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a solver that does not converge is a numeric failure, not a config error
-    def no_convergence(model):
+    def no_convergence(L):
         raise tfim.LanczosError("no convergence")
 
     cfg_file = tmp_path / "exp.cfg"

@@ -13,7 +13,6 @@ from renyimi import tfim
 from renyimi import (
     GroundStateResult,
     LanczosError,
-    TfimModel,
     apply_hamiltonian,
     ground_state,
     load_ground_state,
@@ -28,7 +27,7 @@ def test_apply_h_on_all_zeros_L4():
     L = 4
     psi = np.zeros(2**L, dtype=complex)
     psi[0] = 1.0
-    out = apply_hamiltonian(TfimModel(L), psi)
+    out = apply_hamiltonian(L, psi)
     expect = np.zeros(2**L, dtype=complex)
     expect[0] = -4.0  # four aligned bonds
     for j in range(L):
@@ -38,33 +37,35 @@ def test_apply_h_on_all_zeros_L4():
 
 def test_apply_h_linearity():
     rng = np.random.default_rng(SEED)
-    m = TfimModel(6)
-    u = random_state(6, rng)
-    v = random_state(6, rng)
+    L = 6
+    u = random_state(L, rng)
+    v = random_state(L, rng)
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
-    lhs = apply_hamiltonian(m, a * u + b * v)
-    rhs = a * apply_hamiltonian(m, u) + b * apply_hamiltonian(m, v)
+    lhs = apply_hamiltonian(L, a * u + b * v)
+    rhs = a * apply_hamiltonian(L, u) + b * apply_hamiltonian(L, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_plus_state_expectation():
     L = 4
     plus = np.full(2**L, 2.0 ** (-L / 2), dtype=complex)
-    e = np.vdot(plus, apply_hamiltonian(TfimModel(L), plus)).real
+    e = np.vdot(plus, apply_hamiltonian(L, plus)).real
     assert abs(e - (-4.0)) < 1e-12  # X terms saturate, ZZ terms vanish
 
 
 def test_apply_h_length_mismatch():
     with pytest.raises(ValueError):
-        apply_hamiltonian(TfimModel(4), np.zeros(8))
+        apply_hamiltonian(4, np.zeros(8))
+    # a ring needs two sites, even where the length matches
+    with pytest.raises(ValueError, match="L >= 2"):
+        apply_hamiltonian(1, np.zeros(2))
 
 
 def test_dense_matches_matvec():
-    m = TfimModel(5)
     h = dense_hamiltonian(5)
     rng = np.random.default_rng(SEED + 1)
     psi = random_state(5, rng)
-    assert np.max(np.abs(h @ psi - apply_hamiltonian(m, psi))) < 1e-12
+    assert np.max(np.abs(h @ psi - apply_hamiltonian(5, psi))) < 1e-12
 
 
 @pytest.mark.parametrize("L", range(3, 11))
@@ -72,9 +73,9 @@ def test_blocked_hamiltonian_matches_dense_and_one_block(L, monkeypatch):
     # blocks of 4 labels: flips of bits 0 and 1 stay in a block, the others
     # move whole blocks; at L <= 10 the default blocks hold the whole vector
     psi = random_state(L, np.random.default_rng(SEED + L))
-    whole = apply_hamiltonian(TfimModel(L), psi)
+    whole = apply_hamiltonian(L, psi)
     monkeypatch.setattr(tfim, "_BLOCK_BITS", 2)
-    blocked = apply_hamiltonian(TfimModel(L), psi)
+    blocked = apply_hamiltonian(L, psi)
     assert blocked.dtype == psi.dtype
     assert np.max(np.abs(dense_hamiltonian(L) @ psi - blocked)) < 1e-12
     assert np.array_equal(blocked, whole)
@@ -88,7 +89,7 @@ def test_L2_dense_energy():
 
 def test_lanczos_rejects_L2():
     with pytest.raises(ValueError):
-        ground_state(TfimModel(2))
+        ground_state(2)
 
 
 def test_arpack_no_convergence_raises_lanczos_error(monkeypatch):
@@ -102,7 +103,7 @@ def test_arpack_no_convergence_raises_lanczos_error(monkeypatch):
     L = 12  # smaller sectors take the dense eigh and never reach eigsh
     assert len(_sector_basis(L)[0]) >= _SECTOR_DENSE_DIM
     with pytest.raises(LanczosError):
-        ground_state(TfimModel(L))
+        ground_state(L)
 
 
 def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
@@ -113,7 +114,7 @@ def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
 
     monkeypatch.setattr(sla, "eigsh", degenerate)
     with pytest.raises(LanczosError, match="Ritz gap"):
-        ground_state(TfimModel(12))
+        ground_state(12)
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +122,7 @@ def _solve(L, method):
     """(energy, state) from the sector solver ("lanczos") or the dense oracle ("dense")."""
     if method == "dense":
         return dense_ground_state(L)
-    res = ground_state(TfimModel(L))
+    res = ground_state(L)
     return res.energy, res.state
 
 
@@ -134,9 +135,9 @@ def test_lanczos_agrees_with_dense(L):
 
 
 def test_residual_bound_L12():
-    res = ground_state(TfimModel(12))
+    res = ground_state(12)
     assert res.residual <= 1e-8
-    hpsi = apply_hamiltonian(TfimModel(12), res.state)
+    hpsi = apply_hamiltonian(12, res.state)
     assert np.linalg.norm(hpsi - res.energy * res.state) <= 1e-8
 
 
@@ -151,8 +152,8 @@ def test_energy_matches_closed_form(method, L):
 
 
 def test_ground_state_is_reproducible():
-    a = ground_state(TfimModel(8))
-    b = ground_state(TfimModel(8))
+    a = ground_state(8)
+    b = ground_state(8)
     assert a.energy == b.energy
     assert np.array_equal(a.state, b.state)
 
@@ -166,15 +167,14 @@ def test_phase_fix_largest_amplitude_real_positive():
 
 def test_translation_commutes_with_h():
     rng = np.random.default_rng(SEED + 2)
-    m = TfimModel(5)
     psi = random_state(5, rng)
-    lhs = apply_hamiltonian(m, translate(psi, 1))
-    rhs = translate(apply_hamiltonian(m, psi), 1)
+    lhs = apply_hamiltonian(5, translate(psi, 1))
+    rhs = translate(apply_hamiltonian(5, psi), 1)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 def test_ground_state_is_translation_invariant():
-    res = ground_state(TfimModel(8))
+    res = ground_state(8)
     assert np.max(np.abs(translate(res.state, 3) - res.state)) < 1e-12
 
 
@@ -203,7 +203,7 @@ def test_sector_basis_counts_every_state_once():
 
 
 def test_cache_roundtrip(tmp_path):
-    res = ground_state(TfimModel(6))
+    res = ground_state(6)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     loaded = load_ground_state(path)
@@ -214,19 +214,19 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_residual_is_the_norm_of_the_residual_vector(tmp_path, monkeypatch):
     L = 12
-    res = ground_state(TfimModel(L))
+    res = ground_state(L)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     monkeypatch.setattr(tfim, "_BLOCK_BITS", 5)  # 128 blocks
     loaded = load_ground_state(path)
-    hpsi = apply_hamiltonian(TfimModel(L), res.state)
+    hpsi = apply_hamiltonian(L, res.state)
     assert abs(loaded.residual - np.linalg.norm(hpsi - res.energy * res.state)) <= 1e-15
 
 
 def test_solve_and_load_report_one_residual(tmp_path):
     # the solve and the load share one blocked residual pass over the same
     # state bytes and header energy, so they agree to the last bit
-    res = ground_state(TfimModel(16))
+    res = ground_state(16)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     assert load_ground_state(path).residual == res.residual
@@ -234,7 +234,7 @@ def test_solve_and_load_report_one_residual(tmp_path):
 
 def test_cache_load_holds_no_state_sized_temporary(tmp_path, monkeypatch):
     L = 16
-    res = ground_state(TfimModel(L))
+    res = ground_state(L)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     monkeypatch.setattr(tfim, "_BLOCK_BITS", 12)
@@ -251,7 +251,7 @@ def test_cache_load_holds_no_state_sized_temporary(tmp_path, monkeypatch):
 
 def test_cache_file_byte_layout(tmp_path):
     # magic, version u32, L u32, energy f64, then real f64 amplitudes, little-endian
-    res = ground_state(TfimModel(3))
+    res = ground_state(3)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     raw = path.read_bytes()
@@ -266,7 +266,7 @@ def test_cache_file_byte_layout(tmp_path):
 
 
 def test_cache_rejects_version_1_record(tmp_path):
-    res = ground_state(TfimModel(3))
+    res = ground_state(3)
     path = tmp_path / "gs.bin"
     old = struct.pack("<4sIId", b"TFGS", 1, 3, res.energy)
     path.write_bytes(old + np.ascontiguousarray(res.state, dtype="<c16").tobytes())
@@ -290,7 +290,7 @@ def test_cache_rejects_bad_magic(tmp_path):
 
 
 def test_cache_rejects_truncated_file(tmp_path):
-    res = ground_state(TfimModel(4))
+    res = ground_state(4)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     data = path.read_bytes()
@@ -305,7 +305,7 @@ def test_cache_rejects_truncated_file(tmp_path):
 
 def test_failed_cache_write_keeps_old_record(tmp_path):
     path = tmp_path / "gs.bin"
-    save_ground_state(path, ground_state(TfimModel(3)))
+    save_ground_state(path, ground_state(3))
     before = path.read_bytes()
     bad = GroundStateResult(energy=0.0, state=np.array([object()] * 8), residual=0.0)
     with pytest.raises(TypeError):
