@@ -36,7 +36,7 @@ low_rank stores a popcount-binned power spectrum once and every strength
 afterwards is an O(window) dot product.  The transform is `spin._wht`, a
 product of small +-1 Hadamard matrices, H_{2^n} = H_{2^k1} (x) H_{2^k2}
 (x) ..., each applied as one GEMM; it also serves `PauliWeightPlan` and
-the X and Y basis rotations.
+the X and Y basis rotations (on Y with 1 - iX in place of the 2x2 Hadamard).
 
 A rotated state with psi(a~) = +-psi(a), a~ the complement of every bit
 (the ground state on the Z axis, which lies in the prod X = +1 sector, and
@@ -48,7 +48,7 @@ low_rank splits G into its flip-even and flip-odd sectors, takes one
 Gram `eigh` per sector on half the complement configurations (the other
 half repeat them up to sign) and transforms pair vectors of definite
 parity over n - 1 bits.  `Symmetry.of` tests the flip and the one-site shift once
-per sweep, and `sweep_plans` hands that record to every window it builds;
+per sweep, and `build_mi_plans` hands that record to every window it builds;
 any other state (the X axis, random states) keeps the full kernels.
 
 At p = 0 both reduce to the Renyi-2 entanglement entropy, at
@@ -58,7 +58,7 @@ Both plan classes take a state in the dephasing basis, where
 `build_mi_plans` rotates it once.  The rotation keeps a real state real on
 the Z and X axes, so the real ground state runs every plan there in real
 arithmetic; only the Y axis needs complex numbers.  An L_A sweep reads the
-windows (0, L_A), (L_A, L - L_A) and the whole chain; `sweep_plans` builds
+windows (0, L_A), (L_A, L - L_A) and the whole chain; `build_mi_plans` builds
 one plan per distinct window, and on a translation-invariant state the B
 window of L_A is the start-0 window of length L - L_A, so a symmetric sweep
 builds each length once, and evaluates it once per strength (see `MiPlan`).
@@ -84,7 +84,7 @@ import numpy as np
 
 from .spin import (
     Bipartition,
-    _hadamard,
+    _factor,
     _sector_basis,
     _wht,
     num_sites,
@@ -125,10 +125,9 @@ def _abs2_owned(z, out=None):
 
 
 @functools.cache
-def _bit_table(k, signs=False):
-    """One-hot popcounts or signs (-1)^(x.a) of the k-bit labels; read-only, as threads share it."""
-    a = np.arange(1 << k)
-    t = _hadamard(k) if signs else (np.bitwise_count(a)[:, None] == np.arange(k + 1)) * 1.0
+def _bit_table(k):
+    """One-hot popcounts of the k-bit labels; read-only, as threads share it."""
+    t = (np.bitwise_count(np.arange(1 << k))[:, None] == np.arange(k + 1)) * 1.0
     t.flags.writeable = False
     return t
 
@@ -445,7 +444,7 @@ class GsePlan:
     low_rank about 2^(2L-n), plus the transforms of its kept pairs, a few
     thousand at most.
     `symmetry` is the state's `Symmetry`, and its `flip` tells whether the
-    kernel worked on half the window configurations; `sweep_plans` tests
+    kernel worked on half the window configurations; `build_mi_plans` tests
     it once for all the windows of a sweep and hands it in as `_symmetry`,
     and a plan built on its own tests it itself.  Thread-safe after
     construction (evaluation only reads the stored arrays).
@@ -487,16 +486,17 @@ def _entropy_of(purity):
 def _twisted_bins(g, xs, n, weights=1.0):
     """H[|x|, |z|] of the rows g[j] = g_x (x = xs[j]) of a block, twisted in place.
 
-    Twisted by (-1)^(x.a), two sign tables of the high and low bits of a,
-    g_x transforms to the power of z ^ x at z, so `_popcount_sums` bins
-    |x ^ z| at |z|; a one-hot GEMM (times `weights`) adds the rows at |x|.
+    Twisted by (-1)^(x.a), the rows x of two Hadamard factors (`_factor`)
+    of the high and low bits of a, g_x transforms to the power of z ^ x at
+    z, so `_popcount_sums` bins |x ^ z| at |z|; a one-hot GEMM (times
+    `weights`) adds the rows at |x|.
     """
     m, size = g.shape
     bits = size.bit_length() - 1
     lo = bits - bits // 2
     t = g.reshape(m, -1, 1 << lo)
-    t *= _bit_table(bits - lo, signs=True)[(xs >> lo) & ((size >> lo) - 1), :, None]
-    t *= _bit_table(lo, signs=True)[xs & ((1 << lo) - 1), None, :]
+    t *= _factor(bits - lo, "X")[(xs >> lo) & ((size >> lo) - 1), :, None]
+    t *= _factor(lo, "X")[xs & ((1 << lo) - 1), None, :]
     power = _abs2_owned(_wht(t.reshape(m, size), bits, -1))
     one_hot = np.where(np.bitwise_count(xs)[:, None] == np.arange(n + 1), weights, 0.0)
     return one_hot.T @ _popcount_sums(power, bits)
@@ -685,8 +685,8 @@ class MiPoint:
 class MiPlan:
     """The S_A, S_B and S_AB plans of one bipartition; every sweep's MiPoints come from here.
 
-    `plans` maps each window (start, length) to its plan, as `sweep_plans`
-    returns it: GsePlans (see `build_mi_plans`) or PauliWeightPlans.
+    `plans` maps each window (start, length) to the plan that serves it, as
+    `build_mi_plans` builds them: GsePlans or PauliWeightPlans.
     `point(*strengths)` passes the strengths, (p_m,) or (p_m, p_y), to each
     plan's `entropy` and is cheap across a strength grid.  The MiPlans of
     one sweep share plans: the whole chain serves every L_A, and a B window
@@ -753,7 +753,7 @@ class Symmetry:
     translation: the one-site shift T of the ring fixes it, |T psi - psi|
     <= 1e-12, where (T psi)[2r + t] = psi[2^(L-1) t + r] (see
     `spin.translate`) is the transposed (2, 2^(L-1)) view of the amplitudes;
-    `sweep_plans` then shares plans between windows of one length.
+    `build_mi_plans` then shares plans between windows of one length.
     """
 
     flip: bool
@@ -768,27 +768,31 @@ class Symmetry:
         )
 
 
-def sweep_plans(state, L_A_values, plan, workers=1):
-    """One plan per distinct window of an L_A sweep, keyed by each window it serves.
+def build_mi_plans(state, L_A_values, axis, workers=1, plan=None):
+    """MiPlans for several bipartitions of one state; returns {L_A: MiPlan}.
 
-    The sweep reads the `Bipartition.windows` of each L_A.  The state's
-    `Symmetry` is tested once here and handed to every `plan(state, start,
-    length, _symmetry=symmetry)` (GsePlan or PauliWeightPlan).  On a
-    translation-invariant state the B window has the reduced density matrix
-    of the start-0 window of the same length, so that one plan serves both;
-    any other state keeps its own B window.  With workers > 1 the builds
-    share a thread pool.  Returns {(start, length): plan}.
+    The state is rotated to the `axis` basis and its `Symmetry` tested once,
+    and each `Bipartition.windows` of the sweep gets a `plan` (GsePlan when
+    None, PauliWeightPlan for case 2) built as `plan(rotated, start, length,
+    _symmetry=symmetry)`.  On a translation-invariant state the B window has
+    the reduced density matrix of the start-0 window of the same length, so
+    that plan serves both; any other state keeps its own B window.  With
+    workers > 1 the builds share a thread pool.
     """
-    L = num_sites(state)
-    symmetry = Symmetry.of(state)
-    parts = [Bipartition(L, l_a) for l_a in L_A_values]
+    # GsePlan is looked up at each call, so a subclass swapped in for it
+    # (a tracer's) builds them all
+    plan = GsePlan if plan is None else plan
+    rot = rotate_to_basis(state, axis)
+    symmetry = Symmetry.of(rot)
+    L = num_sites(rot)
+    parts = [Bipartition(L, v) for v in sorted(set(int(v) for v in L_A_values))]
     source = {w: (0, w[1]) if symmetry.translation else w for part in parts for w in part.windows}
     # largest first: the pool ends on short builds, and the peak resident set
     # stays that of the largest plan (smallest first raised it 7% at L=14, Y axis)
     windows = sorted(set(source.values()), key=lambda w: (-w[1], w[0]))
 
     def build(window):
-        return plan(state, *window, _symmetry=symmetry)
+        return plan(rot, *window, _symmetry=symmetry)
 
     if workers <= 1:
         built = [build(w) for w in windows]
@@ -797,24 +801,8 @@ def sweep_plans(state, L_A_values, plan, workers=1):
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             built = list(pool.map(build, windows))
-    plans = dict(zip(windows, built))
-    return {w: plans[src] for w, src in source.items()}
-
-
-def build_mi_plans(state, L_A_values, axis, workers=1, plan=None):
-    """MiPlans for several bipartitions of one state; returns {L_A: MiPlan}.
-
-    The state is rotated to the `axis` basis once, and `sweep_plans` builds
-    one `plan` (GsePlan when None, PauliWeightPlan for case 2) per distinct
-    window: the whole-chain plan serves every L_A, and on a
-    translation-invariant state the B plan of L_A is the A plan of L - L_A.
-    """
-    # GsePlan is looked up at each call, so a subclass swapped in for it
-    # (a tracer's) builds them all
-    plan = GsePlan if plan is None else plan
-    L = num_sites(state)
-    parts = [Bipartition(L, v) for v in sorted(set(int(v) for v in L_A_values))]
-    plans = sweep_plans(rotate_to_basis(state, axis), [p.L_A for p in parts], plan, workers)
+    by_window = dict(zip(windows, built))
+    plans = {w: by_window[src] for w, src in source.items()}
     return {p.L_A: MiPlan(p, axis, plans) for p in parts}
 
 

@@ -27,7 +27,6 @@ from .scaling import default_window, degenerate_design, fit_cft, scaling_variabl
 from .spin import AXES
 from .tfim import (
     LANCZOS_MAX_SITES,
-    _RESIDUAL_BOUND,
     GroundStateResult,
     atomic_write,
     cache_path,
@@ -232,6 +231,9 @@ def check_output_paths(*paths):
             raise ConfigError(f"output directory {out_dir} does not exist")
         if os.path.isdir(path):
             raise ConfigError(f"output path {path} is a directory")
+        name_max = os.pathconf(out_dir, "PC_NAME_MAX")
+        if len(os.fsencode(os.path.basename(path))) > name_max:
+            raise ConfigError(f"output name of {path} is longer than {name_max} bytes")
 
 
 def _check_out(cfg: ExperimentConfig, case):
@@ -278,7 +280,7 @@ def cached_ground_state(L, cache_dir="cache"):
     if os.path.exists(path):
         try:
             result = load_ground_state(path)
-            if len(result.state) == 2**L and result.residual <= _RESIDUAL_BOUND:
+            if len(result.state) == 2**L:
                 return result, True
         except (ValueError, OSError):
             pass  # stale or foreign file: recompute and overwrite
@@ -325,7 +327,7 @@ def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     """Sweep over (L_A, p_m, p_y) for the Y-decohered ground state.
 
     One PauliWeightPlan per distinct window (the whole chain, and A and B
-    for each L_A; see `sweep_plans`) serves every (p_m, p_y) point.
+    for each L_A; see `build_mi_plans`) serves every (p_m, p_y) point.
     """
     validate_case2(cfg)
     return _sweep(cfg, ground, PauliWeightPlan, (cfg.p_m, cfg.p_y))

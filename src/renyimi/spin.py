@@ -8,13 +8,16 @@ Conventions, fixed package-wide:
 With these choices the coefficient matrix of a bipartition is a plain
 reshape of the amplitude vector (an index permutation, no arithmetic).
 
-Every basis change of the package is one Walsh-Hadamard transform, `_wht`:
-the X and Y rotations of `rotate_to_basis`, and in `entropy` the power
-spectra of the low_rank plans and the Pauli-weight histogram.
+Every basis change of the package is one transform, `_wht`: the Kronecker
+power of a 2x2 site matrix, X's Hadamard matrix or Y's 1 - iX.  It serves
+the X and Y rotations of `rotate_to_basis`, and in `entropy` the
+Walsh-Hadamard power spectra of the low_rank plans and the Pauli-weight
+histogram.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,35 +40,43 @@ def num_sites(state) -> int:
     return L
 
 
-# largest Hadamard factor of the transform, in bits: a factor's GEMM does 2^k
+# largest factor of the transform, in bits: a factor's GEMM does 2^k
 # multiply-adds per element it reads, and 5 beat 4 and 7 on the pair vectors
 # of the 14-site low_rank plan at L=20
 _WHT_FACTOR_BITS = 5
+# the unnormalized adjoints of the site eigenvector matrices (see `rotate_to_basis`)
+_SITE_MATRICES = {"X": np.array([[1.0, 1.0], [1.0, -1.0]]), "Y": np.array([[1.0, -1j], [-1j, 1.0]])}
 
 
-def _hadamard(k):
-    """The 2^k x 2^k Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j)."""
-    i = np.arange(1 << k, dtype=np.uint64)
-    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+@functools.cache
+def _factor(k, site):
+    """The k-site Kronecker power of `_SITE_MATRICES[site]`; read-only, as threads share it.
+
+    On X, H[i, j] = (-1)^popcount(i & j).  Every power is symmetric, as
+    both site matrices are, so `_wht` applies it from either side.
+    """
+    # F_{k-1} (x) m as one broadcast product, rows (i, r) and columns (j, c);
+    # np.kron took twice as long, paid by the first sweep of every process
+    f = _factor(k - 1, site)[:, None, :, None] * _SITE_MATRICES[site][:, None] if k else np.ones(1)
+    f = f.reshape(1 << k, 1 << k)
+    f.flags.writeable = False
+    return f
 
 
-_HADAMARD = [_hadamard(k) for k in range(_WHT_FACTOR_BITS + 1)]
-# (-i)^n by n mod 4: the Y-basis phase of a configuration with n set bits
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+def _wht(arr, n_bits, axis, spare=None, site="X"):
+    """Unnormalized transform along `axis` by the n-bit Kronecker power of a site matrix.
 
-
-def _wht(arr, n_bits, axis, spare=None):
-    """Unnormalized Walsh-Hadamard transform along `axis`; `arr` is left as it is.
-
-    H_{2^n} = H_{2^k1} (x) H_{2^k2} (x) ..., with near-equal factors of at
-    most _WHT_FACTOR_BITS bits taken from the top bit down, so each factor
-    is one GEMM on a reshape of the array: a batched `matmul` when bits
-    below the factor's group remain, a plain `@` on its last group.
+    On X (the default) it is the Walsh-Hadamard transform, and on Y a real
+    `arr` comes back complex; `arr` is left as it is.  F_{2^n} = F_{2^k1}
+    (x) F_{2^k2} (x) ..., with near-equal `_factor`s of at most
+    _WHT_FACTOR_BITS bits taken from the top bit down, so each factor is
+    one GEMM on a reshape of the array: a batched `matmul` when bits below
+    the factor's group remain, a plain `@` on its last group.
 
     With `spare`, a C-contiguous array of arr's shape and dtype (arr
-    C-contiguous too), the factors write into spare and arr in turn and
-    nothing is allocated: arr is overwritten, and the one of the two that
-    holds the result is returned.
+    C-contiguous too, and complex on Y), the factors write into spare and
+    arr in turn and nothing is allocated: arr is overwritten, and the one of
+    the two that holds the result is returned.
     """
     axis %= arr.ndim
     outer = int(np.prod(arr.shape[:axis]))
@@ -74,7 +85,7 @@ def _wht(arr, n_bits, axis, spare=None):
     x, hi = arr, 0
     for f in range(n_factors):
         k = n_bits // n_factors + (f < n_bits % n_factors)
-        h = _HADAMARD[k]
+        h = _factor(k, site)
         lo = n_bits - hi - k
         plain = inner << lo == 1
         shape = (-1, 1 << k) if plain else (outer << hi, 1 << k, inner << lo)
@@ -94,25 +105,19 @@ def rotate_to_basis(state, axis):
     (`np.asarray`, no copy, dtype kept), so callers must not write to them.
     X and Y return a new array.  Label 0 of a site is the +1 eigenvector of
     the axis operator; the tests' `oracle.BASIS_COLUMNS` holds these 2x2
-    eigenvector matrices.  The adjoint of that matrix is H/sqrt(2) on X (H
-    the 2x2 Hadamard matrix), so on L sites X is the Walsh-Hadamard
-    transform times 2^(-L/2).  On Y it is (1 - iX)/sqrt(2) = diag(1, -i) H
-    diag(1, -i)/sqrt(2), the pi/2 rotation about X that takes Y to Z, so
-    label 1 is i|y->, and Y is the same transform between two phases
-    (-i)^popcount(s) on each amplitude psi[s].  The Y-rotated ground state
-    is then flip-symmetric, as on Z.  A real state stays real on X.
+    eigenvector matrices, whose adjoints are the `_SITE_MATRICES` over
+    sqrt(2), so on L sites the rotation is `_wht` by the site matrix times
+    2^(-L/2).  On Y that is 1 - iX, the pi/2 rotation about X that takes Y
+    to Z, so label 1 is i|y-> and the Y-rotated ground state is
+    flip-symmetric, as on Z.  A real state stays real on X.
     """
     check_axis(axis)
     psi = np.asarray(state)
     if axis == "Z":
         return psi
     L = num_sites(psi)
-    if axis == "X":
-        return _wht(psi, L, 0) * 2.0 ** (-L / 2)
-    k = np.bitwise_count(np.arange(psi.size, dtype=np.uint64)) & 3
-    # through a spare, the transform holds two complex arrays, not three
-    out = _wht(psi * _MINUS_I_POWERS[k], L, 0, np.empty(psi.shape, complex))
-    out *= (_MINUS_I_POWERS * 2.0 ** (-L / 2))[k]
+    out = _wht(psi, L, 0, site=axis)
+    out *= 2.0 ** (-L / 2)
     return out
 
 

@@ -191,11 +191,11 @@ def ground_state(L) -> GroundStateResult:
 def atomic_write(path):
     """Binary file whose contents replace `path` when the block exits without error.
 
-    The bytes go to a new file beside `path`, renamed over it at the end, so a
-    failed or interrupted write leaves any old file intact.  The file is
-    created with mode 0666 minus the umask, as a plain open() would.
+    The bytes go to a new file of a short name beside `path`, renamed over it
+    at the end, so a failed or interrupted write leaves any old file intact.
+    It is created with mode 0666 minus the umask, as a plain open() would.
     """
-    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    tmp = os.path.join(os.path.dirname(path), f"{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
@@ -222,7 +222,8 @@ def load_ground_state(path) -> GroundStateResult:
     """Read a cache record back; recomputes the residual as an integrity check.
 
     The residual ||H psi - E psi|| is `_residual`'s blocked pass, the one
-    `ground_state` takes, so a record loads with the residual it was solved with.
+    `ground_state` takes and bounds, so a record loads with the residual it
+    was solved with, and one past that bound is a ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CACHE_HEADER.size)
@@ -239,7 +240,10 @@ def load_ground_state(path) -> GroundStateResult:
         if L >= size.bit_length() or size != _CACHE_HEADER.size + (8 << L):
             raise ValueError(f"{path}: expected 2^{L} amplitudes, found {size} bytes")
         state = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
-    return GroundStateResult(energy=energy, state=state, residual=_residual(L, state, energy))
+    residual = _residual(L, state, energy)
+    if not residual <= _RESIDUAL_BOUND:  # nan fails as well
+        raise ValueError(f"{path}: residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
+    return GroundStateResult(energy=energy, state=state, residual=residual)
 
 
 def cache_path(cache_dir, L):

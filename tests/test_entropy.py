@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ from renyimi.oracle import (
     r2gse_dense,
     y_decohere_dense,
 )
-from renyimi.entropy import Symmetry, sweep_plans
-from renyimi.spin import _sector_basis, _wht, rotate_to_basis, window_coefficient_matrix
+from renyimi.entropy import Symmetry
+from renyimi.spin import _factor, _sector_basis, _wht, rotate_to_basis, window_coefficient_matrix
 
 LOG2 = np.log(2.0)
 
@@ -340,8 +341,8 @@ def test_non_invariant_state_keeps_its_own_b_window(L, data, seed, axis):
     l_a = data.draw(st.integers(1, L - 1))
     psi = random_state(L, np.random.default_rng(seed))
     assert not Symmetry.of(psi).translation
-    plans = sweep_plans(psi, [l_a], PauliWeightPlan)
-    assert all(plan.window == window for window, plan in plans.items())
+    mi = build_mi_plans(psi, [l_a], axis, plan=PauliWeightPlan)[l_a]
+    assert (mi._plan_a.window, mi._plan_b.window, mi._plan_ab.window) == mi.part.windows
     rot = rotate_to_basis(psi, axis)
     s_b = build_mi_plans(psi, [l_a], axis)[l_a].point(0.25).S_B
     assert abs(s_b - GsePlan(rot, l_a, L - l_a).entropy(0.25)) <= 1e-12
@@ -1025,10 +1026,10 @@ def test_cached_bit_tables_are_read_only():
     # worker threads share the cached tables, so none may be written
     for k in range(5):
         labels = np.arange(2**k)
-        hot, signs = entropy._bit_table(k), entropy._bit_table(k, signs=True)
+        hot, signs = entropy._bit_table(k), _factor(k, "X")
         assert np.array_equal(hot, np.bitwise_count(labels)[:, None] == np.arange(k + 1))
         assert np.array_equal(signs, hadamard(2**k))
-        for table in (hot, signs):
+        for table in (hot, signs, _factor(k, "Y")):
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
 
@@ -1036,18 +1037,23 @@ def test_cached_bit_tables_are_read_only():
 @pytest.mark.parametrize("n", range(13))
 def test_wht_is_the_hadamard_product(n):
     # n = 0..12 is zero to three Hadamard factors of at most _WHT_FACTOR_BITS
-    # bits, of unequal sizes where the factor count does not divide n
+    # bits, of unequal sizes where the factor count does not divide n; for
+    # 0 < n <= 10 the Y site matrix too, whose Kronecker power (1 - iX)^(x)n
+    # has the entry (-i)^|i ^ j|, one -i per site where the labels differ
     rng = np.random.default_rng(SEED + 5 + n)
-    h = hadamard(2**n, dtype=np.float64)
-    for batch in (1, 7):
+    labels = np.arange(2**n)
+    matrices = {"X": hadamard(2**n, dtype=np.float64)}
+    if 0 < n <= 10:
+        matrices["Y"] = np.array([1, -1j, -1, 1j])[np.bitwise_count(labels[:, None] ^ labels) & 3]
+    for (site, h), batch in product(matrices.items(), (1, 7)):
         for dtype in (np.float64, np.complex128):
             a = rng.standard_normal((batch, 2**n))
             if dtype == np.complex128:
                 a = a + 1j * rng.standard_normal(a.shape)
             for arr, axis, ref in ((a, -1, a @ h), (np.ascontiguousarray(a.T), 0, h @ a.T)):
                 kept = arr.copy()
-                out = _wht(arr, n, axis)
-                assert out.shape == arr.shape and out.dtype == arr.dtype
+                out = _wht(arr, n, axis, site=site)
+                assert out.shape == arr.shape and out.dtype == ref.dtype
                 assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
                 assert np.array_equal(arr, kept)
 

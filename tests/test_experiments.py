@@ -721,6 +721,37 @@ def test_cli_output_naming_a_directory_exits_2_before_the_solve(
     assert sorted(os.listdir(tmp_path)) == sorted(["exp.cfg", blocked])
 
 
+def _case1_config(tmp_path, stem):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "L = 8\naxis = Z\np_m = 0.0, 0.5\nL_A = 2:6\nwindow = 2:6\n"
+        f"out = {tmp_path / stem}.csv\ncache_dir = {tmp_path / 'cache'}\n"
+    )
+    return str(cfg_file)
+
+
+def test_cli_writes_outputs_whose_names_fill_the_directory_limit(tmp_path):
+    # <stem>_fits.csv is one byte short of the limit, so the file that the
+    # write goes through before its rename must have a shorter name
+    stem = "p" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 10)
+    assert cli.main(["case1", "--config", _case1_config(tmp_path, stem)]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["cache", "exp.cfg", f"{stem}.csv", f"{stem}_fits.csv"]
+    )
+
+
+def test_cli_output_name_past_the_directory_limit_exits_2_before_the_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # <stem>.csv fits the limit, and <stem>_fits.csv is two bytes past it
+    stem = "p" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 7)
+    monkeypatch.setattr(experiments, "ground_state", _no_solve)
+    assert cli.main(["case1", "--config", _case1_config(tmp_path, stem)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{stem}_fits.csv is longer than" in err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def test_cli_fit_checks_the_window_as_case1_does(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     csv = tmp_path / "pts.csv"

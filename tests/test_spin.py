@@ -39,9 +39,11 @@ def test_rotate_preserves_norm(axis):
 
 
 @pytest.mark.parametrize("axis", ["X", "Y"])
-@pytest.mark.parametrize("L", range(1, 7))
+@pytest.mark.parametrize("L", range(1, 12))
 def test_rotate_matches_kronecker_reference(axis, L):
-    # the transform against the adjoint eigenvector matrix applied on every site
+    # the transform against the adjoint eigenvector matrix applied on every
+    # site; from L = 6 on the transform takes two factors, unequal at L = 7 and
+    # 9 (4 + 3, 5 + 4), and three at L = 11 (4 + 4 + 3)
     psi = random_state(L, np.random.default_rng(SEED + 10 * L + len(axis)))
     ref = kron_chain([BASIS_COLUMNS[axis].conj().T] * L) @ psi
     assert np.max(np.abs(rotate_to_basis(psi, axis) - ref)) <= 1e-14

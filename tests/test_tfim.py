@@ -303,6 +303,17 @@ def test_cache_rejects_truncated_file(tmp_path):
             load_ground_state(path)
 
 
+def test_cache_rejects_a_record_past_the_residual_bound(tmp_path):
+    res = ground_state(6)
+    path = tmp_path / "gs.bin"
+    save_ground_state(path, res)
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = struct.pack("<d", res.state[0] + 1e-3)  # the first amplitude
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="residual .* above bound"):
+        load_ground_state(path)
+
+
 def test_failed_cache_write_keeps_old_record(tmp_path):
     path = tmp_path / "gs.bin"
     save_ground_state(path, ground_state(3))
