@@ -547,12 +547,13 @@ def _orbit_histogram(psi):
     `_sector_basis` adds its powers at weight orbit/2 in its own bins and at
     orbit/2 in its complement's, which is the whole histogram reversed along
     both axes.  x has top bit 0, so `_twisted_bins` runs over L - 1 bits as
-    in `_gram_histogram`, with the orbit sizes as weights.
+    in `_gram_histogram`, with the orbit sizes as weights: the
+    representatives and the sizes are all it reads of the orbits.
     """
     dim = psi.size
     L = dim.bit_length() - 1
     half = dim // 2
-    reps, _, orbit = _sector_basis(L)
+    reps, orbit = _sector_basis(L)
     head = psi[:half]
     low = np.arange(half)
     h = np.zeros((L + 1, L))

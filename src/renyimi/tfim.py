@@ -4,11 +4,13 @@ The couplings are fixed at unit strength, so the chain is its length L:
 every function here takes the integer L, as `renyimi.oracle` and
 `experiments.cached_ground_state` do.  The ground state lies in the
 momentum-0, spin-flip-even (prod X = +1) sector.  `ground_state` builds
-that sector from orbit representatives (about 2^L / 2L states), solves it
-with ARPACK's implicitly restarted Lanczos method (scipy `eigsh`, fixed
-start vector, so results are bit-reproducible) and expands the result to
-the 2^L float64 amplitudes, so the state is real and exactly shift- and
-flip-invariant by construction.
+that sector from its orbit representatives alone (about 2^L / 2L states;
+no table of 2^L labels), solves it with ARPACK's implicitly restarted
+Lanczos method (scipy `eigsh`, fixed start vector, so results are
+bit-reproducible) and expands the result to the 2^L float64 amplitudes,
+so the state is real and exactly shift- and flip-invariant by
+construction.  The expanded state is the one state-sized array the solve
+holds.
 The independent full-space check is `renyimi.oracle.dense_ground_state`.
 """
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import _sector_basis, num_sites
+from .spin import _canonical, _rotate, _sector_basis, num_sites
 
 LANCZOS_MAX_SITES = 24
 _LANCZOS_SEED = 8899
@@ -51,8 +53,7 @@ class GroundStateResult:
 
 def _bond_diagonal(L, labels):
     """-sum_j z_j z_{j+1} = -(L - 2 * #antiparallel bonds) on the configurations `labels`."""
-    rot = labels >> 1
-    rot |= (labels & 1) << (L - 1)  # periodic wrap
+    rot = _rotate(labels, L)
     rot ^= labels
     # in place: a block of labels holds one float64 buffer here
     diag = np.bitwise_count(rot).astype(np.float64)
@@ -100,13 +101,14 @@ def apply_hamiltonian(L, state):
     return out
 
 
-def _sector_hamiltonian(L, reps, sidx, orbit):
+def _sector_hamiltonian(L, reps, orbit):
     """H on the normalised orbit sums, as a real CSR matrix with L + 1 entries per row.
 
     Row i holds the diagonal and, for each site flip j, -sqrt(N_i / N_k) at
-    k = sidx[reps[i] ^ 1 << j].  That is column i of H, equal to row i as H
-    is symmetric; a flip that reaches the same orbit twice leaves two entries
-    that every product sums.
+    the k whose representative is the `_canonical` form of reps[i] ^ 1 << j,
+    found by binary search in the sorted representatives.  That is column i
+    of H, equal to row i as H is symmetric; a flip that reaches the same
+    orbit twice leaves two entries that every product sums.
     """
     from scipy.sparse import csr_matrix
 
@@ -117,11 +119,30 @@ def _sector_hamiltonian(L, reps, sidx, orbit):
     cols[:, 0] = np.arange(dim)
     vals[:, 0] = _bond_diagonal(L, reps)
     for j in range(L):
-        k = sidx[reps ^ (1 << j)]
+        k = np.searchsorted(reps, _canonical(reps ^ (1 << j), L))
         cols[:, j + 1] = k
         vals[:, j + 1] = -sq / sq[k]
     indptr = np.arange(0, dim * (L + 1) + 1, L + 1, dtype=np.int32)
     return csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+
+
+def _expand(L, reps, amp):
+    """The 2^L amplitudes that hold amp[i] on every label of orbit i of `_sector_basis`.
+
+    amp is scattered to the L shifts of each representative, each folded
+    into the low half of the labels by the complement (min(s, s ^ mask));
+    the high half is then the low half reversed, as psi(s^) = psi(s) and
+    s ^ mask = mask - s.
+    """
+    mask = (1 << L) - 1
+    psi = np.empty(1 << L)
+    low = psi[: 1 << (L - 1)]
+    cur = reps
+    for _ in range(L):
+        low[np.minimum(cur, cur ^ mask)] = amp
+        cur = _rotate(cur, L)
+    psi[len(low) :] = low[::-1]
+    return psi
 
 
 def _lanczos_lowest(L):
@@ -136,8 +157,8 @@ def _lanczos_lowest(L):
     # imported here: scipy.linalg costs ~0.3 s to import, and warm cached runs never solve
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    reps, sidx, orbit = _sector_basis(L)
-    h = _sector_hamiltonian(L, reps, sidx, orbit)
+    reps, orbit = _sector_basis(L)
+    h = _sector_hamiltonian(L, reps, orbit)
     if len(reps) < _SECTOR_DENSE_DIM:
         theta, vecs = np.linalg.eigh(h.toarray())
     else:
@@ -152,7 +173,9 @@ def _lanczos_lowest(L):
             "return a possibly mixed eigenvector"
         )
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    return float(x @ (h @ x)), (vecs[:, 0] / np.sqrt(orbit))[sidx]
+    energy = float(x @ (h @ x))
+    del h  # the CSR matrix (105 MB at L=24) goes before the state is allocated
+    return energy, _expand(L, reps, vecs[:, 0] / np.sqrt(orbit))
 
 
 def _residual(L, psi, energy):
@@ -180,7 +203,11 @@ def ground_state(L) -> GroundStateResult:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
     energy, psi = _lanczos_lowest(L)
     psi /= np.linalg.norm(psi)
-    psi *= np.sign(psi[np.argmax(np.abs(psi))])
+    # the sign of the first largest |psi|, from the extremes: np.abs(psi) would
+    # be a second state-sized array
+    hi, lo = np.argmax(psi), np.argmin(psi)
+    big = hi if psi[hi] > -psi[lo] else lo if psi[hi] < -psi[lo] else min(hi, lo)
+    psi *= np.sign(psi[big])
     residual = _residual(L, psi, energy)
     if residual > _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")

@@ -20,6 +20,7 @@ from renyimi import (
     translate,
 )
 from renyimi.oracle import dense_ground_state, dense_hamiltonian
+from renyimi.spin import _canonical, _rotate
 from renyimi.tfim import _SECTOR_DENSE_DIM, _sector_basis
 
 
@@ -194,12 +195,80 @@ def test_ground_state_is_float64(method, L):
 def test_sector_basis_counts_every_state_once():
     # orbit sizes of the shift-and-flip group add up to the whole space
     L = 10
-    reps, sidx, orbit = _sector_basis(L)
+    reps, orbit = _sector_basis(L)
     assert orbit.sum() == 2**L
-    assert np.array_equal(sidx[reps], np.arange(len(reps)))
-    assert np.array_equal(sidx[reps ^ (2**L - 1)], np.arange(len(reps)))  # flip: same orbit
-    assert np.array_equal(sidx[(reps >> 1) | ((reps & 1) << (L - 1))], np.arange(len(reps)))
+    assert np.all(np.diff(reps) > 0)  # sorted and unique
+    assert np.array_equal(_canonical(reps, L), reps)
+    assert np.array_equal(_canonical(reps ^ (2**L - 1), L), reps)  # flip: same orbit
+    assert np.array_equal(_canonical(_rotate(reps, L), L), reps)  # shift: same orbit
     assert np.all(2 * L % orbit == 0)  # each orbit size divides the group order 2L
+
+
+def _table_sector_basis(L):
+    """The orbits through a table of all 2^L labels: representatives, the orbit
+    index of every label, orbit sizes.  The reference for the table-free basis."""
+    mask = 2**L - 1
+    cur = np.arange(2**L, dtype=np.int32)
+    rep = np.full_like(cur, mask)
+    tmp = np.empty_like(cur)
+    for _ in range(L):
+        np.minimum(rep, cur, out=rep)
+        np.bitwise_xor(cur, mask, out=tmp)
+        np.minimum(rep, tmp, out=rep)
+        # rotate cur by one site in place; after L rotations it is 0 .. 2^L - 1 again
+        np.bitwise_and(cur, 1, out=tmp)
+        tmp <<= L - 1
+        cur >>= 1
+        cur |= tmp
+    reps = np.flatnonzero(rep == cur).astype(np.int32)
+    tmp[reps] = np.arange(len(reps), dtype=np.int32)
+    sidx = np.take(tmp, rep, out=cur)
+    return reps, sidx, np.bincount(sidx, minlength=len(reps))
+
+
+@pytest.mark.parametrize("L", range(3, 13))
+def test_sector_basis_matches_the_label_table(L):
+    # odd and even L: the same orbits, Hamiltonian entries and expanded
+    # amplitudes as the construction that indexes every label
+    reps_t, sidx, orbit_t = _table_sector_basis(L)
+    reps, orbit = _sector_basis(L)
+    assert np.array_equal(reps, reps_t) and reps.dtype == reps_t.dtype
+    assert np.array_equal(orbit, orbit_t)
+    h = tfim._sector_hamiltonian(L, reps, orbit)
+    sq = np.sqrt(orbit.astype(np.float64))
+    antiparallel = np.bitwise_count(reps ^ ((reps >> 1) | ((reps & 1) << (L - 1))))
+    cols = np.stack([np.arange(len(reps))] + [sidx[reps ^ (1 << j)] for j in range(L)], axis=1)
+    vals = -sq[:, None] / sq[cols]
+    vals[:, 0] = 2.0 * antiparallel - L
+    assert np.array_equal(h.indptr, np.arange(0, cols.size + 1, L + 1))
+    assert np.array_equal(h.indices, cols.ravel())
+    assert h.data.tobytes() == vals.tobytes()
+    amp = np.random.default_rng(SEED + L).standard_normal(len(reps))
+    assert tfim._expand(L, reps, amp).tobytes() == amp[sidx].tobytes()
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sector_basis_holds_no_label_table():
+    # the labels are canonicalised in blocks, so the pass holds the
+    # representatives (1/40 of the labels at L=20) and a few blocks
+    L = 20
+    assert _traced_peak(_sector_basis, L) < 0.25 * 8 * 2**L
+
+
+def test_ground_state_holds_one_state_sized_array():
+    # the expanded state, and before it the sector matrix and the ARPACK
+    # workspace; no 2^L table, no |psi| copy for the sign
+    L = 18
+    ground_state(L)  # scipy's imports, outside the trace
+    assert _traced_peak(ground_state, L) < 2.5 * 8 * 2**L
 
 
 def test_cache_roundtrip(tmp_path):
