@@ -226,7 +226,10 @@ def _check_fittable(L, l_a_values, window):
 def check_output_paths(*paths):
     """Reject, before any work, an output path that cannot be written as a file."""
     for path in paths:
-        out_dir = os.path.dirname(os.path.abspath(path))
+        out_dir, name = os.path.split(path)  # the head, where `atomic_write` writes
+        out_dir = out_dir or os.curdir
+        if not name:
+            raise ConfigError(f"output path {path} ends in a separator and names no file")
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory {out_dir} does not exist")
         if os.path.isdir(path):

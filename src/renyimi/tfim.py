@@ -3,15 +3,14 @@
 The couplings are fixed at unit strength, so the chain is its length L:
 every function here takes the integer L, as `renyimi.oracle` and
 `experiments.cached_ground_state` do.  The ground state lies in the
-momentum-0, spin-flip-even (prod X = +1) sector.  `ground_state` builds
-that sector from its orbit representatives alone (about 2^L / 2L states;
-no table of 2^L labels), solves it with ARPACK's implicitly restarted
-Lanczos method (scipy `eigsh`, fixed start vector, so results are
-bit-reproducible) and expands the result to the 2^L float64 amplitudes,
-so the state is real and exactly shift- and flip-invariant by
-construction.  The expanded state is the one state-sized array the solve
-holds.
-The independent full-space check is `renyimi.oracle.dense_ground_state`.
+momentum-0, spin-flip-even (prod X = +1) sector.  `ground_state`, the one
+solver function, builds that sector from its orbit representatives alone
+(about 2^L / 2L states; no table of 2^L labels), solves it with ARPACK's
+implicitly restarted Lanczos method (scipy `eigsh`, fixed start vector, so
+results are bit-reproducible), fixes the sign on the sector vector and
+expands it to the 2^L float64 amplitudes: the one state-sized array, real
+and exactly shift- and flip-invariant by construction.  The independent
+full-space check is `renyimi.oracle.dense_ground_state`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ _CACHE_HEADER = struct.Struct("<4sIId")  # magic, version, L, energy
 
 
 class LanczosError(RuntimeError):
-    """ARPACK's Lanczos (`eigsh`) did not converge, or the Ritz gap collapsed."""
+    """The sector solve did not converge, its Ritz gap collapsed or its residual passed the bound."""
 
 
 @dataclass(frozen=True)
@@ -145,39 +144,6 @@ def _expand(L, reps, amp):
     return psi
 
 
-def _lanczos_lowest(L):
-    """Lowest (energy, state): the unit sector vector's Rayleigh quotient, and it expanded to 2^L.
-
-    The momentum-0, flip-even sector holds the ground state of the critical
-    ring.  ARPACK's implicitly restarted Lanczos (`eigsh`) solves it; sectors
-    below _SECTOR_DENSE_DIM states take a dense `eigh`.  Aborts if the gap to
-    the next sector level is below 1e-10: the critical chain has a unique
-    ground state, so a collapsed gap signals a broken iteration, not physics.
-    """
-    # imported here: scipy.linalg costs ~0.3 s to import, and warm cached runs never solve
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    reps, orbit = _sector_basis(L)
-    h = _sector_hamiltonian(L, reps, orbit)
-    if len(reps) < _SECTOR_DENSE_DIM:
-        theta, vecs = np.linalg.eigh(h.toarray())
-    else:
-        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(reps))
-        try:
-            theta, vecs = eigsh(h, k=2, which="SA", v0=v0, tol=_LANCZOS_TOL)
-        except ArpackNoConvergence as exc:
-            raise LanczosError(f"no convergence: {exc}") from exc
-    if theta[1] - theta[0] < 1e-10:
-        raise LanczosError(
-            f"Ritz gap {theta[1] - theta[0]:.3e} below 1e-10; refusing to "
-            "return a possibly mixed eigenvector"
-        )
-    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    energy = float(x @ (h @ x))
-    del h  # the CSR matrix (105 MB at L=24) goes before the state is allocated
-    return energy, _expand(L, reps, vecs[:, 0] / np.sqrt(orbit))
-
-
 def _residual(L, psi, energy):
     """||H psi - E psi|| of a real state over `_hamiltonian_block`'s blocks: no 2^L temporary."""
     n = 1 << min(L, _BLOCK_BITS)
@@ -193,23 +159,50 @@ def _residual(L, psi, energy):
 def ground_state(L) -> GroundStateResult:
     """Lowest eigenpair of the ring of L sites, solved in its symmetry sector (3 <= L <= 24).
 
-    The returned state is real (float64), normalized, and sign-fixed so the
-    largest-magnitude amplitude is positive; the residual satisfies
-    ||H psi - E psi|| <= 1e-8.
+    ARPACK's implicitly restarted Lanczos (`eigsh`) solves the momentum-0,
+    flip-even sector; sectors below _SECTOR_DENSE_DIM states take a dense
+    `eigh`.  The energy is the unit sector vector's Rayleigh quotient.  The
+    sign is read on the sector, before `_expand`: an orbit's labels share
+    its amplitude and its representative is its least label, so the first
+    largest |amp| is the first largest |psi| (the sector matrix is
+    stoquastic and connected: the ground vector has one sign, and no tie
+    can flip it).  The state is real (float64), normalized and positive.
+    LanczosError if ARPACK does not converge, if the gap to the next sector
+    level is below 1e-10 (the critical ring's ground state is unique, so a
+    collapsed gap is a broken iteration) or if ||H psi - E psi|| > 1e-8; a
+    NaN fails both checks.
     """
     if L < 3:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
     if L > LANCZOS_MAX_SITES:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
-    energy, psi = _lanczos_lowest(L)
+    # imported here: scipy.linalg costs ~0.3 s to import, and warm cached runs never solve
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    reps, orbit = _sector_basis(L)
+    h = _sector_hamiltonian(L, reps, orbit)
+    if len(reps) < _SECTOR_DENSE_DIM:
+        theta, vecs = np.linalg.eigh(h.toarray())
+    else:
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(reps))
+        try:
+            theta, vecs = eigsh(h, k=2, which="SA", v0=v0, tol=_LANCZOS_TOL)
+        except ArpackNoConvergence as exc:
+            raise LanczosError(f"no convergence: {exc}") from exc
+    if not theta[1] - theta[0] >= 1e-10:
+        raise LanczosError(
+            f"Ritz gap {theta[1] - theta[0]:.3e} below 1e-10; refusing to "
+            "return a possibly mixed eigenvector"
+        )
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    energy = float(x @ (h @ x))
+    del h  # the CSR matrix (105 MB at L=24) goes before the state is allocated
+    amp = vecs[:, 0] / np.sqrt(orbit)
+    amp *= np.sign(amp[np.argmax(np.abs(amp))])
+    psi = _expand(L, reps, amp)
     psi /= np.linalg.norm(psi)
-    # the sign of the first largest |psi|, from the extremes: np.abs(psi) would
-    # be a second state-sized array
-    hi, lo = np.argmax(psi), np.argmin(psi)
-    big = hi if psi[hi] > -psi[lo] else lo if psi[hi] < -psi[lo] else min(hi, lo)
-    psi *= np.sign(psi[big])
     residual = _residual(L, psi, energy)
-    if residual > _RESIDUAL_BOUND:
+    if not residual <= _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
     return GroundStateResult(energy=energy, state=psi, residual=residual)
 

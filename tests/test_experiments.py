@@ -626,6 +626,25 @@ def test_cli_fit_unwritable_output_exits_2_and_writes_nothing(tmp_path, capsys, 
     assert sorted(os.walk(tmp_path)) == before
 
 
+@pytest.mark.parametrize("out", ["newname", "pts.csv"])
+def test_cli_fit_output_ending_in_a_separator_exits_2_before_the_read(
+    tmp_path, capsys, monkeypatch, out
+):
+    # the file would go into the directory `out`: missing, or the points CSV itself
+    csv = tmp_path / "pts.csv"
+    points, _ = run_case1(small_cfg(tmp_path, L_A=(2, 3, 4), p_m=(0.5,), window=(2, 4)))
+    write_points_csv(csv, points)
+    before = sorted(os.walk(tmp_path))
+
+    def no_read(path):
+        raise AssertionError("the points CSV was read before the output path was checked")
+
+    monkeypatch.setattr(experiments, "read_points_csv", no_read)
+    assert cli.main(["fit", str(csv), "--out", str(tmp_path / out) + os.sep]) == 2
+    assert "names no file" in capsys.readouterr().err
+    assert sorted(os.walk(tmp_path)) == before
+
+
 def test_cli_fit_points_csv_without_rows_exits_2(tmp_path, capsys):
     csv = tmp_path / "pts.csv"
     write_points_csv(csv, [])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED, random_state
-from renyimi import tfim
+from renyimi import cli, tfim
 from renyimi import (
     GroundStateResult,
     LanczosError,
@@ -118,6 +118,37 @@ def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
         ground_state(12)
 
 
+def _nan_levels(h, k, **kwargs):
+    return np.array([-1.0, np.nan]), np.full((h.shape[0], k), np.nan)
+
+
+def _nan_vectors(h, k, **kwargs):
+    return np.array([-1.0, 0.0]), np.full((h.shape[0], k), np.nan)
+
+
+@pytest.mark.parametrize("stub", [_nan_levels, _nan_vectors])
+def test_nan_eigensolver_raises_lanczos_error(monkeypatch, stub):
+    # a NaN level fails the Ritz-gap check, NaN vectors the residual bound
+    import scipy.sparse.linalg as sla
+
+    monkeypatch.setattr(sla, "eigsh", stub)
+    with pytest.raises(LanczosError):
+        ground_state(12)
+
+
+@pytest.mark.parametrize("stub", [_nan_levels, _nan_vectors])
+def test_cli_ground_nan_solve_exits_3_and_writes_no_record(tmp_path, capsys, monkeypatch, stub):
+    import scipy.sparse.linalg as sla
+
+    monkeypatch.setattr(sla, "eigsh", stub)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("L = 12\n")
+    cache = tmp_path / "cache"
+    assert cli.main(["ground", "--config", str(cfg_file), "--cache-dir", str(cache)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert os.listdir(cache) == []
+
+
 @lru_cache(maxsize=None)
 def _solve(L, method):
     """(energy, state) from the sector solver ("lanczos") or the dense oracle ("dense")."""
@@ -164,6 +195,13 @@ def test_phase_fix_largest_amplitude_real_positive():
         big = np.argmax(np.abs(psi))
         assert psi[big].imag == pytest.approx(0.0, abs=1e-14)
         assert psi[big].real > 0
+
+
+@pytest.mark.parametrize("L", range(3, 17))
+def test_ground_state_is_strictly_positive(L):
+    # Perron-Frobenius: -H is non-negative off the diagonal and connected, so
+    # its top vector has one sign on every label; the sign fix relies on it
+    assert _solve(L, "lanczos")[1].min() > 0
 
 
 def test_translation_commutes_with_h():
