@@ -5,12 +5,13 @@ every function here takes the integer L, as `renyimi.oracle` and
 `experiments.cached_ground_state` do.  The ground state lies in the
 momentum-0, spin-flip-even (prod X = +1) sector.  `ground_state`, the one
 solver function, builds that sector from its orbit representatives alone
-(about 2^L / 2L states; no table of 2^L labels), solves it with ARPACK's
-implicitly restarted Lanczos method (scipy `eigsh`, fixed start vector, so
-results are bit-reproducible), fixes the sign on the sector vector and
-expands it to the 2^L float64 amplitudes: the one state-sized array, real
-and exactly shift- and flip-invariant by construction.  The independent
-full-space check is `renyimi.oracle.dense_ground_state`.
+(about 2^L / 2L states; no table of 2^L labels), solves it with a
+thick-restart Lanczos method on its scipy.sparse CSR matrix (numpy and the
+CSR product alone, fixed start vector, so results are bit-reproducible),
+fixes the sign on the sector vector and expands it to the 2^L float64
+amplitudes: the one state-sized array, real and exactly shift- and
+flip-invariant by construction.  The independent full-space check is
+`renyimi.oracle.dense_ground_state`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .spin import _canonical, _rotate, _sector_basis, num_sites
 
 LANCZOS_MAX_SITES = 24
 _LANCZOS_SEED = 8899
-_SECTOR_DENSE_DIM = 64  # smaller sectors take a dense eigh (eigsh needs k < dim)
-_LANCZOS_TOL = 1e-10  # relative Ritz tolerance: 92 sector matvecs at L=20, 110 at 1e-12
+_SECTOR_DENSE_DIM = 64  # smaller sectors (L <= 10) take a dense eigh
+_LANCZOS_NCV = 20  # Lanczos basis rows before a restart, ARPACK's default for two levels
+_LANCZOS_TOL = 1e-13  # relative Ritz tolerance: 83 sector products at L=20, 92 at 22, 101 at 24
+_LANCZOS_MAX_PRODUCTS = 2000  # sector products before the solve gives up
 _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
 # labels per block of the Hamiltonian kernel, in bits: of 10..16, 14 took the
 # least time per product at L=20 (0.033 s, median of 7; one block of 2^20
@@ -104,21 +107,33 @@ def _sector_hamiltonian(L, reps, orbit):
     """H on the normalised orbit sums, as a real CSR matrix with L + 1 entries per row.
 
     Row i holds the diagonal and, for each site flip j, -sqrt(N_i / N_k) at
-    the k whose representative is the `_canonical` form of reps[i] ^ 1 << j,
-    found by binary search in the sorted representatives.  That is column i
-    of H, equal to row i as H is symmetric; a flip that reaches the same
-    orbit twice leaves two entries that every product sums.
+    the k whose representative is the `_canonical` form of reps[i] ^ 1 << j.
+    k is that label's rank among the representatives, read off a bitmap of
+    the labels below 2^(L-1) (every representative's top bit is 0): one
+    uint64 word per 64 labels, the representatives below each word by
+    prefix popcounts, and the bits below the label in its word.  That is
+    column i of H, equal to row i as H is symmetric; a flip that reaches the
+    same orbit twice leaves two entries that every product sums.
     """
     from scipy.sparse import csr_matrix
 
     dim = len(reps)
+    words = np.zeros(((1 << (L - 1)) + 63) >> 6, dtype=np.uint64)
+    np.bitwise_or.at(words, reps >> 6, np.left_shift(np.uint64(1), (reps & 63).astype(np.uint64)))
+    counts = np.bitwise_count(words)
+    below = np.cumsum(counts, dtype=np.int32) - counts
     sq = np.sqrt(orbit.astype(np.float64))
     cols = np.empty((dim, L + 1), dtype=np.int32)
     vals = np.empty((dim, L + 1))
     cols[:, 0] = np.arange(dim)
     vals[:, 0] = _bond_diagonal(L, reps)
     for j in range(L):
-        k = np.searchsorted(reps, _canonical(reps ^ (1 << j), L))
+        q = _canonical(reps ^ (1 << j), L)
+        low = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
+        low -= 1
+        q >>= 6  # now the index of the label's word
+        low &= words[q]
+        k = below[q] + np.bitwise_count(low)
         cols[:, j + 1] = k
         vals[:, j + 1] = -sq / sq[k]
     indptr = np.arange(0, dim * (L + 1) + 1, L + 1, dtype=np.int32)
@@ -156,18 +171,74 @@ def _residual(L, psi, energy):
     return float(np.sqrt(squares))
 
 
+def _lanczos(h, v0):
+    """The two lowest eigenpairs of the symmetric CSR matrix h by thick-restart Lanczos.
+
+    K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000).  The
+    basis V holds _LANCZOS_NCV + 1 rows.  Each product h @ v is
+    orthogonalised against every row by classical Gram-Schmidt, a second
+    pass taken only when its norm falls below 1/sqrt(2) of its value (the
+    DGKS test), and the projections fill the symmetric T.  A restart keeps
+    the 11 lowest Ritz vectors, rotated into V's first rows in blocks of
+    2^_BLOCK_BITS columns (no 11-row temporary), and moves the residual vector after
+    them: T is then diag(theta) bordered by the projections of the next
+    product.  Converged when |beta s_m,i| <= _LANCZOS_TOL |theta_i| for both
+    levels.  Returns the two levels and their vectors as columns, as `eigh`
+    does; LanczosError on a non-finite beta or theta, or once
+    _LANCZOS_MAX_PRODUCTS products have not converged.
+    """
+    m = _LANCZOS_NCV
+    keep = 2 + (m - 2) // 2
+    V = np.empty((m + 1, h.shape[0]))
+    V[0] = v0 / np.linalg.norm(v0)
+    T = np.zeros((m, m))
+    start = products = 0
+    while True:
+        for i in range(start, m):
+            w = h @ V[i]
+            products += 1
+            before = np.linalg.norm(w)
+            c = V[: i + 1] @ w
+            w -= c @ V[: i + 1]
+            beta = np.linalg.norm(w)
+            if beta < before / np.sqrt(2.0):
+                d = V[: i + 1] @ w
+                w -= d @ V[: i + 1]
+                c += d
+                beta = np.linalg.norm(w)
+            if not np.isfinite(beta):
+                raise LanczosError(f"non-finite Lanczos norm after {products} products")
+            T[i, : i + 1] = T[: i + 1, i] = c
+            V[i + 1] = w / beta
+        theta, s = np.linalg.eigh(T)
+        if not np.all(np.isfinite(theta)):
+            raise LanczosError(f"non-finite Ritz value after {products} products")
+        if np.all(np.abs(beta * s[-1, :2]) <= _LANCZOS_TOL * np.abs(theta[:2])):
+            return theta[:2], V[:m].T @ s[:, :2]
+        if products >= _LANCZOS_MAX_PRODUCTS:
+            raise LanczosError(f"no convergence after {products} products")
+        n = 1 << _BLOCK_BITS
+        for lo in range(0, V.shape[1], n):
+            V[:keep, lo : lo + n] = s[:, :keep].T @ V[:m, lo : lo + n]
+        V[keep] = V[m]
+        T[:] = 0.0
+        np.fill_diagonal(T[:keep, :keep], theta[:keep])
+        start = keep
+
+
 def ground_state(L) -> GroundStateResult:
     """Lowest eigenpair of the ring of L sites, solved in its symmetry sector (3 <= L <= 24).
 
-    ARPACK's implicitly restarted Lanczos (`eigsh`) solves the momentum-0,
-    flip-even sector; sectors below _SECTOR_DENSE_DIM states take a dense
-    `eigh`.  The energy is the unit sector vector's Rayleigh quotient.  The
-    sign is read on the sector, before `_expand`: an orbit's labels share
-    its amplitude and its representative is its least label, so the first
-    largest |amp| is the first largest |psi| (the sector matrix is
-    stoquastic and connected: the ground vector has one sign, and no tie
-    can flip it).  The state is real (float64), normalized and positive.
-    LanczosError if ARPACK does not converge, if the gap to the next sector
+    `_lanczos`, a thick-restart Lanczos on the sector's CSR matrix from a
+    fixed start vector, solves the momentum-0, flip-even sector; sectors
+    below _SECTOR_DENSE_DIM states take a dense `eigh`.  The energy is the
+    unit sector vector's Rayleigh quotient.  The sign is read on the sector,
+    before `_expand`: an orbit's labels share its amplitude and its
+    representative is its least label, so the first largest |amp| is the
+    first largest |psi| (the sector matrix is stoquastic and connected: the
+    ground vector has one sign, and no tie can flip it).  The state is real
+    (float64), normalized and positive.  LanczosError if the solve does not
+    converge or meets a non-finite value, if the gap to the next sector
     level is below 1e-10 (the critical ring's ground state is unique, so a
     collapsed gap is a broken iteration) or if ||H psi - E psi|| > 1e-8; a
     NaN fails both checks.
@@ -176,19 +247,12 @@ def ground_state(L) -> GroundStateResult:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
     if L > LANCZOS_MAX_SITES:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
-    # imported here: scipy.linalg costs ~0.3 s to import, and warm cached runs never solve
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
     reps, orbit = _sector_basis(L)
     h = _sector_hamiltonian(L, reps, orbit)
     if len(reps) < _SECTOR_DENSE_DIM:
         theta, vecs = np.linalg.eigh(h.toarray())
     else:
-        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(reps))
-        try:
-            theta, vecs = eigsh(h, k=2, which="SA", v0=v0, tol=_LANCZOS_TOL)
-        except ArpackNoConvergence as exc:
-            raise LanczosError(f"no convergence: {exc}") from exc
+        theta, vecs = _lanczos(h, np.random.default_rng(_LANCZOS_SEED).standard_normal(len(reps)))
     if not theta[1] - theta[0] >= 1e-10:
         raise LanczosError(
             f"Ritz gap {theta[1] - theta[0]:.3e} below 1e-10; refusing to "

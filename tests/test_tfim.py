@@ -93,60 +93,92 @@ def test_lanczos_rejects_L2():
         ground_state(2)
 
 
-def test_arpack_no_convergence_raises_lanczos_error(monkeypatch):
-    # the CLI maps LanczosError, not scipy's ArpackNoConvergence, to exit code 3
-    import scipy.sparse.linalg as sla
-
-    def no_convergence(*args, **kwargs):
-        raise sla.ArpackNoConvergence("stub", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(sla, "eigsh", no_convergence)
-    L = 12  # smaller sectors take the dense eigh and never reach eigsh
+def test_lanczos_no_convergence_raises_lanczos_error(monkeypatch):
+    # the CLI maps LanczosError to exit code 3; the real solver runs into its product cap
+    monkeypatch.setattr(tfim, "_LANCZOS_MAX_PRODUCTS", tfim._LANCZOS_NCV)
+    L = 12  # smaller sectors take the dense eigh and never reach the Lanczos solver
     assert len(_sector_basis(L)[0]) >= _SECTOR_DENSE_DIM
-    with pytest.raises(LanczosError):
+    with pytest.raises(LanczosError, match="no convergence"):
         ground_state(L)
 
 
+def test_nan_product_raises_lanczos_error_before_the_cap(monkeypatch):
+    products = []
+
+    class NanProduct:
+        def __init__(self, h):
+            self.shape = h.shape
+
+        def __matmul__(self, v):
+            products.append(len(v))
+            return np.full(len(v), np.nan)
+
+    build = tfim._sector_hamiltonian
+    monkeypatch.setattr(tfim, "_sector_hamiltonian", lambda *args: NanProduct(build(*args)))
+    with pytest.raises(LanczosError, match="non-finite"):
+        ground_state(12)
+    assert len(products) == 1 < tfim._LANCZOS_MAX_PRODUCTS
+
+
 def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
-    import scipy.sparse.linalg as sla
+    def degenerate(h, v0):
+        return np.full(2, -1.0), np.eye(h.shape[0], 2)
 
-    def degenerate(h, k, **kwargs):
-        return np.full(k, -1.0), np.eye(h.shape[0], k)
-
-    monkeypatch.setattr(sla, "eigsh", degenerate)
+    monkeypatch.setattr(tfim, "_lanczos", degenerate)
     with pytest.raises(LanczosError, match="Ritz gap"):
         ground_state(12)
 
 
-def _nan_levels(h, k, **kwargs):
-    return np.array([-1.0, np.nan]), np.full((h.shape[0], k), np.nan)
+def _nan_levels(h, v0):
+    return np.array([-1.0, np.nan]), np.full((h.shape[0], 2), np.nan)
 
 
-def _nan_vectors(h, k, **kwargs):
-    return np.array([-1.0, 0.0]), np.full((h.shape[0], k), np.nan)
+def _nan_vectors(h, v0):
+    return np.array([-1.0, 0.0]), np.full((h.shape[0], 2), np.nan)
 
 
 @pytest.mark.parametrize("stub", [_nan_levels, _nan_vectors])
 def test_nan_eigensolver_raises_lanczos_error(monkeypatch, stub):
     # a NaN level fails the Ritz-gap check, NaN vectors the residual bound
-    import scipy.sparse.linalg as sla
-
-    monkeypatch.setattr(sla, "eigsh", stub)
+    monkeypatch.setattr(tfim, "_lanczos", stub)
     with pytest.raises(LanczosError):
         ground_state(12)
 
 
 @pytest.mark.parametrize("stub", [_nan_levels, _nan_vectors])
 def test_cli_ground_nan_solve_exits_3_and_writes_no_record(tmp_path, capsys, monkeypatch, stub):
-    import scipy.sparse.linalg as sla
-
-    monkeypatch.setattr(sla, "eigsh", stub)
+    monkeypatch.setattr(tfim, "_lanczos", stub)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("L = 12\n")
     cache = tmp_path / "cache"
     assert cli.main(["ground", "--config", str(cfg_file), "--cache-dir", str(cache)]) == 3
     assert "numeric failure" in capsys.readouterr().err
     assert os.listdir(cache) == []
+
+
+@pytest.mark.parametrize("L", range(11, 15))
+def test_lanczos_matches_dense_sector_eigh(L):
+    # the two levels of the sector matrix, and Ritz vectors at the tolerance
+    h = tfim._sector_hamiltonian(L, *_sector_basis(L))
+    theta, vecs = tfim._lanczos(h, np.random.default_rng(SEED + L).standard_normal(h.shape[0]))
+    exact = np.linalg.eigh(h.toarray())[0][:2]
+    assert np.max(np.abs(theta - exact)) <= 1e-12
+    for t, x in zip(theta, vecs.T):
+        assert np.linalg.norm(h @ x - t * x) <= 1e-13 * abs(t)
+
+
+def test_ground_state_loads_no_scipy_linalg():
+    # the cold solve needs scipy.sparse's CSR product alone
+    code = (
+        "import sys; from renyimi import ground_state; ground_state(12); "
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +251,7 @@ def test_ground_state_is_translation_invariant():
 
 @pytest.mark.parametrize("L", [7, 12, 16])
 def test_lanczos_state_is_shift_and_flip_invariant(L):
-    # odd and even L, dense-sector and eigsh solves; state index s ^ (2^L - 1) is 2^L - 1 - s
+    # odd and even L, dense-sector and Lanczos solves; state index s ^ (2^L - 1) is 2^L - 1 - s
     _, psi = _solve(L, "lanczos")
     assert np.max(np.abs(translate(psi, 1) - psi)) <= 1e-12
     assert np.max(np.abs(psi[::-1] - psi)) <= 1e-12
@@ -285,6 +317,35 @@ def test_sector_basis_matches_the_label_table(L):
     assert tfim._expand(L, reps, amp).tobytes() == amp[sidx].tobytes()
 
 
+def _searchsorted_sector_hamiltonian(L, reps, orbit):
+    """The sector CSR with each flipped label's column found by binary search in
+    the sorted representatives.  The reference for the bitmap rank."""
+    from scipy.sparse import csr_matrix
+
+    dim = len(reps)
+    sq = np.sqrt(orbit.astype(np.float64))
+    cols = np.empty((dim, L + 1), dtype=np.int32)
+    vals = np.empty((dim, L + 1))
+    cols[:, 0] = np.arange(dim)
+    vals[:, 0] = tfim._bond_diagonal(L, reps)
+    for j in range(L):
+        k = np.searchsorted(reps, _canonical(reps ^ (1 << j), L))
+        cols[:, j + 1] = k
+        vals[:, j + 1] = -sq / sq[k]
+    indptr = np.arange(0, dim * (L + 1) + 1, L + 1, dtype=np.int32)
+    return csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+
+
+@pytest.mark.parametrize("L", range(3, 17))
+def test_sector_hamiltonian_rank_matches_binary_search(L):
+    reps, orbit = _sector_basis(L)
+    h = tfim._sector_hamiltonian(L, reps, orbit)
+    ref = _searchsorted_sector_hamiltonian(L, reps, orbit)
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(h, part), getattr(ref, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _traced_peak(f, *args):
     tracemalloc.start()
     try:
@@ -302,8 +363,8 @@ def test_sector_basis_holds_no_label_table():
 
 
 def test_ground_state_holds_one_state_sized_array():
-    # the expanded state, and before it the sector matrix and the ARPACK
-    # workspace; no 2^L table, no |psi| copy for the sign
+    # the expanded state, and before it the sector matrix and the Lanczos
+    # basis; no 2^L table, no |psi| copy for the sign
     L = 18
     ground_state(L)  # scipy's imports, outside the trace
     assert _traced_peak(ground_state, L) < 2.5 * 8 * 2**L
