@@ -110,6 +110,8 @@ def _parse_int_list(text, key):
         lo, hi = _parse_range(text, key)
         if lo > hi:
             raise ConfigError(f"{key}: empty range {text!r}")
+        if not 0 < lo <= hi < LANCZOS_MAX_SITES:  # checked before the tuple is built
+            raise ConfigError(f"{key}: range {text!r} outside (0, {LANCZOS_MAX_SITES})")
         return tuple(range(lo, hi + 1))
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())

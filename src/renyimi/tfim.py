@@ -5,13 +5,12 @@ every function here takes the integer L, as `renyimi.oracle` and
 `experiments.cached_ground_state` do.  The ground state lies in the
 momentum-0, spin-flip-even (prod X = +1) sector.  `ground_state`, the one
 solver function, builds that sector from its orbit representatives alone
-(about 2^L / 2L states; no table of 2^L labels), solves it with a
-thick-restart Lanczos method on its scipy.sparse CSR matrix (numpy and the
-CSR product alone, fixed start vector, so results are bit-reproducible),
-fixes the sign on the sector vector and expands it to the 2^L float64
-amplitudes: the one state-sized array, real and exactly shift- and
-flip-invariant by construction.  The independent full-space check is
-`renyimi.oracle.dense_ground_state`.
+(about 2^L / 2L states; no table of 2^L labels), solves it by a thick-restart
+Lanczos method on its bond diagonal and site-flip table (numpy alone, no stored
+matrix, a fixed start vector: bit-reproducible), fixes the sign on the sector
+vector and expands it to the 2^L float64 amplitudes, the one state-sized array,
+real and exactly shift- and flip-invariant by construction.  The independent
+full-space check is `renyimi.oracle.dense_ground_state`.
 """
 
 from __future__ import annotations
@@ -104,40 +103,43 @@ def apply_hamiltonian(L, state):
 
 
 def _sector_hamiltonian(L, reps, orbit):
-    """H on the normalised orbit sums, as a real CSR matrix with L + 1 entries per row.
+    """H = D - S A S^-1 on the normalised orbit sums, as (diag, flips, sq).
 
-    Row i holds the diagonal and, for each site flip j, -sqrt(N_i / N_k) at
-    the k whose representative is the `_canonical` form of reps[i] ^ 1 << j.
-    k is that label's rank among the representatives, read off a bitmap of
-    the labels below 2^(L-1) (every representative's top bit is 0): one
-    uint64 word per 64 labels, the representatives below each word by
-    prefix popcounts, and the bits below the label in its word.  That is
-    column i of H, equal to row i as H is symmetric; a flip that reaches the
-    same orbit twice leaves two entries that every product sums.
+    D is the bond diagonal, S = diag(sq) the square roots of the orbit sizes and A
+    the 0/1 site-flip adjacency: flips[j, i] is the rank of `_canonical(reps[i] ^ 1 << j)`
+    (an orbit met twice counts twice) in a bitmap of the labels below 2^(L-1), where
+    every representative lies: prefix popcounts of its uint64 words, then the bits below.
     """
-    from scipy.sparse import csr_matrix
-
-    dim = len(reps)
     words = np.zeros(((1 << (L - 1)) + 63) >> 6, dtype=np.uint64)
     np.bitwise_or.at(words, reps >> 6, np.left_shift(np.uint64(1), (reps & 63).astype(np.uint64)))
     counts = np.bitwise_count(words)
     below = np.cumsum(counts, dtype=np.int32) - counts
-    sq = np.sqrt(orbit.astype(np.float64))
-    cols = np.empty((dim, L + 1), dtype=np.int32)
-    vals = np.empty((dim, L + 1))
-    cols[:, 0] = np.arange(dim)
-    vals[:, 0] = _bond_diagonal(L, reps)
+    flips = np.empty((L, len(reps)), dtype=np.intp)  # intp: `take` converts any other index type
     for j in range(L):
         q = _canonical(reps ^ (1 << j), L)
         low = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
         low -= 1
         q >>= 6  # now the index of the label's word
         low &= words[q]
-        k = below[q] + np.bitwise_count(low)
-        cols[:, j + 1] = k
-        vals[:, j + 1] = -sq / sq[k]
-    indptr = np.arange(0, dim * (L + 1) + 1, L + 1, dtype=np.int32)
-    return csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+        np.add(below[q], np.bitwise_count(low), out=flips[j])
+    return _bond_diagonal(L, reps), flips, np.sqrt(orbit.astype(np.float64))
+
+
+def _sector_product(h, v):
+    """H v = diag v - sq sum_j u[flips[j]], u = v / sq, for v of shape (dim,) or (dim, m).
+
+    Summed in blocks of 2^_BLOCK_BITS rows, each flip gathered into one cached buffer.
+    """
+    diag, flips, sq = h
+    sq = sq.reshape((-1,) + (1,) * (v.ndim - 1))
+    u = v / sq
+    acc = np.zeros_like(u)
+    buf = np.empty_like(u[: 1 << _BLOCK_BITS])
+    for lo in range(0, len(u), len(buf)):
+        a = acc[lo : lo + len(buf)]
+        for f in flips[:, lo : lo + len(a)]:  # mode "raise" would buffer `out` again
+            a += np.take(u, f, axis=0, out=buf[: len(a)], mode="clip")
+    return diag.reshape(sq.shape) * v - sq * acc
 
 
 def _expand(L, reps, amp):
@@ -172,30 +174,29 @@ def _residual(L, psi, energy):
 
 
 def _lanczos(h, v0):
-    """The two lowest eigenpairs of the symmetric CSR matrix h by thick-restart Lanczos.
+    """The two lowest eigenpairs of the sector Hamiltonian h by thick-restart Lanczos.
 
-    K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000).  The
-    basis V holds _LANCZOS_NCV + 1 rows.  Each product h @ v is
-    orthogonalised against every row by classical Gram-Schmidt, a second
-    pass taken only when its norm falls below 1/sqrt(2) of its value (the
-    DGKS test), and the projections fill the symmetric T.  A restart keeps
-    the 11 lowest Ritz vectors, rotated into V's first rows in blocks of
-    2^_BLOCK_BITS columns (no 11-row temporary), and moves the residual vector after
-    them: T is then diag(theta) bordered by the projections of the next
-    product.  Converged when |beta s_m,i| <= _LANCZOS_TOL |theta_i| for both
-    levels.  Returns the two levels and their vectors as columns, as `eigh`
-    does; LanczosError on a non-finite beta or theta, or once
-    _LANCZOS_MAX_PRODUCTS products have not converged.
+    K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000).  The basis
+    V holds _LANCZOS_NCV + 1 rows.  Each `_sector_product` h v is orthogonalised
+    against every row by classical Gram-Schmidt, a second pass taken only when
+    its norm falls below 1/sqrt(2) of its value (the DGKS test), and the
+    projections fill the symmetric T.  A restart keeps the 11 lowest Ritz
+    vectors, rotated into V's first rows in blocks of 2^_BLOCK_BITS columns (no
+    11-row temporary), and moves the residual vector after them: T is then
+    diag(theta) bordered by the projections of the next product.  Converged
+    when |beta s_m,i| <= _LANCZOS_TOL |theta_i| for both levels.  Returns the
+    two levels and their vectors as columns, as `eigh` does; LanczosError on a
+    non-finite beta or theta, or once _LANCZOS_MAX_PRODUCTS products have not converged.
     """
     m = _LANCZOS_NCV
     keep = 2 + (m - 2) // 2
-    V = np.empty((m + 1, h.shape[0]))
+    V = np.empty((m + 1, len(v0)))
     V[0] = v0 / np.linalg.norm(v0)
     T = np.zeros((m, m))
     start = products = 0
     while True:
         for i in range(start, m):
-            w = h @ V[i]
+            w = _sector_product(h, V[i])
             products += 1
             before = np.linalg.norm(w)
             c = V[: i + 1] @ w
@@ -229,19 +230,18 @@ def _lanczos(h, v0):
 def ground_state(L) -> GroundStateResult:
     """Lowest eigenpair of the ring of L sites, solved in its symmetry sector (3 <= L <= 24).
 
-    `_lanczos`, a thick-restart Lanczos on the sector's CSR matrix from a
-    fixed start vector, solves the momentum-0, flip-even sector; sectors
-    below _SECTOR_DENSE_DIM states take a dense `eigh`.  The energy is the
-    unit sector vector's Rayleigh quotient.  The sign is read on the sector,
-    before `_expand`: an orbit's labels share its amplitude and its
-    representative is its least label, so the first largest |amp| is the
-    first largest |psi| (the sector matrix is stoquastic and connected: the
-    ground vector has one sign, and no tie can flip it).  The state is real
-    (float64), normalized and positive.  LanczosError if the solve does not
-    converge or meets a non-finite value, if the gap to the next sector
-    level is below 1e-10 (the critical ring's ground state is unique, so a
-    collapsed gap is a broken iteration) or if ||H psi - E psi|| > 1e-8; a
-    NaN fails both checks.
+    `_lanczos`, from a fixed start vector, solves the momentum-0, flip-even
+    sector; sectors below _SECTOR_DENSE_DIM states take a dense `eigh` of
+    the `_sector_product` of the identity.  The energy is the unit sector
+    vector's Rayleigh quotient.  The sign is read on the sector, before
+    `_expand`: an orbit's labels share its amplitude and its representative
+    is its least label, so the first largest |amp| is the first largest
+    |psi| (the sector matrix is stoquastic and connected: the ground vector
+    has one sign, and no tie can flip it).  The state is real (float64),
+    normalized and positive.  LanczosError if the solve does not converge or
+    meets a non-finite value, if the gap to the next sector level is below
+    1e-10 (the critical ring's ground state is unique, so a collapsed gap is
+    a broken iteration) or if ||H psi - E psi|| > 1e-8; a NaN fails both.
     """
     if L < 3:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
@@ -250,7 +250,7 @@ def ground_state(L) -> GroundStateResult:
     reps, orbit = _sector_basis(L)
     h = _sector_hamiltonian(L, reps, orbit)
     if len(reps) < _SECTOR_DENSE_DIM:
-        theta, vecs = np.linalg.eigh(h.toarray())
+        theta, vecs = np.linalg.eigh(_sector_product(h, np.eye(len(reps))))
     else:
         theta, vecs = _lanczos(h, np.random.default_rng(_LANCZOS_SEED).standard_normal(len(reps)))
     if not theta[1] - theta[0] >= 1e-10:
@@ -259,8 +259,8 @@ def ground_state(L) -> GroundStateResult:
             "return a possibly mixed eigenvector"
         )
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    energy = float(x @ (h @ x))
-    del h  # the CSR matrix (105 MB at L=24) goes before the state is allocated
+    energy = float(x @ _sector_product(h, x))
+    del h  # the flip table (67 MB at L=24) goes before the state is allocated
     amp = vecs[:, 0] / np.sqrt(orbit)
     amp *= np.sign(amp[np.argmax(np.abs(amp))])
     psi = _expand(L, reps, amp)

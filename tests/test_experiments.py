@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -108,6 +109,19 @@ def test_cli_flags_override_config_keys(tmp_path, flag, value, key, expected):
 def test_reversed_L_A_range_names_the_key():
     with pytest.raises(ConfigError, match="L_A: empty range '6:2'"):
         build_config(parse_config_text("L = 8\nL_A = 6:2\n"))
+
+
+def test_huge_L_A_range_is_rejected_before_it_is_built():
+    # a range past any chain length fails on its bounds, not after a tuple of
+    # two million ints (about 70 MB) has been built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="L_A: range '1:2000000' outside"):
+            build_config(parse_config_text("L = 8\nL_A = 1:2000000\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_config_rejects_unknown_key():

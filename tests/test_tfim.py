@@ -105,16 +105,11 @@ def test_lanczos_no_convergence_raises_lanczos_error(monkeypatch):
 def test_nan_product_raises_lanczos_error_before_the_cap(monkeypatch):
     products = []
 
-    class NanProduct:
-        def __init__(self, h):
-            self.shape = h.shape
+    def nan_product(h, v):
+        products.append(len(v))
+        return np.full(len(v), np.nan)
 
-        def __matmul__(self, v):
-            products.append(len(v))
-            return np.full(len(v), np.nan)
-
-    build = tfim._sector_hamiltonian
-    monkeypatch.setattr(tfim, "_sector_hamiltonian", lambda *args: NanProduct(build(*args)))
+    monkeypatch.setattr(tfim, "_sector_product", nan_product)
     with pytest.raises(LanczosError, match="non-finite"):
         ground_state(12)
     assert len(products) == 1 < tfim._LANCZOS_MAX_PRODUCTS
@@ -122,7 +117,7 @@ def test_nan_product_raises_lanczos_error_before_the_cap(monkeypatch):
 
 def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
     def degenerate(h, v0):
-        return np.full(2, -1.0), np.eye(h.shape[0], 2)
+        return np.full(2, -1.0), np.eye(len(v0), 2)
 
     monkeypatch.setattr(tfim, "_lanczos", degenerate)
     with pytest.raises(LanczosError, match="Ritz gap"):
@@ -130,11 +125,11 @@ def test_degenerate_ritz_pair_raises_lanczos_error(monkeypatch):
 
 
 def _nan_levels(h, v0):
-    return np.array([-1.0, np.nan]), np.full((h.shape[0], 2), np.nan)
+    return np.array([-1.0, np.nan]), np.full((len(v0), 2), np.nan)
 
 
 def _nan_vectors(h, v0):
-    return np.array([-1.0, 0.0]), np.full((h.shape[0], 2), np.nan)
+    return np.array([-1.0, 0.0]), np.full((len(v0), 2), np.nan)
 
 
 @pytest.mark.parametrize("stub", [_nan_levels, _nan_vectors])
@@ -160,25 +155,30 @@ def test_cli_ground_nan_solve_exits_3_and_writes_no_record(tmp_path, capsys, mon
 def test_lanczos_matches_dense_sector_eigh(L):
     # the two levels of the sector matrix, and Ritz vectors at the tolerance
     h = tfim._sector_hamiltonian(L, *_sector_basis(L))
-    theta, vecs = tfim._lanczos(h, np.random.default_rng(SEED + L).standard_normal(h.shape[0]))
-    exact = np.linalg.eigh(h.toarray())[0][:2]
+    dim = len(h[0])
+    theta, vecs = tfim._lanczos(h, np.random.default_rng(SEED + L).standard_normal(dim))
+    exact = np.linalg.eigh(tfim._sector_product(h, np.eye(dim)))[0][:2]
     assert np.max(np.abs(theta - exact)) <= 1e-12
     for t, x in zip(theta, vecs.T):
-        assert np.linalg.norm(h @ x - t * x) <= 1e-13 * abs(t)
+        assert np.linalg.norm(tfim._sector_product(h, x) - t * x) <= 1e-13 * abs(t)
 
 
-def test_ground_state_loads_no_scipy_linalg():
-    # the cold solve needs scipy.sparse's CSR product alone
+def test_cli_ground_loads_no_scipy(tmp_path):
+    # the sector solve is numpy alone: a cold `renyimi ground` imports no scipy module
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("L = 12\n")
     code = (
-        "import sys; from renyimi import ground_state; ground_state(12); "
-        "print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))"
+        "import sys; from renyimi import cli; "
+        f"code = cli.main(['ground', '--config', {str(cfg_file)!r}, "
+        f"'--cache-dir', {str(tmp_path / 'cache')!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
-    assert out.strip() == "[]"
+    assert "cache = miss" in out and out.splitlines()[-1] == "0 []"
+    assert os.listdir(tmp_path / "cache") == [os.path.basename(tfim.cache_path("", 12))]
 
 
 @lru_cache(maxsize=None)
@@ -304,15 +304,13 @@ def test_sector_basis_matches_the_label_table(L):
     reps, orbit = _sector_basis(L)
     assert np.array_equal(reps, reps_t) and reps.dtype == reps_t.dtype
     assert np.array_equal(orbit, orbit_t)
-    h = tfim._sector_hamiltonian(L, reps, orbit)
-    sq = np.sqrt(orbit.astype(np.float64))
+    diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit)
     antiparallel = np.bitwise_count(reps ^ ((reps >> 1) | ((reps & 1) << (L - 1))))
-    cols = np.stack([np.arange(len(reps))] + [sidx[reps ^ (1 << j)] for j in range(L)], axis=1)
-    vals = -sq[:, None] / sq[cols]
-    vals[:, 0] = 2.0 * antiparallel - L
-    assert np.array_equal(h.indptr, np.arange(0, cols.size + 1, L + 1))
-    assert np.array_equal(h.indices, cols.ravel())
-    assert h.data.tobytes() == vals.tobytes()
+    cols = np.stack([sidx[reps ^ (1 << j)] for j in range(L)])
+    assert flips.shape == (L, len(reps)) and flips.dtype == np.intp
+    assert np.array_equal(flips, cols)
+    assert diag.tobytes() == (2.0 * antiparallel - L).tobytes()
+    assert sq.tobytes() == np.sqrt(orbit_t.astype(np.float64)).tobytes()
     amp = np.random.default_rng(SEED + L).standard_normal(len(reps))
     assert tfim._expand(L, reps, amp).tobytes() == amp[sidx].tobytes()
 
@@ -339,11 +337,34 @@ def _searchsorted_sector_hamiltonian(L, reps, orbit):
 @pytest.mark.parametrize("L", range(3, 17))
 def test_sector_hamiltonian_rank_matches_binary_search(L):
     reps, orbit = _sector_basis(L)
+    diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit)
+    ref = _searchsorted_sector_hamiltonian(L, reps, orbit)
+    cols = ref.indices.reshape(len(reps), L + 1)
+    assert np.array_equal(ref.indptr, np.arange(0, cols.size + 1, L + 1))
+    assert flips.dtype == np.intp and np.array_equal(flips, cols[:, 1:].T)
+    assert diag.tobytes() == ref.data[:: L + 1].tobytes()
+    # the off-diagonal values of the CSR are the ratios of the orbit norms
+    assert np.array_equal(ref.data.reshape(len(reps), L + 1)[:, 1:].T, -sq / sq[flips])
+
+
+@pytest.mark.parametrize("L", range(3, 17))
+def test_sector_product_matches_the_csr_reference(L, monkeypatch):
+    # diag v - sq sum_j (v / sq)[flips[j]] against the CSR's row sums, on one
+    # vector and on a block of them; each row within the rounding bound of
+    # two sums of L + 2 terms, and blocks of 8 rows (the last one partial)
+    # sum in the same order
+    reps, orbit = _sector_basis(L)
     h = tfim._sector_hamiltonian(L, reps, orbit)
     ref = _searchsorted_sector_hamiltonian(L, reps, orbit)
-    for part in ("indptr", "indices", "data"):
-        a, b = getattr(h, part), getattr(ref, part)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    rng = np.random.default_rng(SEED + L)
+    for v in (rng.standard_normal(len(reps)), rng.standard_normal((len(reps), 3))):
+        hv = tfim._sector_product(h, v)
+        assert hv.shape == v.shape and hv.dtype == np.float64
+        scale = abs(ref) @ np.abs(v)
+        assert np.all(np.abs(hv - ref @ v) <= 2 * (L + 2) * np.finfo(float).eps * scale)
+        with monkeypatch.context() as m:
+            m.setattr(tfim, "_BLOCK_BITS", 3)
+            assert tfim._sector_product(h, v).tobytes() == hv.tobytes()
 
 
 def _traced_peak(f, *args):
@@ -363,10 +384,9 @@ def test_sector_basis_holds_no_label_table():
 
 
 def test_ground_state_holds_one_state_sized_array():
-    # the expanded state, and before it the sector matrix and the Lanczos
+    # the expanded state, and before it the flip table and the Lanczos
     # basis; no 2^L table, no |psi| copy for the sign
     L = 18
-    ground_state(L)  # scipy's imports, outside the trace
     assert _traced_peak(ground_state, L) < 2.5 * 8 * 2**L
 
 
