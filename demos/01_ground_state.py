@@ -1,8 +1,9 @@
 """Ground states of the critical Ising chain.
 
-Walks through the matrix-free Hamiltonian, the symmetry-sector solver
-checked against the full-space dense oracle, the finite-size drift of the
-energy density toward -4/pi, and the binary ground-state cache.
+Walks through the oracle's matrix-free Hamiltonian, the symmetry-sector
+solver checked against the full-space dense oracle, the finite-size drift of
+the energy density toward -4/pi, and the binary ground-state cache, which
+holds one amplitude per orbit of the sector.
 """
 
 import os
@@ -11,13 +12,12 @@ import tempfile
 import numpy as np
 
 from renyimi import (
-    apply_hamiltonian,
     ground_state,
     load_ground_state,
     save_ground_state,
     translate,
 )
-from renyimi.oracle import dense_ground_state
+from renyimi.oracle import apply_hamiltonian, dense_ground_state
 
 print("=" * 70)
 print("Matrix-free Hamiltonian action")
@@ -65,5 +65,6 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "gs.bin")
     save_ground_state(path, res)
     loaded = load_ground_state(path)
-    print(f"cache round-trip: {os.path.getsize(path)} bytes, "
+    print(f"cache round-trip: {os.path.getsize(path)} bytes for {len(res.amp)} orbit "
+          f"amplitudes ({res.state.nbytes} as a state), "
           f"bit-identical = {np.array_equal(loaded.state, res.state)}")

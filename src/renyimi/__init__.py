@@ -3,16 +3,17 @@ measurement and decoherence.
 
 Library layout:
   spin        bit-encoded states, basis rotations, translations, bipartitions
-  tfim        critical transverse-field Ising chain and its ground-state solver
+  tfim        critical transverse-field Ising chain: the symmetry-sector
+              ground-state solver and its cache record of orbit amplitudes
   entropy     subsystem entropies, generalized entropies, mutual information,
               Pauli-weight plans for Z-dephased and Y-decohered windows
   scaling     chord-length scaling fit and central-charge extraction
   experiments sweeps, ground-state caching and CSV output
   cli         command-line driver (ground / case1 / case2 / fit)
   oracle      the tests' brute-force references: dense density matrices,
-              the full-space ground state, free-fermion entropies, Kraus
-              channels and the 4^L supervector engine; not loaded by
-              `import renyimi`
+              the full-space Hamiltonian and ground state, free-fermion
+              entropies, Kraus channels and the 4^L supervector engine; not
+              loaded by `import renyimi`
 """
 
 from .entropy import (
@@ -39,7 +40,6 @@ from .spin import (
 from .tfim import (
     GroundStateResult,
     LanczosError,
-    apply_hamiltonian,
     ground_state,
     load_ground_state,
     save_ground_state,
@@ -54,7 +54,6 @@ __all__ = [
     "MiPlan",
     "MiPoint",
     "PauliWeightPlan",
-    "apply_hamiltonian",
     "build_mi_plans",
     "conjectured_cn",
     "default_window",

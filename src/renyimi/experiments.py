@@ -272,9 +272,10 @@ def validate_case2(cfg: ExperimentConfig):
 def cached_ground_state(L, cache_dir="cache"):
     """Ground state with on-disk reuse; returns (result, cache_hit).
 
-    A record of another format version, such as version 3 with the solver
-    name in its header, is a miss; it is overwritten.  A cache_dir or a
-    record path that cannot be used is a ConfigError, raised before any solve.
+    Neither a hit nor a miss forms the 2^L state.  A record of another L or
+    format version, such as version 4 with the 2^L amplitudes, is a miss; it
+    is overwritten.  A cache_dir or a record path that cannot be used is a
+    ConfigError, raised before any solve.
     """
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -285,7 +286,7 @@ def cached_ground_state(L, cache_dir="cache"):
     if os.path.exists(path):
         try:
             result = load_ground_state(path)
-            if len(result.state) == 2**L:
+            if result.L == L:
                 return result, True
         except (ValueError, OSError):
             pass  # stale or foreign file: recompute and overwrite
@@ -309,8 +310,8 @@ def _sweep(cfg: ExperimentConfig, ground, plan, grid):
     """
     if ground is None:
         ground, _ = cached_ground_state(cfg.L, cache_dir=cfg.cache_dir)
-    if len(ground.state) != 2**cfg.L:
-        raise ConfigError(f"ground state of {len(ground.state)} amplitudes is not one of L={cfg.L}")
+    if ground.L != cfg.L:
+        raise ConfigError(f"ground state of L={ground.L} is not one of L={cfg.L}")
     l_a_values = sorted(set(cfg.L_A))
     # the module global, looked up at each call, so a traced one is the one that runs
     plans = build_mi_plans(ground.state, l_a_values, cfg.axis, cfg.workers, plan)

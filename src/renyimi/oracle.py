@@ -4,7 +4,8 @@ Everything here favors being obviously correct over being fast.  Three parts:
   * dense references: density matrices, partial traces, purities and the
     literal generalized entropy, capped at L <= ORACLE_MAX_SITES = 8; the
     full-space ground state, which checks the sector solver of `tfim` up to
-    L = DENSE_MAX_SITES = 12; and the free-fermion entropies, which cost
+    L = DENSE_MAX_SITES = 12, and the matrix-free Hamiltonian, which checks
+    its expanded state at any L; and the free-fermion entropies, which cost
     O(L^3) and anchor the window plans at any L, unmeasured
     (`free_fermion_renyi2`) or dephased on a start-0 window of up to 16
     sites (`gaussian_dephased_renyi2`, 2^n Gaussian overlaps);
@@ -95,6 +96,22 @@ def dense_hamiltonian(L):
     for j in range(L):
         h[idx, idx ^ (1 << j)] -= 1.0
     return h
+
+
+def apply_hamiltonian(L, state):
+    """Matrix-free H @ state on a ring of L >= 2 sites: bond diagonal plus -1 per site flip.
+    L=2 double-counts the single bond, as `dense_hamiltonian` does."""
+    if L < 2:
+        raise ValueError(f"the ring needs L >= 2, got L={L}")
+    psi = np.asarray(state)
+    if len(psi) != 2**L:
+        raise ValueError(f"state length {len(psi)} does not match L={L}")
+    idx = np.arange(2**L)
+    antiparallel = np.bitwise_count(idx ^ ((idx >> 1) | ((idx & 1) << (L - 1))))
+    out = (2.0 * antiparallel - L) * psi
+    for j in range(L):
+        out -= psi[idx ^ (1 << j)]
+    return out
 
 
 def dense_ground_state(L):

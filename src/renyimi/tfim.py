@@ -8,9 +8,10 @@ solver function, builds that sector from its orbit representatives alone
 (about 2^L / 2L states; no table of 2^L labels), solves it by a thick-restart
 Lanczos method on its bond diagonal and site-flip table (numpy alone, no stored
 matrix, a fixed start vector: bit-reproducible), fixes the sign on the sector
-vector and expands it to the 2^L float64 amplitudes, the one state-sized array,
-real and exactly shift- and flip-invariant by construction.  The independent
-full-space check is `renyimi.oracle.dense_ground_state`.
+vector and returns one amplitude per orbit, which is also the cache record.
+`GroundStateResult.state` expands them on first read to the 2^L float64
+amplitudes, real and exactly shift- and flip-invariant by construction.  The
+full-space checks are `renyimi.oracle.dense_ground_state` and `apply_hamiltonian`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .spin import _canonical, _rotate, _sector_basis, num_sites
+from .spin import _LABEL_BLOCK_BITS, _canonical, _rotate, _sector_basis
 
 LANCZOS_MAX_SITES = 24
 _LANCZOS_SEED = 8899
@@ -31,13 +33,13 @@ _LANCZOS_NCV = 20  # Lanczos basis rows before a restart, ARPACK's default for t
 _LANCZOS_TOL = 1e-13  # relative Ritz tolerance: 83 sector products at L=20, 92 at 22, 101 at 24
 _LANCZOS_MAX_PRODUCTS = 2000  # sector products before the solve gives up
 _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
-# labels per block of the Hamiltonian kernel, in bits: of 10..16, 14 took the
-# least time per product at L=20 (0.033 s, median of 7; one block of 2^20
-# labels 0.058 s), and its buffers are 1/64 of the state there
+# sector rows per block, in bits, of `_sector_product`'s flip gathers and of
+# the Lanczos restart's rotation: the gather buffer of one vector is 128 KB,
+# and the rotation's temporary 11 such rows, whatever the sector's size
 _BLOCK_BITS = 14
 
 CACHE_MAGIC = b"TFGS"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 _CACHE_HEADER = struct.Struct("<4sIId")  # magic, version, L, energy
 
 
@@ -47,59 +49,33 @@ class LanczosError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """A ground state of the ring of L sites as its sector vector: the orbit
+    representatives `reps` of `_sector_basis(L)` and the sign-fixed amplitude
+    `amp` of each orbit's labels.  `state`, the normalized 2^L float64
+    amplitudes, is expanded on first read and kept."""
+
+    L: int
     energy: float
-    state: np.ndarray
     residual: float
+    reps: np.ndarray
+    amp: np.ndarray
+
+    @cached_property
+    def state(self):
+        psi = _expand(self.L, self.reps, self.amp)
+        psi /= np.linalg.norm(psi)
+        return psi
 
 
 def _bond_diagonal(L, labels):
     """-sum_j z_j z_{j+1} = -(L - 2 * #antiparallel bonds) on the configurations `labels`."""
     rot = _rotate(labels, L)
     rot ^= labels
-    # in place: a block of labels holds one float64 buffer here
+    # in place: one float64 array of len(labels), no temporary beside it
     diag = np.bitwise_count(rot).astype(np.float64)
     diag *= 2.0
     diag -= float(L)
     return diag
-
-
-def _hamiltonian_block(L, psi, lo, out):
-    """(H psi)[lo : lo + n] into `out`, n = len(out) = 2^k and lo a multiple of n.
-
-    A flip of bit j < k stays inside the block, a subtraction of its
-    bit-reversed view; a flip of bit j >= k maps the block onto the
-    contiguous block at lo ^ 2^j.  Each label takes its diagonal term and
-    then the flips in increasing j, the order of a whole-vector pass.
-    """
-    n = len(out)
-    k = n.bit_length() - 1
-    blk = psi[lo : lo + n]
-    np.multiply(_bond_diagonal(L, np.arange(lo, lo + n, dtype=np.int32)), blk, out=out)
-    for j in range(k):
-        o = out.reshape(n >> (j + 1), 2, 1 << j)
-        np.subtract(o, blk.reshape(o.shape)[:, ::-1, :], out=o)
-    for j in range(k, L):
-        src = lo ^ (1 << j)
-        np.subtract(out, psi[src : src + n], out=out)
-
-
-def apply_hamiltonian(L, state):
-    """Matrix-free H @ state on a ring of L >= 2 sites: bond diagonal plus -1 per site flip.
-
-    L=2 double-counts the single bond, as the dense oracle does.  Filled in
-    blocks of 2^_BLOCK_BITS labels by `_hamiltonian_block`; a real state
-    gives a real product, a complex one a complex product.
-    """
-    if L < 2:
-        raise ValueError(f"the ring needs L >= 2, got L={L}")
-    if len(state) != 2**L:
-        raise ValueError(f"state length {len(state)} does not match L={L}")
-    psi = np.asarray(state)
-    out = np.empty(psi.shape, dtype=np.result_type(psi.dtype, np.float64))
-    n = 1 << min(L, _BLOCK_BITS)
-    for lo in range(0, 2**L, n):
-        _hamiltonian_block(L, psi, lo, out[lo : lo + n])
-    return out
 
 
 def _sector_hamiltonian(L, reps, orbit):
@@ -115,13 +91,18 @@ def _sector_hamiltonian(L, reps, orbit):
     counts = np.bitwise_count(words)
     below = np.cumsum(counts, dtype=np.int32) - counts
     flips = np.empty((L, len(reps)), dtype=np.intp)  # intp: `take` converts any other index type
-    for j in range(L):
-        q = _canonical(reps ^ (1 << j), L)
+    # flips per `_canonical` call, up to one block of its labels: the L=9 table took
+    # 1.1 ms with one call per flip and 0.35 ms with one call (fresh processes)
+    step = max(1, (1 << _LABEL_BLOCK_BITS) // len(reps))
+    for j in range(0, L, step):
+        rows = flips[j : j + step]
+        bits = np.left_shift(1, np.arange(j, j + len(rows), dtype=reps.dtype))
+        q = _canonical(np.bitwise_xor(reps, bits[:, None]).ravel(), L)
         low = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
         low -= 1
         q >>= 6  # now the index of the label's word
         low &= words[q]
-        np.add(below[q], np.bitwise_count(low), out=flips[j])
+        np.add(below[q], np.bitwise_count(low), out=rows.reshape(-1))
     return _bond_diagonal(L, reps), flips, np.sqrt(orbit.astype(np.float64))
 
 
@@ -161,16 +142,14 @@ def _expand(L, reps, amp):
     return psi
 
 
-def _residual(L, psi, energy):
-    """||H psi - E psi|| of a real state over `_hamiltonian_block`'s blocks: no 2^L temporary."""
-    n = 1 << min(L, _BLOCK_BITS)
-    block = np.empty(n)
-    squares = 0.0
-    for lo in range(0, 2**L, n):
-        _hamiltonian_block(L, psi, lo, block)
-        block -= energy * psi[lo : lo + n]
-        squares += float(block @ block)
-    return float(np.sqrt(squares))
+def _sector_residual(h, amp, energy):
+    """||H x - E x||, x = amp * sqrt(orbit) normalized: ||H psi - E psi|| of the expanded
+    state in exact arithmetic (the expansion is an isometry that commutes with H)."""
+    x = amp * h[2]
+    x /= np.linalg.norm(x)
+    r = _sector_product(h, x)
+    r -= energy * x
+    return float(np.linalg.norm(r))
 
 
 def _lanczos(h, v0):
@@ -233,15 +212,16 @@ def ground_state(L) -> GroundStateResult:
     `_lanczos`, from a fixed start vector, solves the momentum-0, flip-even
     sector; sectors below _SECTOR_DENSE_DIM states take a dense `eigh` of
     the `_sector_product` of the identity.  The energy is the unit sector
-    vector's Rayleigh quotient.  The sign is read on the sector, before
-    `_expand`: an orbit's labels share its amplitude and its representative
-    is its least label, so the first largest |amp| is the first largest
-    |psi| (the sector matrix is stoquastic and connected: the ground vector
-    has one sign, and no tie can flip it).  The state is real (float64),
-    normalized and positive.  LanczosError if the solve does not converge or
-    meets a non-finite value, if the gap to the next sector level is below
-    1e-10 (the critical ring's ground state is unique, so a collapsed gap is
-    a broken iteration) or if ||H psi - E psi|| > 1e-8; a NaN fails both.
+    vector's Rayleigh quotient.  The sign is read on the sector: an orbit's
+    labels share its amplitude and its representative is its least label, so
+    the first largest |amp| is the first largest |psi| (the sector matrix is
+    stoquastic and connected: the ground vector has one sign, and no tie can
+    flip it).  No 2^L array is formed; `GroundStateResult.state` expands the
+    amplitudes, real (float64), normalized and positive.  LanczosError if the
+    solve does not converge or meets a non-finite value, if the gap to the
+    next sector level is below 1e-10 (the critical ring's ground state is
+    unique, so a collapsed gap is a broken iteration) or if the
+    `_sector_residual` ||H x - E x|| > 1e-8; a NaN fails both.
     """
     if L < 3:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
@@ -260,15 +240,12 @@ def ground_state(L) -> GroundStateResult:
         )
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     energy = float(x @ _sector_product(h, x))
-    del h  # the flip table (67 MB at L=24) goes before the state is allocated
     amp = vecs[:, 0] / np.sqrt(orbit)
     amp *= np.sign(amp[np.argmax(np.abs(amp))])
-    psi = _expand(L, reps, amp)
-    psi /= np.linalg.norm(psi)
-    residual = _residual(L, psi, energy)
+    residual = _sector_residual(h, amp, energy)
     if not residual <= _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
-    return GroundStateResult(energy=energy, state=psi, residual=residual)
+    return GroundStateResult(L=L, energy=energy, residual=residual, reps=reps, amp=amp)
 
 
 @contextmanager
@@ -292,22 +269,22 @@ def atomic_write(path):
 
 def save_ground_state(path, result: GroundStateResult):
     """Write the binary cache record through `atomic_write`: magic, version u32,
-    L u32, energy f64, real amplitudes as f64.
+    L u32, energy f64, then the real orbit amplitudes `amp` as f64.
     """
-    L = num_sites(result.state)
-    if np.iscomplexobj(result.state):
-        raise ValueError("cache records hold real amplitudes; the state is complex")
+    if np.iscomplexobj(result.amp):
+        raise ValueError("cache records hold real amplitudes; the orbit amplitudes are complex")
     with atomic_write(path) as fh:
-        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, L, result.energy))
-        fh.write(np.ascontiguousarray(result.state, dtype="<f8"))  # the buffer, not a copy
+        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, result.L, result.energy))
+        fh.write(np.ascontiguousarray(result.amp, dtype="<f8"))  # the buffer, not a copy
 
 
 def load_ground_state(path) -> GroundStateResult:
     """Read a cache record back; recomputes the residual as an integrity check.
 
-    The residual ||H psi - E psi|| is `_residual`'s blocked pass, the one
-    `ground_state` takes and bounds, so a record loads with the residual it
-    was solved with, and one past that bound is a ValueError.
+    The header's L must lie in 3..LANCZOS_MAX_SITES before the sector basis
+    is built, and the file hold one amplitude per orbit.  The residual is
+    the `_sector_residual` that `ground_state` takes and bounds, so a record
+    loads with the residual it was solved with; one past the bound is a ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CACHE_HEADER.size)
@@ -318,16 +295,18 @@ def load_ground_state(path) -> GroundStateResult:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != CACHE_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        # the file size decides, before any read: np.fromfile would drop a partial
-        # amplitude, and bounding L by the size keeps 8 << L from growing huge
+        if not 3 <= L <= LANCZOS_MAX_SITES:
+            raise ValueError(f"{path}: L={L} outside 3..{LANCZOS_MAX_SITES}")
+        reps, orbit = _sector_basis(L)
+        # the file size decides, before any read: np.fromfile would drop a partial amplitude
         size = os.fstat(fh.fileno()).st_size
-        if L >= size.bit_length() or size != _CACHE_HEADER.size + (8 << L):
-            raise ValueError(f"{path}: expected 2^{L} amplitudes, found {size} bytes")
-        state = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
-    residual = _residual(L, state, energy)
+        if size != _CACHE_HEADER.size + 8 * len(reps):
+            raise ValueError(f"{path}: expected {len(reps)} amplitudes, found {size} bytes")
+        amp = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
+    residual = _sector_residual(_sector_hamiltonian(L, reps, orbit), amp, energy)
     if not residual <= _RESIDUAL_BOUND:  # nan fails as well
         raise ValueError(f"{path}: residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
-    return GroundStateResult(energy=energy, state=state, residual=residual)
+    return GroundStateResult(L=L, energy=energy, residual=residual, reps=reps, amp=amp)
 
 
 def cache_path(cache_dir, L):

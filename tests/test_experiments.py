@@ -229,7 +229,7 @@ def test_cached_ground_state_recovers_from_truncated_energy(tmp_path):
     result, hit = cached_ground_state(6, cache_dir=str(tmp_path))
     assert not hit
     assert result.residual <= 1e-8
-    assert os.path.getsize(path) == 20 + 8 * 2**6
+    assert os.path.getsize(path) == 20 + 8 * len(result.amp)
 
 
 def test_cached_ground_state_rewrites_version_2_record(tmp_path):
@@ -243,24 +243,29 @@ def test_cached_ground_state_rewrites_version_2_record(tmp_path):
     assert not hit
     assert result.state.dtype == np.float64
     raw = Path(path).read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (4,)
-    assert len(raw) == 20 + 8 * 2**6
+    assert struct.unpack("<I", raw[4:8]) == (5,)
+    assert len(raw) == 20 + 8 * len(result.amp)
     assert cached_ground_state(6, cache_dir=str(tmp_path))[1]
 
 
 def test_cached_ground_state_rewrites_version_3_record(tmp_path):
-    # version 3 held the solver name in 8 header bytes; such a record is recomputed
+    # version 3 held the solver name in 8 header bytes, version 4 the 2^L
+    # amplitudes after a 20-byte header; either record is recomputed
     fresh, _ = cached_ground_state(6, cache_dir=str(tmp_path))
     path = experiments.cache_path(str(tmp_path), 6)
-    head = struct.pack("<4sIId8s", b"TFGS", 3, 6, fresh.energy, b"lanczos")
-    Path(path).write_bytes(head + np.ascontiguousarray(fresh.state, dtype="<f8").tobytes())
-    result, hit = cached_ground_state(6, cache_dir=str(tmp_path))
-    assert not hit
-    assert np.array_equal(result.state, fresh.state)
-    raw = Path(path).read_bytes()
-    assert struct.unpack("<4sIId", raw[:20]) == (b"TFGS", 4, 6, fresh.energy)
-    assert len(raw) == 20 + 8 * 2**6
-    assert cached_ground_state(6, cache_dir=str(tmp_path))[1]
+    amplitudes = np.ascontiguousarray(fresh.state, dtype="<f8").tobytes()
+    for head in (
+        struct.pack("<4sIId8s", b"TFGS", 3, 6, fresh.energy, b"lanczos"),
+        struct.pack("<4sIId", b"TFGS", 4, 6, fresh.energy),
+    ):
+        Path(path).write_bytes(head + amplitudes)
+        result, hit = cached_ground_state(6, cache_dir=str(tmp_path))
+        assert not hit
+        assert np.array_equal(result.state, fresh.state)
+        raw = Path(path).read_bytes()
+        assert struct.unpack("<4sIId", raw[:20]) == (b"TFGS", 5, 6, fresh.energy)
+        assert len(raw) == 20 + 8 * len(fresh.amp)
+        assert cached_ground_state(6, cache_dir=str(tmp_path))[1]
 
 
 def test_run_case1_outputs(tmp_path):

@@ -24,7 +24,6 @@ def test_public_surface_is_pinned():
         "MiPlan",
         "MiPoint",
         "PauliWeightPlan",
-        "apply_hamiltonian",
         "build_mi_plans",
         "conjectured_cn",
         "default_window",

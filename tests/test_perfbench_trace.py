@@ -65,9 +65,11 @@ def test_tracer_sees_the_window_plans_of_both_cases(tmp_path):
         "experiments.run_case1",
         "experiments.run_case2",
     }
-    # experiments never calls the doubled-space engine; every other target is found
+    # experiments never calls the doubled-space engine, and tfim has no
+    # full-space Hamiltonian; every other target is found
     assert sorted(report["missing"]) == [
         "experiments.apply_lifted_channel",
         "experiments.generalized_entropy_supervector",
         "experiments.pure_supervector",
+        "tfim.apply_hamiltonian",
     ]

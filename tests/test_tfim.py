@@ -13,13 +13,12 @@ from renyimi import cli, tfim
 from renyimi import (
     GroundStateResult,
     LanczosError,
-    apply_hamiltonian,
     ground_state,
     load_ground_state,
     save_ground_state,
     translate,
 )
-from renyimi.oracle import dense_ground_state, dense_hamiltonian
+from renyimi.oracle import apply_hamiltonian, dense_ground_state, dense_hamiltonian
 from renyimi.spin import _canonical, _rotate
 from renyimi.tfim import _SECTOR_DENSE_DIM, _sector_basis
 
@@ -63,23 +62,11 @@ def test_apply_h_length_mismatch():
 
 
 def test_dense_matches_matvec():
-    h = dense_hamiltonian(5)
+    # odd and even rings, L=2 with its doubled bond among them
     rng = np.random.default_rng(SEED + 1)
-    psi = random_state(5, rng)
-    assert np.max(np.abs(h @ psi - apply_hamiltonian(5, psi))) < 1e-12
-
-
-@pytest.mark.parametrize("L", range(3, 11))
-def test_blocked_hamiltonian_matches_dense_and_one_block(L, monkeypatch):
-    # blocks of 4 labels: flips of bits 0 and 1 stay in a block, the others
-    # move whole blocks; at L <= 10 the default blocks hold the whole vector
-    psi = random_state(L, np.random.default_rng(SEED + L))
-    whole = apply_hamiltonian(L, psi)
-    monkeypatch.setattr(tfim, "_BLOCK_BITS", 2)
-    blocked = apply_hamiltonian(L, psi)
-    assert blocked.dtype == psi.dtype
-    assert np.max(np.abs(dense_hamiltonian(L) @ psi - blocked)) < 1e-12
-    assert np.array_equal(blocked, whole)
+    for L in range(2, 11):
+        psi = random_state(L, rng)
+        assert np.max(np.abs(dense_hamiltonian(L) @ psi - apply_hamiltonian(L, psi))) < 1e-12
 
 
 def test_L2_dense_energy():
@@ -181,6 +168,21 @@ def test_cli_ground_loads_no_scipy(tmp_path):
     assert os.listdir(tmp_path / "cache") == [os.path.basename(tfim.cache_path("", 12))]
 
 
+def test_cli_ground_never_expands_the_state(tmp_path, monkeypatch):
+    # a cold `renyimi ground` solves, checks and writes the sector vector alone
+    def no_expand(*args):
+        raise AssertionError("the 2^L state was expanded")
+
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("L = 12\n")
+    with monkeypatch.context() as m:
+        m.setattr(tfim, "_expand", no_expand)
+        assert cli.main(["ground", "--config", str(cfg_file), "--cache-dir", str(tmp_path)]) == 0
+    path = tfim.cache_path(str(tmp_path), 12)
+    assert os.path.getsize(path) == 20 + 8 * len(_sector_basis(12)[0])
+    assert np.array_equal(load_ground_state(path).state, ground_state(12).state)
+
+
 @lru_cache(maxsize=None)
 def _solve(L, method):
     """(energy, state) from the sector solver ("lanczos") or the dense oracle ("dense")."""
@@ -203,6 +205,15 @@ def test_residual_bound_L12():
     assert res.residual <= 1e-8
     hpsi = apply_hamiltonian(12, res.state)
     assert np.linalg.norm(hpsi - res.energy * res.state) <= 1e-8
+
+
+@pytest.mark.parametrize("L", [3, 4, 7, 10, 11, 16, 20])
+def test_expanded_state_is_an_eigenvector_in_the_full_space(L):
+    # the solve bounds the sector residual; the expansion is checked here, on
+    # the dense (L <= 10) and Lanczos branches and on odd and even L
+    res = ground_state(L)
+    psi = res.state
+    assert np.linalg.norm(apply_hamiltonian(L, psi) - res.energy * psi) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -368,10 +379,10 @@ def test_sector_product_matches_the_csr_reference(L, monkeypatch):
 
 
 def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
+        return f(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -380,14 +391,16 @@ def test_sector_basis_holds_no_label_table():
     # the labels are canonicalised in blocks, so the pass holds the
     # representatives (1/40 of the labels at L=20) and a few blocks
     L = 20
-    assert _traced_peak(_sector_basis, L) < 0.25 * 8 * 2**L
+    assert _traced_peak(_sector_basis, L)[1] < 0.25 * 8 * 2**L
 
 
 def test_ground_state_holds_one_state_sized_array():
-    # the expanded state, and before it the flip table and the Lanczos
-    # basis; no 2^L table, no |psi| copy for the sign
+    # the flip table (half a state) and the 21-row Lanczos basis; no 2^L
+    # table, and no expanded state: `ground_state` returns the sector vector
     L = 18
-    assert _traced_peak(ground_state, L) < 2.5 * 8 * 2**L
+    res, peak = _traced_peak(ground_state, L)
+    assert peak < 2.0 * 8 * 2**L
+    assert "state" not in vars(res)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -401,56 +414,60 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_residual_is_the_norm_of_the_residual_vector(tmp_path, monkeypatch):
+    # a record perturbed off the eigenvector, still inside the bound: the
+    # sector residual it loads with is the full-space ||H psi - E psi|| of
+    # its expanded state, which the rounding of either side cannot reach
     L = 12
     res = ground_state(L)
+    amp = res.amp.copy()
+    amp[1] += 1e-10
     path = tmp_path / "gs.bin"
-    save_ground_state(path, res)
-    monkeypatch.setattr(tfim, "_BLOCK_BITS", 5)  # 128 blocks
+    save_ground_state(path, GroundStateResult(L, res.energy, 0.0, res.reps, amp))
+    monkeypatch.setattr(tfim, "_BLOCK_BITS", 5)  # blocks of 32 sector rows
     loaded = load_ground_state(path)
-    hpsi = apply_hamiltonian(L, res.state)
-    assert abs(loaded.residual - np.linalg.norm(hpsi - res.energy * res.state)) <= 1e-15
+    psi = loaded.state
+    full = np.linalg.norm(apply_hamiltonian(L, psi) - res.energy * psi)
+    assert 1e-11 < loaded.residual <= 1e-8
+    assert abs(loaded.residual - full) <= 1e-4 * full
 
 
 def test_solve_and_load_report_one_residual(tmp_path):
-    # the solve and the load share one blocked residual pass over the same
-    # state bytes and header energy, so they agree to the last bit
+    # the solve and the load share one sector residual over the same
+    # amplitude bytes and header energy, so they agree to the last bit
     res = ground_state(16)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     assert load_ground_state(path).residual == res.residual
 
 
-def test_cache_load_holds_no_state_sized_temporary(tmp_path, monkeypatch):
-    L = 16
+def test_cache_load_holds_no_state_sized_temporary(tmp_path):
+    L = 20
     res = ground_state(L)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
-    monkeypatch.setattr(tfim, "_BLOCK_BITS", 12)
-    tracemalloc.start()
-    try:
-        loaded = load_ground_state(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = _traced_peak(load_ground_state, path)
+    assert "state" not in vars(loaded)
+    # the rebuilt flip table (L * dim intp entries, half a state) and the
+    # residual's sector vectors; the state is expanded only when read
+    assert peak <= 0.85 * 8 * 2**L
     assert np.array_equal(loaded.state, res.state)
-    # the loaded state itself, and the residual's blocks of 2^12 labels
-    assert peak <= 1.25 * res.state.nbytes
 
 
 def test_cache_file_byte_layout(tmp_path):
-    # magic, version u32, L u32, energy f64, then real f64 amplitudes, little-endian
+    # magic, version u32, L u32, energy f64, then one real f64 amplitude per
+    # orbit of the sector basis, little-endian
     res = ground_state(3)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     raw = path.read_bytes()
     assert raw[:4] == b"TFGS"
     version, L = struct.unpack("<II", raw[4:12])
-    assert (version, L) == (4, 3)
+    assert (version, L) == (5, 3)
     (energy,) = struct.unpack("<d", raw[12:20])
     assert energy == res.energy
-    (amp0,) = struct.unpack("<d", raw[20:28])
-    assert amp0 == res.state[0]
-    assert len(raw) == 20 + 8 * 2**3
+    dim = len(_sector_basis(3)[0])
+    assert raw[20:] == np.asarray(res.amp, dtype="<f8").tobytes()
+    assert len(raw) == 20 + 8 * dim
 
 
 def test_cache_rejects_version_1_record(tmp_path):
@@ -464,7 +481,8 @@ def test_cache_rejects_version_1_record(tmp_path):
 
 def test_cache_refuses_complex_state(tmp_path):
     path = tmp_path / "gs.bin"
-    bad = GroundStateResult(energy=0.0, state=np.full(8, 1j / np.sqrt(8)), residual=0.0)
+    res = ground_state(3)
+    bad = GroundStateResult(3, res.energy, 0.0, res.reps, res.amp * 1j)
     with pytest.raises(ValueError, match="real amplitudes"):
         save_ground_state(path, bad)
     assert not path.exists()
@@ -477,17 +495,22 @@ def test_cache_rejects_bad_magic(tmp_path):
         load_ground_state(path)
 
 
-def test_cache_rejects_truncated_file(tmp_path):
+def test_cache_rejects_truncated_file(tmp_path, monkeypatch):
     res = ground_state(4)
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     data = path.read_bytes()
     # inside the amplitudes, inside the energy field, a partial trailing
-    # amplitude, a header that claims 2^(2^32 - 1) amplitudes
-    huge = data[:8] + struct.pack("<I", 2**32 - 1) + data[12:]
-    for bad in (data[: len(data) - 16], data[:15], data + b"\0" * 3, huge):
+    # amplitude; then headers of L = 2^32 - 1, 2 and 25, refused before a
+    # sector basis is built
+    for bad in (data[: len(data) - 16], data[:15], data + b"\0" * 3):
         path.write_bytes(bad)
         with pytest.raises(ValueError):
+            load_ground_state(path)
+    monkeypatch.setattr(tfim, "_sector_basis", None)  # a call raises TypeError
+    for L in (2**32 - 1, 2, 25):
+        path.write_bytes(data[:8] + struct.pack("<I", L) + data[12:])
+        with pytest.raises(ValueError, match=f"L={L} outside"):
             load_ground_state(path)
 
 
@@ -496,7 +519,7 @@ def test_cache_rejects_a_record_past_the_residual_bound(tmp_path):
     path = tmp_path / "gs.bin"
     save_ground_state(path, res)
     raw = bytearray(path.read_bytes())
-    raw[20:28] = struct.pack("<d", res.state[0] + 1e-3)  # the first amplitude
+    raw[20:28] = struct.pack("<d", res.amp[0] + 1e-3)  # the first orbit amplitude
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="residual .* above bound"):
         load_ground_state(path)
@@ -504,9 +527,10 @@ def test_cache_rejects_a_record_past_the_residual_bound(tmp_path):
 
 def test_failed_cache_write_keeps_old_record(tmp_path):
     path = tmp_path / "gs.bin"
-    save_ground_state(path, ground_state(3))
+    res = ground_state(3)
+    save_ground_state(path, res)
     before = path.read_bytes()
-    bad = GroundStateResult(energy=0.0, state=np.array([object()] * 8), residual=0.0)
+    bad = GroundStateResult(3, 0.0, 0.0, res.reps, np.array([object()] * len(res.reps)))
     with pytest.raises(TypeError):
         save_ground_state(path, bad)
     assert path.read_bytes() == before
