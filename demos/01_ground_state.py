@@ -55,11 +55,14 @@ print()
 print("=" * 70)
 print("Symmetry sector and the cache file")
 print("=" * 70)
-res = ground_state(10)  # solved on the momentum-0, flip-even sector
+res = ground_state(10)  # solved on the momentum-0, flip-even, reflection-even sector
 shift_err = np.max(np.abs(translate(res.state, 3) - res.state))
 flip_err = np.max(np.abs(res.state[::-1] - res.state))  # index s ^ (2^L - 1) is 2^L - 1 - s
+# site j -> L-1-j reverses the bit order of each label: the axes of the (2,)*L tensor
+reflect_err = np.max(np.abs(res.state.reshape((2,) * 10).transpose().ravel() - res.state))
 print(f"L=10 ground state ({res.state.dtype}): residual {res.residual:.2e}, "
-      f"translation error {shift_err:.2e}, flip error {flip_err:.2e}")
+      f"translation error {shift_err:.2e}, flip error {flip_err:.2e}, "
+      f"reflection error {reflect_err:.2e}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "gs.bin")

@@ -273,8 +273,8 @@ def cached_ground_state(L, cache_dir="cache"):
     """Ground state with on-disk reuse; returns (result, cache_hit).
 
     Neither a hit nor a miss forms the 2^L state.  A record of another L or
-    format version, such as version 4 with the 2^L amplitudes, is a miss; it
-    is overwritten.  A cache_dir or a record path that cannot be used is a
+    format version, such as version 4 with the 2^L amplitudes or version 5
+    with the shift-and-flip sector's, is a miss; it is overwritten.  A cache_dir or a record path that cannot be used is a
     ConfigError, raised before any solve.
     """
     try:

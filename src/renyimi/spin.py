@@ -150,6 +150,26 @@ def _rotate(labels, L, out=None, spare=None):
     return out
 
 
+def _reverse(labels, L):
+    """Each L-bit label with its sites in reverse order, bit j to bit L - 1 - j (L <= 32).
+
+    A swap network on a uint32 copy, in place through one spare array: the
+    adjacent bits, pairs, nibbles, bytes and halves trade places, and the
+    reversed word is shifted down to its low L bits.
+    """
+    x = labels.astype(np.uint32)
+    t = np.empty_like(x)
+    for k, m in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F), (8, 0x00FF00FF), (16, 0xFFFF)):
+        np.right_shift(x, k, out=t)
+        t &= m
+        x &= m
+        x <<= k
+        x |= t
+    del t  # before the cast: `_expand` reverses its labels beside a whole state
+    x >>= 32 - L
+    return x.astype(labels.dtype)
+
+
 def _canonical(labels, L):
     """The least of the L cyclic shifts of each L-bit label and of their complements.
 
@@ -180,9 +200,9 @@ def _sector_basis(L):
     representative has its top bit 0, and the labels below 2^(L-1) are
     tested in blocks: no table of 2^L labels is formed.  An orbit's size is
     2L over the number of shifts, and shifted complements, that fix its
-    representative.  The representatives label the momentum-0, flip-even
-    sector of the `tfim` solver and the X-strings of the whole-chain
-    Pauli-weight histogram in `entropy`.  They are int32, which holds every
+    representative.  The representatives label the X-strings of the
+    whole-chain Pauli-weight histogram in `entropy`, and `tfim` folds their
+    orbits in pairs under the site reversal into its solver's sector.  They are int32, which holds every
     label up to L = 31.
     """
     n = 1 << min(L - 1, _LABEL_BLOCK_BITS)

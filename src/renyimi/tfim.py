@@ -3,15 +3,17 @@
 The couplings are fixed at unit strength, so the chain is its length L:
 every function here takes the integer L, as `renyimi.oracle` and
 `experiments.cached_ground_state` do.  The ground state lies in the
-momentum-0, spin-flip-even (prod X = +1) sector.  `ground_state`, the one
-solver function, builds that sector from its orbit representatives alone
-(about 2^L / 2L states; no table of 2^L labels), solves it by a thick-restart
+momentum-0, spin-flip-even (prod X = +1) sector, and it is even under the
+site reversal j -> L - 1 - j, which commutes with H too.  `ground_state`, the
+one solver function, builds the sector of the shifts, the complement and the
+reversal from its orbit representatives alone (about 2^L / 4L states; no
+table of 2^L labels), solves it by a thick-restart
 Lanczos method on its bond diagonal and site-flip table (numpy alone, no stored
 matrix, a fixed start vector: bit-reproducible), fixes the sign on the sector
 vector and returns one amplitude per orbit, which is also the cache record.
 `GroundStateResult.state` expands them on first read to the 2^L float64
-amplitudes, real and exactly shift- and flip-invariant by construction.  The
-full-space checks are `renyimi.oracle.dense_ground_state` and `apply_hamiltonian`.
+amplitudes, real and exactly shift-, flip- and reversal-invariant by
+construction.  The full-space checks are `renyimi.oracle.dense_ground_state` and `apply_hamiltonian`.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .spin import _LABEL_BLOCK_BITS, _canonical, _rotate, _sector_basis
+from .spin import _LABEL_BLOCK_BITS, _canonical, _reverse, _rotate, _sector_basis
 
 LANCZOS_MAX_SITES = 24
 _LANCZOS_SEED = 8899
-_SECTOR_DENSE_DIM = 64  # smaller sectors (L <= 10) take a dense eigh
+_SECTOR_DENSE_DIM = 64  # smaller sectors (L <= 11) take a dense eigh
 _LANCZOS_NCV = 20  # Lanczos basis rows before a restart, ARPACK's default for two levels
-_LANCZOS_TOL = 1e-13  # relative Ritz tolerance: 83 sector products at L=20, 92 at 22, 101 at 24
+# relative Ritz tolerance: 83 sector products at L=20, 92 at 22, 101 at 24, as at
+# 1e-13, but one more restart at L=15, whose ground residual read 2.5e-13 there
+_LANCZOS_TOL = 1e-14
 _LANCZOS_MAX_PRODUCTS = 2000  # sector products before the solve gives up
 _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
 # sector rows per block, in bits, of `_sector_product`'s flip gathers and of
@@ -39,7 +43,7 @@ _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
 _BLOCK_BITS = 14
 
 CACHE_MAGIC = b"TFGS"
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 _CACHE_HEADER = struct.Struct("<4sIId")  # magic, version, L, energy
 
 
@@ -50,7 +54,7 @@ class LanczosError(RuntimeError):
 @dataclass(frozen=True)
 class GroundStateResult:
     """A ground state of the ring of L sites as its sector vector: the orbit
-    representatives `reps` of `_sector_basis(L)` and the sign-fixed amplitude
+    representatives `reps` of `_dihedral_basis(L)` and the sign-fixed amplitude
     `amp` of each orbit's labels.  `state`, the normalized 2^L float64
     amplitudes, is expanded on first read and kept."""
 
@@ -78,18 +82,50 @@ def _bond_diagonal(L, labels):
     return diag
 
 
-def _sector_hamiltonian(L, reps, orbit):
+def _dihedral_basis(L):
+    """Orbits of the L-bit labels under the shifts, the complement and the reversal R.
+
+    Returns the representatives, sorted, the orbit sizes and `index`, which
+    takes `_canonical` labels (and overwrites them) to the index of their
+    orbit.  The orbits are folded from those of `_sector_basis`: the mirror
+    of a representative r is the index of `_canonical(R r)`, and r is kept
+    when its index is at most its mirror's, so it is the least label of its
+    orbit.  The orbit size is 4L over the stabiliser: the `_sector_basis`
+    size, doubled when R r lies in another `_sector_basis` orbit.  `index`
+    reads the rank of a label in a bitmap of the `_sector_basis`
+    representatives, all below 2^(L-1) (prefix popcounts of its uint64
+    words, then the bits below), through the map `dmap` of each to its
+    kept representative's index.
+    """
+    sf, sf_orbit = _sector_basis(L)
+    words = np.zeros(((1 << (L - 1)) + 63) >> 6, dtype=np.uint64)
+    np.bitwise_or.at(words, sf >> 6, np.left_shift(np.uint64(1), (sf & 63).astype(np.uint64)))
+    counts = np.bitwise_count(words)
+    below = np.cumsum(counts, dtype=np.int32) - counts
+
+    def rank(q):
+        low = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
+        low -= 1
+        q >>= 6  # now the index of the label's word
+        low &= words[q]
+        return below[q] + np.bitwise_count(low)
+
+    own = np.arange(len(sf), dtype=np.int32)
+    mirror = rank(_canonical(_reverse(sf, L), L))
+    keep = own <= mirror
+    dmap = (np.cumsum(keep, dtype=np.int32) - 1)[np.minimum(own, mirror)]
+    orbit = (sf_orbit * (1 + (mirror != own)))[keep]
+    return sf[keep], orbit, lambda q: dmap[rank(q)]
+
+
+def _sector_hamiltonian(L, reps, orbit, index):
     """H = D - S A S^-1 on the normalised orbit sums, as (diag, flips, sq).
 
     D is the bond diagonal, S = diag(sq) the square roots of the orbit sizes and A
-    the 0/1 site-flip adjacency: flips[j, i] is the rank of `_canonical(reps[i] ^ 1 << j)`
-    (an orbit met twice counts twice) in a bitmap of the labels below 2^(L-1), where
-    every representative lies: prefix popcounts of its uint64 words, then the bits below.
+    the 0/1 site-flip adjacency: flips[j, i] is the orbit `index` of
+    `_canonical(reps[i] ^ 1 << j)` (an orbit met twice counts twice), for the
+    representatives, sizes and `index` of `_dihedral_basis`.
     """
-    words = np.zeros(((1 << (L - 1)) + 63) >> 6, dtype=np.uint64)
-    np.bitwise_or.at(words, reps >> 6, np.left_shift(np.uint64(1), (reps & 63).astype(np.uint64)))
-    counts = np.bitwise_count(words)
-    below = np.cumsum(counts, dtype=np.int32) - counts
     flips = np.empty((L, len(reps)), dtype=np.intp)  # intp: `take` converts any other index type
     # flips per `_canonical` call, up to one block of its labels: the L=9 table took
     # 1.1 ms with one call per flip and 0.35 ms with one call (fresh processes)
@@ -97,12 +133,7 @@ def _sector_hamiltonian(L, reps, orbit):
     for j in range(0, L, step):
         rows = flips[j : j + step]
         bits = np.left_shift(1, np.arange(j, j + len(rows), dtype=reps.dtype))
-        q = _canonical(np.bitwise_xor(reps, bits[:, None]).ravel(), L)
-        low = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
-        low -= 1
-        q >>= 6  # now the index of the label's word
-        low &= words[q]
-        np.add(below[q], np.bitwise_count(low), out=rows.reshape(-1))
+        rows.reshape(-1)[:] = index(_canonical(np.bitwise_xor(reps, bits[:, None]).ravel(), L))
     return _bond_diagonal(L, reps), flips, np.sqrt(orbit.astype(np.float64))
 
 
@@ -124,20 +155,25 @@ def _sector_product(h, v):
 
 
 def _expand(L, reps, amp):
-    """The 2^L amplitudes that hold amp[i] on every label of orbit i of `_sector_basis`.
+    """The 2^L amplitudes that hold amp[i] on every label of orbit i of `_dihedral_basis`.
 
-    amp is scattered to the L shifts of each representative, each folded
-    into the low half of the labels by the complement (min(s, s ^ mask));
+    amp is scattered to the L shifts of each representative and then to
+    those of its reversal, each folded into the low half of the labels by
+    the complement (min(s, s ^ mask)), through two reused label buffers;
     the high half is then the low half reversed, as psi(s^) = psi(s) and
     s ^ mask = mask - s.
     """
     mask = (1 << L) - 1
     psi = np.empty(1 << L)
     low = psi[: 1 << (L - 1)]
-    cur = reps
-    for _ in range(L):
-        low[np.minimum(cur, cur ^ mask)] = amp
-        cur = _rotate(cur, L)
+    cur, spare = reps.copy(), np.empty_like(reps)
+    for _ in range(2):
+        for _ in range(L):
+            np.bitwise_xor(cur, mask, out=spare)
+            np.minimum(cur, spare, out=spare)
+            low[spare] = amp
+            _rotate(cur, L, out=cur, spare=spare)
+        cur = _reverse(cur, L)  # L shifts took cur back to reps
     psi[len(low) :] = low[::-1]
     return psi
 
@@ -209,9 +245,10 @@ def _lanczos(h, v0):
 def ground_state(L) -> GroundStateResult:
     """Lowest eigenpair of the ring of L sites, solved in its symmetry sector (3 <= L <= 24).
 
-    `_lanczos`, from a fixed start vector, solves the momentum-0, flip-even
-    sector; sectors below _SECTOR_DENSE_DIM states take a dense `eigh` of
-    the `_sector_product` of the identity.  The energy is the unit sector
+    `_lanczos`, from a fixed start vector, solves the momentum-0, flip-even,
+    reversal-even sector of `_dihedral_basis`; sectors below
+    _SECTOR_DENSE_DIM states take a dense `eigh` of the `_sector_product` of
+    the identity.  The energy is the unit sector
     vector's Rayleigh quotient.  The sign is read on the sector: an orbit's
     labels share its amplitude and its representative is its least label, so
     the first largest |amp| is the first largest |psi| (the sector matrix is
@@ -227,8 +264,8 @@ def ground_state(L) -> GroundStateResult:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
     if L > LANCZOS_MAX_SITES:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
-    reps, orbit = _sector_basis(L)
-    h = _sector_hamiltonian(L, reps, orbit)
+    reps, orbit, index = _dihedral_basis(L)
+    h = _sector_hamiltonian(L, reps, orbit, index)
     if len(reps) < _SECTOR_DENSE_DIM:
         theta, vecs = np.linalg.eigh(_sector_product(h, np.eye(len(reps))))
     else:
@@ -297,13 +334,13 @@ def load_ground_state(path) -> GroundStateResult:
             raise ValueError(f"{path}: unsupported version {version}")
         if not 3 <= L <= LANCZOS_MAX_SITES:
             raise ValueError(f"{path}: L={L} outside 3..{LANCZOS_MAX_SITES}")
-        reps, orbit = _sector_basis(L)
+        reps, orbit, index = _dihedral_basis(L)
         # the file size decides, before any read: np.fromfile would drop a partial amplitude
         size = os.fstat(fh.fileno()).st_size
         if size != _CACHE_HEADER.size + 8 * len(reps):
             raise ValueError(f"{path}: expected {len(reps)} amplitudes, found {size} bytes")
         amp = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
-    residual = _sector_residual(_sector_hamiltonian(L, reps, orbit), amp, energy)
+    residual = _sector_residual(_sector_hamiltonian(L, reps, orbit, index), amp, energy)
     if not residual <= _RESIDUAL_BOUND:  # nan fails as well
         raise ValueError(f"{path}: residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
     return GroundStateResult(L=L, energy=energy, residual=residual, reps=reps, amp=amp)

@@ -243,7 +243,7 @@ def test_cached_ground_state_rewrites_version_2_record(tmp_path):
     assert not hit
     assert result.state.dtype == np.float64
     raw = Path(path).read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (5,)
+    assert struct.unpack("<I", raw[4:8]) == (6,)
     assert len(raw) == 20 + 8 * len(result.amp)
     assert cached_ground_state(6, cache_dir=str(tmp_path))[1]
 
@@ -263,9 +263,29 @@ def test_cached_ground_state_rewrites_version_3_record(tmp_path):
         assert not hit
         assert np.array_equal(result.state, fresh.state)
         raw = Path(path).read_bytes()
-        assert struct.unpack("<4sIId", raw[:20]) == (b"TFGS", 5, 6, fresh.energy)
+        assert struct.unpack("<4sIId", raw[:20]) == (b"TFGS", 6, 6, fresh.energy)
         assert len(raw) == 20 + 8 * len(fresh.amp)
         assert cached_ground_state(6, cache_dir=str(tmp_path))[1]
+
+
+def test_cached_ground_state_rewrites_version_5_record(tmp_path):
+    # version 5 held one amplitude per orbit of the shift-and-flip sector, 20 + 8 * 180
+    # bytes at L=12; the record is a miss and is overwritten with version 6
+    from renyimi.spin import _sector_basis
+
+    L = 12
+    fresh, _ = cached_ground_state(L, cache_dir=str(tmp_path))
+    path = experiments.cache_path(str(tmp_path), L)
+    reps, _ = _sector_basis(L)
+    head = struct.pack("<4sIId", b"TFGS", 5, L, fresh.energy)
+    Path(path).write_bytes(head + np.ascontiguousarray(fresh.state[reps], dtype="<f8").tobytes())
+    result, hit = cached_ground_state(L, cache_dir=str(tmp_path))
+    assert not hit
+    assert np.array_equal(result.state, fresh.state)
+    raw = Path(path).read_bytes()
+    assert struct.unpack("<4sIId", raw[:20]) == (b"TFGS", 6, L, fresh.energy)
+    assert len(raw) == 20 + 8 * len(fresh.amp) < 20 + 8 * len(reps)
+    assert cached_ground_state(L, cache_dir=str(tmp_path))[1]
 
 
 def test_run_case1_outputs(tmp_path):

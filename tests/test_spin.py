@@ -4,7 +4,7 @@ import pytest
 from conftest import SEED, bell_state, kron_chain, random_state, zero_state
 from renyimi import Bipartition, rotate_to_basis, translate, window_coefficient_matrix
 from renyimi.oracle import BASIS_COLUMNS, PAULIS
-from renyimi.spin import num_sites
+from renyimi.spin import _reverse, num_sites
 
 
 def test_rotate_z_is_identity():
@@ -157,3 +157,13 @@ def test_window_coefficient_matrix_interior_window():
 def test_num_sites_rejects_bad_length():
     with pytest.raises(ValueError):
         num_sites(np.zeros(3))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8, 13, 20, 24, 31])
+def test_reverse_matches_the_reversed_bit_string(L):
+    # every label at L <= 13, random int32 labels above; site j goes to site L - 1 - j
+    rng = np.random.default_rng(SEED + L)
+    labels = np.arange(2**L, dtype=np.int32) if L <= 13 else rng.integers(0, 2**L, 4096, np.int32)
+    rev = _reverse(labels, L)
+    assert rev.dtype == labels.dtype
+    assert rev.tolist() == [int(format(x, f"0{L}b")[::-1], 2) for x in labels.tolist()]

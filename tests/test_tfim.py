@@ -19,8 +19,8 @@ from renyimi import (
     translate,
 )
 from renyimi.oracle import apply_hamiltonian, dense_ground_state, dense_hamiltonian
-from renyimi.spin import _canonical, _rotate
-from renyimi.tfim import _SECTOR_DENSE_DIM, _sector_basis
+from renyimi.spin import _canonical, _reverse, _rotate
+from renyimi.tfim import _SECTOR_DENSE_DIM, _dihedral_basis, _sector_basis
 
 
 def test_apply_h_on_all_zeros_L4():
@@ -84,7 +84,7 @@ def test_lanczos_no_convergence_raises_lanczos_error(monkeypatch):
     # the CLI maps LanczosError to exit code 3; the real solver runs into its product cap
     monkeypatch.setattr(tfim, "_LANCZOS_MAX_PRODUCTS", tfim._LANCZOS_NCV)
     L = 12  # smaller sectors take the dense eigh and never reach the Lanczos solver
-    assert len(_sector_basis(L)[0]) >= _SECTOR_DENSE_DIM
+    assert len(_dihedral_basis(L)[0]) >= _SECTOR_DENSE_DIM
     with pytest.raises(LanczosError, match="no convergence"):
         ground_state(L)
 
@@ -141,7 +141,7 @@ def test_cli_ground_nan_solve_exits_3_and_writes_no_record(tmp_path, capsys, mon
 @pytest.mark.parametrize("L", range(11, 15))
 def test_lanczos_matches_dense_sector_eigh(L):
     # the two levels of the sector matrix, and Ritz vectors at the tolerance
-    h = tfim._sector_hamiltonian(L, *_sector_basis(L))
+    h = tfim._sector_hamiltonian(L, *_dihedral_basis(L))
     dim = len(h[0])
     theta, vecs = tfim._lanczos(h, np.random.default_rng(SEED + L).standard_normal(dim))
     exact = np.linalg.eigh(tfim._sector_product(h, np.eye(dim)))[0][:2]
@@ -179,7 +179,7 @@ def test_cli_ground_never_expands_the_state(tmp_path, monkeypatch):
         m.setattr(tfim, "_expand", no_expand)
         assert cli.main(["ground", "--config", str(cfg_file), "--cache-dir", str(tmp_path)]) == 0
     path = tfim.cache_path(str(tmp_path), 12)
-    assert os.path.getsize(path) == 20 + 8 * len(_sector_basis(12)[0])
+    assert os.path.getsize(path) == 20 + 8 * len(_dihedral_basis(12)[0])
     assert np.array_equal(load_ground_state(path).state, ground_state(12).state)
 
 
@@ -268,6 +268,20 @@ def test_lanczos_state_is_shift_and_flip_invariant(L):
     assert np.max(np.abs(psi[::-1] - psi)) <= 1e-12
 
 
+@pytest.mark.parametrize("L", [7, 12, 16])
+def test_lanczos_state_is_exactly_reversal_even(L):
+    # psi(R s) = psi(s) to the bit, R the site reversal j -> L - 1 - j
+    _, psi = _solve(L, "lanczos")
+    assert np.array_equal(psi[_reverse(np.arange(2**L), L)], psi)
+
+
+@pytest.mark.parametrize("L, dim", [(10, 44), (11, 63), (12, 122), (20, 13648), (24, 176906)])
+def test_dihedral_sector_dimension(L, dim):
+    # about 2^L / 4L states, half the shift-and-flip sector; L <= 11 takes the dense eigh
+    assert len(_dihedral_basis(L)[0]) == dim
+    assert (dim < _SECTOR_DENSE_DIM) == (L <= 11)
+
+
 @pytest.mark.parametrize("method, L", [("dense", 6), ("lanczos", 6), ("lanczos", 14)])
 def test_ground_state_is_float64(method, L):
     assert _solve(L, method)[1].dtype == np.float64
@@ -285,37 +299,48 @@ def test_sector_basis_counts_every_state_once():
     assert np.all(2 * L % orbit == 0)  # each orbit size divides the group order 2L
 
 
-def _table_sector_basis(L):
+def _table_sector_basis(L, reversal=False):
     """The orbits through a table of all 2^L labels: representatives, the orbit
-    index of every label, orbit sizes.  The reference for the table-free basis."""
+    index of every label, orbit sizes.  The group is the shifts and the
+    complement, and with `reversal` the site reversal as well (its images
+    are read off the reversed bit strings).  The reference for the table-free bases."""
     mask = 2**L - 1
-    cur = np.arange(2**L, dtype=np.int32)
-    rep = np.full_like(cur, mask)
-    tmp = np.empty_like(cur)
-    for _ in range(L):
-        np.minimum(rep, cur, out=rep)
-        np.bitwise_xor(cur, mask, out=tmp)
-        np.minimum(rep, tmp, out=rep)
-        # rotate cur by one site in place; after L rotations it is 0 .. 2^L - 1 again
-        np.bitwise_and(cur, 1, out=tmp)
-        tmp <<= L - 1
-        cur >>= 1
-        cur |= tmp
-    reps = np.flatnonzero(rep == cur).astype(np.int32)
+    starts = [np.arange(2**L, dtype=np.int32)]
+    rep = np.full_like(starts[0], mask)
+    tmp = np.empty_like(starts[0])
+    if reversal:
+        starts.append(np.array([int(format(x, f"0{L}b")[::-1], 2) for x in range(2**L)], np.int32))
+    for cur in starts:
+        for _ in range(L):
+            np.minimum(rep, cur, out=rep)
+            np.bitwise_xor(cur, mask, out=tmp)
+            np.minimum(rep, tmp, out=rep)
+            # rotate cur by one site in place; after L rotations it is back where it began
+            np.bitwise_and(cur, 1, out=tmp)
+            tmp <<= L - 1
+            cur >>= 1
+            cur |= tmp
+    labels = starts[0]
+    reps = np.flatnonzero(rep == labels).astype(np.int32)
     tmp[reps] = np.arange(len(reps), dtype=np.int32)
-    sidx = np.take(tmp, rep, out=cur)
+    sidx = np.take(tmp, rep, out=labels)
     return reps, sidx, np.bincount(sidx, minlength=len(reps))
 
 
 @pytest.mark.parametrize("L", range(3, 13))
 def test_sector_basis_matches_the_label_table(L):
-    # odd and even L: the same orbits, Hamiltonian entries and expanded
-    # amplitudes as the construction that indexes every label
-    reps_t, sidx, orbit_t = _table_sector_basis(L)
+    # odd and even L: the same orbits as the construction that indexes every
+    # label, and for the dihedral sector the same Hamiltonian entries and
+    # expanded amplitudes
+    reps_t, _, orbit_t = _table_sector_basis(L)
     reps, orbit = _sector_basis(L)
     assert np.array_equal(reps, reps_t) and reps.dtype == reps_t.dtype
     assert np.array_equal(orbit, orbit_t)
-    diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit)
+    reps_t, sidx, orbit_t = _table_sector_basis(L, reversal=True)
+    reps, orbit, index = _dihedral_basis(L)
+    assert np.array_equal(reps, reps_t) and reps.dtype == reps_t.dtype
+    assert np.array_equal(orbit, orbit_t)
+    diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit, index)
     antiparallel = np.bitwise_count(reps ^ ((reps >> 1) | ((reps & 1) << (L - 1))))
     cols = np.stack([sidx[reps ^ (1 << j)] for j in range(L)])
     assert flips.shape == (L, len(reps)) and flips.dtype == np.intp
@@ -326,9 +351,32 @@ def test_sector_basis_matches_the_label_table(L):
     assert tfim._expand(L, reps, amp).tobytes() == amp[sidx].tobytes()
 
 
+@pytest.mark.parametrize("L", range(3, 13))
+def test_dihedral_basis_partitions_the_labels(L):
+    # brute force: the 4L images of every label under the shifts, the
+    # complement and the reversal, each found on the bit strings
+    def shifts(s):
+        return [s[k:] + s[:k] for k in range(L)]
+
+    def images(x):
+        s = format(x, f"0{L}b")
+        t = s.translate(str.maketrans("01", "10"))
+        return {int(y, 2) for y in shifts(s) + shifts(t) + shifts(s[::-1]) + shifts(t[::-1])}
+
+    reps, orbit, _ = _dihedral_basis(L)
+    orbits = {min(images(x)): images(x) for x in range(2**L)}
+    assert sorted(orbits) == reps.tolist()  # each representative is the least label of its orbit
+    assert [len(orbits[r]) for r in reps.tolist()] == orbit.tolist()
+    assert sum(orbit.tolist()) == 2**L
+    # the orbits are disjoint, so every label lies in exactly one of them
+    assert sorted(x for o in orbits.values() for x in o) == list(range(2**L))
+    assert np.all(4 * L % orbit == 0)  # each orbit size divides the group order 4L
+
+
 def _searchsorted_sector_hamiltonian(L, reps, orbit):
-    """The sector CSR with each flipped label's column found by binary search in
-    the sorted representatives.  The reference for the bitmap rank."""
+    """The dihedral sector's CSR with each flipped label's column found by binary
+    search in the sorted representatives, after the least of the `_canonical`
+    forms of the label and of its reversal.  The reference for the bitmap rank."""
     from scipy.sparse import csr_matrix
 
     dim = len(reps)
@@ -338,7 +386,10 @@ def _searchsorted_sector_hamiltonian(L, reps, orbit):
     cols[:, 0] = np.arange(dim)
     vals[:, 0] = tfim._bond_diagonal(L, reps)
     for j in range(L):
-        k = np.searchsorted(reps, _canonical(reps ^ (1 << j), L))
+        flipped = reps ^ (1 << j)
+        k = np.searchsorted(
+            reps, np.minimum(_canonical(flipped, L), _canonical(_reverse(flipped, L), L))
+        )
         cols[:, j + 1] = k
         vals[:, j + 1] = -sq / sq[k]
     indptr = np.arange(0, dim * (L + 1) + 1, L + 1, dtype=np.int32)
@@ -347,8 +398,8 @@ def _searchsorted_sector_hamiltonian(L, reps, orbit):
 
 @pytest.mark.parametrize("L", range(3, 17))
 def test_sector_hamiltonian_rank_matches_binary_search(L):
-    reps, orbit = _sector_basis(L)
-    diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit)
+    reps, orbit, index = _dihedral_basis(L)
+    diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit, index)
     ref = _searchsorted_sector_hamiltonian(L, reps, orbit)
     cols = ref.indices.reshape(len(reps), L + 1)
     assert np.array_equal(ref.indptr, np.arange(0, cols.size + 1, L + 1))
@@ -364,8 +415,8 @@ def test_sector_product_matches_the_csr_reference(L, monkeypatch):
     # vector and on a block of them; each row within the rounding bound of
     # two sums of L + 2 terms, and blocks of 8 rows (the last one partial)
     # sum in the same order
-    reps, orbit = _sector_basis(L)
-    h = tfim._sector_hamiltonian(L, reps, orbit)
+    reps, orbit, index = _dihedral_basis(L)
+    h = tfim._sector_hamiltonian(L, reps, orbit, index)
     ref = _searchsorted_sector_hamiltonian(L, reps, orbit)
     rng = np.random.default_rng(SEED + L)
     for v in (rng.standard_normal(len(reps)), rng.standard_normal((len(reps), 3))):
@@ -401,6 +452,16 @@ def test_ground_state_holds_one_state_sized_array():
     res, peak = _traced_peak(ground_state, L)
     assert peak < 2.0 * 8 * 2**L
     assert "state" not in vars(res)
+
+
+def test_first_state_read_holds_no_label_temporary():
+    # the expansion writes the state through two label buffers of the
+    # sector's size (1/600 of a state each at L=20) and no per-shift temporaries
+    L = 20
+    res = ground_state(L)
+    psi, peak = _traced_peak(lambda: res.state)
+    assert psi is res.state
+    assert peak < 1.03 * 8 * 2**L
 
 
 def test_cache_roundtrip(tmp_path):
@@ -462,10 +523,10 @@ def test_cache_file_byte_layout(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"TFGS"
     version, L = struct.unpack("<II", raw[4:12])
-    assert (version, L) == (5, 3)
+    assert (version, L) == (6, 3)
     (energy,) = struct.unpack("<d", raw[12:20])
     assert energy == res.energy
-    dim = len(_sector_basis(3)[0])
+    dim = len(_dihedral_basis(3)[0])
     assert raw[20:] == np.asarray(res.amp, dtype="<f8").tobytes()
     assert len(raw) == 20 + 8 * dim
 
@@ -476,6 +537,18 @@ def test_cache_rejects_version_1_record(tmp_path):
     old = struct.pack("<4sIId", b"TFGS", 1, 3, res.energy)
     path.write_bytes(old + np.ascontiguousarray(res.state, dtype="<c16").tobytes())
     with pytest.raises(ValueError, match="unsupported version 1"):
+        load_ground_state(path)
+
+
+def test_cache_rejects_version_5_record(tmp_path):
+    # version 5 held one amplitude per orbit of the shift-and-flip sector
+    L = 12
+    res = ground_state(L)
+    reps, orbit = _sector_basis(L)
+    old = struct.pack("<4sIId", b"TFGS", 5, L, res.energy)
+    path = tmp_path / "gs.bin"
+    path.write_bytes(old + np.ascontiguousarray(res.state[reps], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="unsupported version 5"):
         load_ground_state(path)
 
 
