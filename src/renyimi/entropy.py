@@ -69,8 +69,10 @@ the sites where the string anticommutes with Z, and those where it
 anticommutes with Y.  It reads g_x[a] = G[a, a ^ x] off G's aligned
 blocks, one batched GEMM per block offset, halved by the flip as above;
 the whole chain of a real state whose `Symmetry` holds the shift and the
-flip (the ground state) transforms only the orbit representatives of the
-X-strings, about 2^L / 2L of them.  Twisted by (-1)^(x.a), g_x transforms
+flip, and which the site reversal fixes up to sign (the ground state),
+transforms only the orbit representatives of the X-strings under all three,
+about 2^L / 4L of them: the table of `spin._sector_basis` that the ground
+state is solved on.  Twisted by (-1)^(x.a), g_x transforms
 to the power of z ^ x at z, so every spectrum of cases 1 and 2 is binned
 by `_popcount_sums`, and `_fold_parity` puts back a flip-halved top bit.
 """
@@ -85,6 +87,7 @@ import numpy as np
 from .spin import (
     Bipartition,
     _factor,
+    _reverse,
     _sector_basis,
     _wht,
     num_sites,
@@ -538,22 +541,22 @@ def _gram_histogram(coeff, flip):
     return h / dim
 
 
-def _orbit_histogram(psi):
-    """Whole-chain Pauli-weight histogram of a real, shift- and flip-invariant state.
+def _orbit_histogram(psi, reps, orbit):
+    """Whole-chain Pauli weights of a real shift-invariant state that the flip and R fix up to sign.
 
     g_x[a] = psi[a] psi[a ^ x].  A shift of x shifts g_x, and so z, and
-    leaves every bin; the complement x~ has g_x~ = +-g_x, with |x~| = L - |x|
-    and |x~ ^ z| = L - |x ^ z|.  So each orbit representative x of
-    `_sector_basis` adds its powers at weight orbit/2 in its own bins and at
-    orbit/2 in its complement's, which is the whole histogram reversed along
-    both axes.  x has top bit 0, so `_twisted_bins` runs over L - 1 bits as
-    in `_gram_histogram`, with the orbit sizes as weights: the
-    representatives and the sizes are all it reads of the orbits.
+    leaves every bin; the reversal R of x reverses g_x and z, as psi(R a) =
+    +-psi(a), and leaves every bin too; the complement x~ has g_x~ = +-g_x,
+    with |x~| = L - |x| and |x~ ^ z| = L - |x ^ z|.  So each orbit
+    representative x of `_sector_basis` (`reps`, with the sizes `orbit`)
+    adds its powers at weight orbit/2 in its own bins and at orbit/2 in its
+    complement's, which is the whole histogram reversed along both axes.  x
+    has top bit 0, so `_twisted_bins` runs over L - 1 bits as in
+    `_gram_histogram`, with the orbit sizes as weights.
     """
     dim = psi.size
     L = dim.bit_length() - 1
     half = dim // 2
-    reps, orbit = _sector_basis(L)
     head = psi[:half]
     low = np.arange(half)
     h = np.zeros((L + 1, L))
@@ -589,9 +592,11 @@ class PauliWeightPlan:
     case 1 does (`_twisted_bins`, `_fold_parity`).  `algorithm` names the path:
 
       * chain_orbits: the whole chain of a real state whose `symmetry`
-        holds both the shift and the flip (the critical ground state)
-        transforms only the orbit representatives of the X-strings, over
-        L - 1 bits;
+        holds the shift and the flip, and which the site reversal R fixes
+        up to sign (the critical ground state), transforms the orbit
+        representatives of `_sector_basis` alone, about 2^L / 4L X-strings,
+        over L - 1 bits.  R is tested here on the representatives, weighted
+        by sqrt(orbit): the full 2-norm of psi(R a) -+ psi(a) on such a state;
       * gram_blocks: any other window or state forms g_x from G's aligned
         blocks by GEMM, over n - 1 bits on a flip-symmetric state.
 
@@ -604,9 +609,16 @@ class PauliWeightPlan:
         psi = np.asarray(state)
         self.window = (start, length)
         self.symmetry = sym = Symmetry.of(psi) if _symmetry is None else _symmetry
-        if length == num_sites(psi) and sym.flip and sym.translation and psi.dtype.kind == "f":
+        L = num_sites(psi)
+        chain = length == L and sym.flip and sym.translation and psi.dtype.kind == "f"
+        if chain:
+            reps, orbit, _ = _sector_basis(L)
+            sq = np.sqrt(orbit)[:, None]
+            mirror = psi[_reverse(reps, L), None] * sq
+            chain = _near(mirror, psi[reps, None] * sq, (np.subtract, np.add))
+        if chain:
             self.algorithm = "chain_orbits"
-            self.histogram = _orbit_histogram(psi)
+            self.histogram = _orbit_histogram(psi, reps, orbit)
         else:
             self.algorithm = "gram_blocks"
             coeff = window_coefficient_matrix(psi, start, length)

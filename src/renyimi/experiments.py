@@ -35,9 +35,9 @@ from .tfim import (
     save_ground_state,
 )
 
-# the whole-chain Pauli-weight histogram transforms about 2^L / 2L orbit
+# the whole-chain Pauli-weight histogram transforms about 2^L / 4L orbit
 # representatives over L - 1 bits; a warm run (L_A 4:L-4, 6x6 grid, one BLAS
-# thread, 2-vCPU VM) takes 1.0 s at L=16 and 24 s at L=18, past a 15 s budget
+# thread, 2-vCPU VM) takes 0.8 s at L=16 and 14-21 s at L=18, against a 15 s budget
 CASE2_MAX_SITES = 16
 
 _POINTS_PREAMBLE = "# entropies in nats (natural log)"

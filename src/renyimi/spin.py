@@ -193,32 +193,54 @@ def _canonical(labels, L):
 
 
 def _sector_basis(L):
-    """Orbits of the L-bit labels under the cyclic shifts and the complement.
+    """Orbits of the L-bit labels under the shifts, the complement and the reversal R.
 
-    Returns the representatives, sorted, and the orbit sizes.  A label is a
-    representative when it equals its `_canonical` form, so every
-    representative has its top bit 0, and the labels below 2^(L-1) are
-    tested in blocks: no table of 2^L labels is formed.  An orbit's size is
-    2L over the number of shifts, and shifted complements, that fix its
-    representative.  The representatives label the X-strings of the
-    whole-chain Pauli-weight histogram in `entropy`, and `tfim` folds their
-    orbits in pairs under the site reversal into its solver's sector.  They are int32, which holds every
-    label up to L = 31.
+    Returns the representatives, sorted (int32: L <= 31), the orbit sizes
+    and `index`, which takes `_canonical` labels (and overwrites them) to
+    the index of their orbit.  First the orbits without R: a label stands
+    for one when it equals its `_canonical` form, so has top bit 0, and the
+    labels below 2^(L-1) are tested in blocks (no table of 2^L labels); the
+    size is 2L over the shifts and shifted complements that fix it.  R then
+    folds them in pairs: the mirror of a representative r is the index of
+    `_canonical(R r)`, r is kept when its index is at most its mirror's (so
+    it is the least label of its orbit), and its size doubles when the
+    mirror is another.  `index` reads the rank of a label in a bitmap of the
+    unfolded representatives (prefix popcounts of its uint64 words, then
+    the bits below), through the map `dmap` of each to its kept one's index.
     """
     n = 1 << min(L - 1, _LABEL_BLOCK_BITS)
-    reps = []
+    sf = []
     for lo in range(0, 1 << (L - 1), n):
         labels = np.arange(lo, lo + n, dtype=np.int32)
-        reps.append(labels[_canonical(labels, L) == labels])
-    reps = np.concatenate(reps)
-    comp = reps ^ ((1 << L) - 1)
-    fixed = np.zeros(reps.size, dtype=np.int64)
-    cur, spare = reps.copy(), np.empty_like(reps)
+        sf.append(labels[_canonical(labels, L) == labels])
+    sf = np.concatenate(sf)
+    comp = sf ^ ((1 << L) - 1)
+    fixed = np.zeros(sf.size, dtype=np.int64)
+    cur, spare = sf.copy(), np.empty_like(sf)
     for _ in range(L):
-        fixed += cur == reps
+        fixed += cur == sf
         fixed += cur == comp
         _rotate(cur, L, out=cur, spare=spare)
-    return reps, 2 * L // fixed
+    size = 2 * L // fixed
+    del labels, comp, fixed, cur, spare  # freed before the fold: at L=20 they held 0.1 of a state
+    words = np.zeros(((1 << (L - 1)) + 63) >> 6, dtype=np.uint64)
+    np.bitwise_or.at(words, sf >> 6, np.left_shift(np.uint64(1), (sf & 63).astype(np.uint64)))
+    counts = np.bitwise_count(words)
+    below = np.cumsum(counts, dtype=np.int32) - counts
+
+    def rank(q):
+        low = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
+        low -= 1
+        q >>= 6  # now the index of the label's word
+        low &= words[q]
+        return below[q] + np.bitwise_count(low)
+
+    own = np.arange(len(sf), dtype=np.int32)
+    mirror = rank(_canonical(_reverse(sf, L), L))
+    keep = own <= mirror
+    dmap = (np.cumsum(keep, dtype=np.int32) - 1)[np.minimum(own, mirror)]
+    orbit = (size * (1 + (mirror != own)))[keep]
+    return sf[keep], orbit, lambda q: dmap[rank(q)]
 
 
 @dataclass(frozen=True)

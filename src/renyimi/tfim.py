@@ -6,8 +6,8 @@ every function here takes the integer L, as `renyimi.oracle` and
 momentum-0, spin-flip-even (prod X = +1) sector, and it is even under the
 site reversal j -> L - 1 - j, which commutes with H too.  `ground_state`, the
 one solver function, builds the sector of the shifts, the complement and the
-reversal from its orbit representatives alone (about 2^L / 4L states; no
-table of 2^L labels), solves it by a thick-restart
+reversal from its orbit representatives alone (`spin._sector_basis`, about
+2^L / 4L states; no table of 2^L labels), solves it by a thick-restart
 Lanczos method on its bond diagonal and site-flip table (numpy alone, no stored
 matrix, a fixed start vector: bit-reproducible), fixes the sign on the sector
 vector and returns one amplitude per orbit, which is also the cache record.
@@ -54,7 +54,7 @@ class LanczosError(RuntimeError):
 @dataclass(frozen=True)
 class GroundStateResult:
     """A ground state of the ring of L sites as its sector vector: the orbit
-    representatives `reps` of `_dihedral_basis(L)` and the sign-fixed amplitude
+    representatives `reps` of `_sector_basis(L)` and the sign-fixed amplitude
     `amp` of each orbit's labels.  `state`, the normalized 2^L float64
     amplitudes, is expanded on first read and kept."""
 
@@ -82,49 +82,13 @@ def _bond_diagonal(L, labels):
     return diag
 
 
-def _dihedral_basis(L):
-    """Orbits of the L-bit labels under the shifts, the complement and the reversal R.
-
-    Returns the representatives, sorted, the orbit sizes and `index`, which
-    takes `_canonical` labels (and overwrites them) to the index of their
-    orbit.  The orbits are folded from those of `_sector_basis`: the mirror
-    of a representative r is the index of `_canonical(R r)`, and r is kept
-    when its index is at most its mirror's, so it is the least label of its
-    orbit.  The orbit size is 4L over the stabiliser: the `_sector_basis`
-    size, doubled when R r lies in another `_sector_basis` orbit.  `index`
-    reads the rank of a label in a bitmap of the `_sector_basis`
-    representatives, all below 2^(L-1) (prefix popcounts of its uint64
-    words, then the bits below), through the map `dmap` of each to its
-    kept representative's index.
-    """
-    sf, sf_orbit = _sector_basis(L)
-    words = np.zeros(((1 << (L - 1)) + 63) >> 6, dtype=np.uint64)
-    np.bitwise_or.at(words, sf >> 6, np.left_shift(np.uint64(1), (sf & 63).astype(np.uint64)))
-    counts = np.bitwise_count(words)
-    below = np.cumsum(counts, dtype=np.int32) - counts
-
-    def rank(q):
-        low = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
-        low -= 1
-        q >>= 6  # now the index of the label's word
-        low &= words[q]
-        return below[q] + np.bitwise_count(low)
-
-    own = np.arange(len(sf), dtype=np.int32)
-    mirror = rank(_canonical(_reverse(sf, L), L))
-    keep = own <= mirror
-    dmap = (np.cumsum(keep, dtype=np.int32) - 1)[np.minimum(own, mirror)]
-    orbit = (sf_orbit * (1 + (mirror != own)))[keep]
-    return sf[keep], orbit, lambda q: dmap[rank(q)]
-
-
 def _sector_hamiltonian(L, reps, orbit, index):
     """H = D - S A S^-1 on the normalised orbit sums, as (diag, flips, sq).
 
     D is the bond diagonal, S = diag(sq) the square roots of the orbit sizes and A
     the 0/1 site-flip adjacency: flips[j, i] is the orbit `index` of
     `_canonical(reps[i] ^ 1 << j)` (an orbit met twice counts twice), for the
-    representatives, sizes and `index` of `_dihedral_basis`.
+    representatives, sizes and `index` of `_sector_basis`.
     """
     flips = np.empty((L, len(reps)), dtype=np.intp)  # intp: `take` converts any other index type
     # flips per `_canonical` call, up to one block of its labels: the L=9 table took
@@ -155,7 +119,7 @@ def _sector_product(h, v):
 
 
 def _expand(L, reps, amp):
-    """The 2^L amplitudes that hold amp[i] on every label of orbit i of `_dihedral_basis`.
+    """The 2^L amplitudes that hold amp[i] on every label of orbit i of `_sector_basis`.
 
     amp is scattered to the L shifts of each representative and then to
     those of its reversal, each folded into the low half of the labels by
@@ -246,7 +210,7 @@ def ground_state(L) -> GroundStateResult:
     """Lowest eigenpair of the ring of L sites, solved in its symmetry sector (3 <= L <= 24).
 
     `_lanczos`, from a fixed start vector, solves the momentum-0, flip-even,
-    reversal-even sector of `_dihedral_basis`; sectors below
+    reversal-even sector of `_sector_basis`; sectors below
     _SECTOR_DENSE_DIM states take a dense `eigh` of the `_sector_product` of
     the identity.  The energy is the unit sector
     vector's Rayleigh quotient.  The sign is read on the sector: an orbit's
@@ -264,7 +228,7 @@ def ground_state(L) -> GroundStateResult:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
     if L > LANCZOS_MAX_SITES:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
-    reps, orbit, index = _dihedral_basis(L)
+    reps, orbit, index = _sector_basis(L)
     h = _sector_hamiltonian(L, reps, orbit, index)
     if len(reps) < _SECTOR_DENSE_DIM:
         theta, vecs = np.linalg.eigh(_sector_product(h, np.eye(len(reps))))
@@ -334,7 +298,7 @@ def load_ground_state(path) -> GroundStateResult:
             raise ValueError(f"{path}: unsupported version {version}")
         if not 3 <= L <= LANCZOS_MAX_SITES:
             raise ValueError(f"{path}: L={L} outside 3..{LANCZOS_MAX_SITES}")
-        reps, orbit, index = _dihedral_basis(L)
+        reps, orbit, index = _sector_basis(L)
         # the file size decides, before any read: np.fromfile would drop a partial amplitude
         size = os.fstat(fh.fileno()).st_size
         if size != _CACHE_HEADER.size + 8 * len(reps):

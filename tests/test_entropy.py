@@ -45,7 +45,14 @@ from renyimi.oracle import (
     y_decohere_dense,
 )
 from renyimi.entropy import Symmetry
-from renyimi.spin import _factor, _sector_basis, _wht, rotate_to_basis, window_coefficient_matrix
+from renyimi.spin import (
+    _factor,
+    _reverse,
+    _sector_basis,
+    _wht,
+    rotate_to_basis,
+    window_coefficient_matrix,
+)
 
 LOG2 = np.log(2.0)
 
@@ -744,12 +751,13 @@ def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
     monkeypatch.setattr(Symmetry, "of", staticmethod(counting))
     nears = _counting(monkeypatch, "_near")
     # the Pauli-weight sweep of case 2 shares the one record as well, and
-    # its whole-chain plan still takes the orbit path that the record permits
+    # its whole-chain plan still takes the orbit path that the record permits,
+    # after one more test, of the site reversal, on that plan alone
     for axis, plan, halved in (("Z", None, True), ("X", None, False), ("Z", PauliWeightPlan, True)):
         records.clear()
         nears.clear()
         plans = build_mi_plans(psi, range(2, 9), axis, plan=plan)
-        assert len(records) == 1 and len(nears) == 2
+        assert len(records) == 1 and len(nears) == (3 if plan else 2)
         assert records[0] == Symmetry(flip=halved, translation=True)
         built = {id(p): p for mi in plans.values()
                  for p in (mi._plan_a, mi._plan_b, mi._plan_ab)}
@@ -960,17 +968,31 @@ def test_gram_block_windows_match_einsum_reference(monkeypatch, kind, L, shrunk)
                 assert len(transforms) >= 2  # several block offsets ran
 
 
-@pytest.mark.parametrize("kind", ["critical", "odd"])
-@pytest.mark.parametrize("L", range(3, 13))
+# below L=6 the site reversal fixes every real shift-invariant state that the
+# flip fixes up to sign, so the last two kinds start at L=6
+@pytest.mark.parametrize(
+    "L, kind",
+    [
+        (L, kind)
+        for L in range(3, 13)
+        for kind in ("critical", "odd", "reversal-odd", "reversal-broken")
+        if L >= 6 or kind in ("critical", "odd")
+    ],
+)
 def test_whole_chain_orbit_path_matches_gram_blocks(critical, L, kind):
     psi = critical(L)
-    if kind == "odd":
-        # a real shift-invariant state that the flip fixes up to the sign -1
+    if kind != "critical":
+        # real shift-invariant states that the flip fixes up to the sign -1, and
+        # the site reversal R up to the sign +1, up to -1, or not at all
         v = random_state(L, np.random.default_rng(SEED + 8 + L)).real
         v = sum(translate(v, s) for s in range(L))
-        psi = (v - v[::-1]) / np.linalg.norm(v - v[::-1])
+        v -= v[::-1]
+        mirror = v[_reverse(np.arange(2**L), L)]
+        psi = {"odd": v + mirror, "reversal-odd": v - mirror, "reversal-broken": v}[kind]
+        psi /= np.linalg.norm(psi)
+    assert Symmetry.of(psi) == Symmetry(flip=True, translation=True)
     plan = PauliWeightPlan(psi, 0, L)
-    assert plan.algorithm == "chain_orbits"
+    assert plan.algorithm == ("gram_blocks" if kind == "reversal-broken" else "chain_orbits")
     coeff = window_coefficient_matrix(psi, 0, L)
     for flip in (True, False):
         generic = entropy._gram_histogram(coeff, flip)
@@ -997,6 +1019,8 @@ def test_whole_chain_orbit_path_needs_a_real_shift_and_flip_invariant_state(crit
     flip_even = rng.standard_normal(2**L)
     flip_even += flip_even[::-1]
     flip_even /= np.linalg.norm(flip_even)
+    chiral = sum(translate(flip_even, s) for s in range(L))
+    chiral /= np.linalg.norm(chiral)
     cases = {
         "critical": (critical(L), "chain_orbits"),
         "random": (random_state(L, rng), "gram_blocks"),
@@ -1004,6 +1028,8 @@ def test_whole_chain_orbit_path_needs_a_real_shift_and_flip_invariant_state(crit
         "translation-broken": (flip_even, "gram_blocks"),
         # shift- and flip-invariant, but complex
         "complex": (critical(L) * np.exp(0.3j), "gram_blocks"),
+        # real, shift- and flip-invariant, but the site reversal fixes it up to no sign
+        "reflection-broken": (chiral, "gram_blocks"),
     }
     counts = {}
     for name, (psi, algorithm) in cases.items():
@@ -1012,13 +1038,15 @@ def test_whole_chain_orbit_path_needs_a_real_shift_and_flip_invariant_state(crit
         assert plan.algorithm == algorithm, name
         counts[name] = sum(transforms)
     assert Symmetry.of(flip_even) == Symmetry(flip=True, translation=False)
-    # the orbit path transforms one vector per representative, the Gram
-    # blocks one per X-string
+    assert Symmetry.of(chiral) == Symmetry(flip=True, translation=True)
+    # the orbit path transforms one vector per representative of the orbits
+    # under the shifts, the flip and the reversal, the Gram blocks one per X-string
     assert counts == {
         "critical": len(_sector_basis(L)[0]),
         "random": 2**L,
         "translation-broken": 2**L,
         "complex": 2**L,
+        "reflection-broken": 2**L,
     }
 
 

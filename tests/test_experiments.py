@@ -270,13 +270,16 @@ def test_cached_ground_state_rewrites_version_3_record(tmp_path):
 
 def test_cached_ground_state_rewrites_version_5_record(tmp_path):
     # version 5 held one amplitude per orbit of the shift-and-flip sector, 20 + 8 * 180
-    # bytes at L=12; the record is a miss and is overwritten with version 6
-    from renyimi.spin import _sector_basis
+    # bytes at L=12, whose representatives are the labels equal to their
+    # `_canonical` form; the record is a miss and is overwritten with version 6
+    from renyimi.spin import _canonical
 
     L = 12
     fresh, _ = cached_ground_state(L, cache_dir=str(tmp_path))
     path = experiments.cache_path(str(tmp_path), L)
-    reps, _ = _sector_basis(L)
+    labels = np.arange(2**L)
+    reps = labels[_canonical(labels, L) == labels]
+    assert len(reps) == 180
     head = struct.pack("<4sIId", b"TFGS", 5, L, fresh.energy)
     Path(path).write_bytes(head + np.ascontiguousarray(fresh.state[reps], dtype="<f8").tobytes())
     result, hit = cached_ground_state(L, cache_dir=str(tmp_path))

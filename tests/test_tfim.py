@@ -19,8 +19,8 @@ from renyimi import (
     translate,
 )
 from renyimi.oracle import apply_hamiltonian, dense_ground_state, dense_hamiltonian
-from renyimi.spin import _canonical, _reverse, _rotate
-from renyimi.tfim import _SECTOR_DENSE_DIM, _dihedral_basis, _sector_basis
+from renyimi.spin import _canonical, _reverse, _rotate, _sector_basis
+from renyimi.tfim import _SECTOR_DENSE_DIM
 
 
 def test_apply_h_on_all_zeros_L4():
@@ -84,7 +84,7 @@ def test_lanczos_no_convergence_raises_lanczos_error(monkeypatch):
     # the CLI maps LanczosError to exit code 3; the real solver runs into its product cap
     monkeypatch.setattr(tfim, "_LANCZOS_MAX_PRODUCTS", tfim._LANCZOS_NCV)
     L = 12  # smaller sectors take the dense eigh and never reach the Lanczos solver
-    assert len(_dihedral_basis(L)[0]) >= _SECTOR_DENSE_DIM
+    assert len(_sector_basis(L)[0]) >= _SECTOR_DENSE_DIM
     with pytest.raises(LanczosError, match="no convergence"):
         ground_state(L)
 
@@ -141,7 +141,7 @@ def test_cli_ground_nan_solve_exits_3_and_writes_no_record(tmp_path, capsys, mon
 @pytest.mark.parametrize("L", range(11, 15))
 def test_lanczos_matches_dense_sector_eigh(L):
     # the two levels of the sector matrix, and Ritz vectors at the tolerance
-    h = tfim._sector_hamiltonian(L, *_dihedral_basis(L))
+    h = tfim._sector_hamiltonian(L, *_sector_basis(L))
     dim = len(h[0])
     theta, vecs = tfim._lanczos(h, np.random.default_rng(SEED + L).standard_normal(dim))
     exact = np.linalg.eigh(tfim._sector_product(h, np.eye(dim)))[0][:2]
@@ -179,7 +179,7 @@ def test_cli_ground_never_expands_the_state(tmp_path, monkeypatch):
         m.setattr(tfim, "_expand", no_expand)
         assert cli.main(["ground", "--config", str(cfg_file), "--cache-dir", str(tmp_path)]) == 0
     path = tfim.cache_path(str(tmp_path), 12)
-    assert os.path.getsize(path) == 20 + 8 * len(_dihedral_basis(12)[0])
+    assert os.path.getsize(path) == 20 + 8 * len(_sector_basis(12)[0])
     assert np.array_equal(load_ground_state(path).state, ground_state(12).state)
 
 
@@ -278,7 +278,7 @@ def test_lanczos_state_is_exactly_reversal_even(L):
 @pytest.mark.parametrize("L, dim", [(10, 44), (11, 63), (12, 122), (20, 13648), (24, 176906)])
 def test_dihedral_sector_dimension(L, dim):
     # about 2^L / 4L states, half the shift-and-flip sector; L <= 11 takes the dense eigh
-    assert len(_dihedral_basis(L)[0]) == dim
+    assert len(_sector_basis(L)[0]) == dim
     assert (dim < _SECTOR_DENSE_DIM) == (L <= 11)
 
 
@@ -288,28 +288,30 @@ def test_ground_state_is_float64(method, L):
 
 
 def test_sector_basis_counts_every_state_once():
-    # orbit sizes of the shift-and-flip group add up to the whole space
+    # orbit sizes of the group of the shifts, the flip and the reversal add up
+    # to the whole space
     L = 10
-    reps, orbit = _sector_basis(L)
+    reps, orbit, index = _sector_basis(L)
     assert orbit.sum() == 2**L
     assert np.all(np.diff(reps) > 0)  # sorted and unique
     assert np.array_equal(_canonical(reps, L), reps)
     assert np.array_equal(_canonical(reps ^ (2**L - 1), L), reps)  # flip: same orbit
     assert np.array_equal(_canonical(_rotate(reps, L), L), reps)  # shift: same orbit
-    assert np.all(2 * L % orbit == 0)  # each orbit size divides the group order 2L
+    own = np.arange(len(reps))
+    assert np.array_equal(index(_canonical(_reverse(reps, L), L)), own)  # reversal: same orbit
+    assert np.all(4 * L % orbit == 0)  # each orbit size divides the group order 4L
 
 
-def _table_sector_basis(L, reversal=False):
+def _table_sector_basis(L):
     """The orbits through a table of all 2^L labels: representatives, the orbit
-    index of every label, orbit sizes.  The group is the shifts and the
-    complement, and with `reversal` the site reversal as well (its images
-    are read off the reversed bit strings).  The reference for the table-free bases."""
+    index of every label, orbit sizes.  The group is the shifts, the
+    complement and the site reversal (its images are read off the reversed
+    bit strings).  The reference for the table-free basis."""
     mask = 2**L - 1
     starts = [np.arange(2**L, dtype=np.int32)]
     rep = np.full_like(starts[0], mask)
     tmp = np.empty_like(starts[0])
-    if reversal:
-        starts.append(np.array([int(format(x, f"0{L}b")[::-1], 2) for x in range(2**L)], np.int32))
+    starts.append(np.array([int(format(x, f"0{L}b")[::-1], 2) for x in range(2**L)], np.int32))
     for cur in starts:
         for _ in range(L):
             np.minimum(rep, cur, out=rep)
@@ -330,14 +332,9 @@ def _table_sector_basis(L, reversal=False):
 @pytest.mark.parametrize("L", range(3, 13))
 def test_sector_basis_matches_the_label_table(L):
     # odd and even L: the same orbits as the construction that indexes every
-    # label, and for the dihedral sector the same Hamiltonian entries and
-    # expanded amplitudes
-    reps_t, _, orbit_t = _table_sector_basis(L)
-    reps, orbit = _sector_basis(L)
-    assert np.array_equal(reps, reps_t) and reps.dtype == reps_t.dtype
-    assert np.array_equal(orbit, orbit_t)
-    reps_t, sidx, orbit_t = _table_sector_basis(L, reversal=True)
-    reps, orbit, index = _dihedral_basis(L)
+    # label, and the same Hamiltonian entries and expanded amplitudes
+    reps_t, sidx, orbit_t = _table_sector_basis(L)
+    reps, orbit, index = _sector_basis(L)
     assert np.array_equal(reps, reps_t) and reps.dtype == reps_t.dtype
     assert np.array_equal(orbit, orbit_t)
     diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit, index)
@@ -363,7 +360,7 @@ def test_dihedral_basis_partitions_the_labels(L):
         t = s.translate(str.maketrans("01", "10"))
         return {int(y, 2) for y in shifts(s) + shifts(t) + shifts(s[::-1]) + shifts(t[::-1])}
 
-    reps, orbit, _ = _dihedral_basis(L)
+    reps, orbit, _ = _sector_basis(L)
     orbits = {min(images(x)): images(x) for x in range(2**L)}
     assert sorted(orbits) == reps.tolist()  # each representative is the least label of its orbit
     assert [len(orbits[r]) for r in reps.tolist()] == orbit.tolist()
@@ -398,7 +395,7 @@ def _searchsorted_sector_hamiltonian(L, reps, orbit):
 
 @pytest.mark.parametrize("L", range(3, 17))
 def test_sector_hamiltonian_rank_matches_binary_search(L):
-    reps, orbit, index = _dihedral_basis(L)
+    reps, orbit, index = _sector_basis(L)
     diag, flips, sq = tfim._sector_hamiltonian(L, reps, orbit, index)
     ref = _searchsorted_sector_hamiltonian(L, reps, orbit)
     cols = ref.indices.reshape(len(reps), L + 1)
@@ -415,7 +412,7 @@ def test_sector_product_matches_the_csr_reference(L, monkeypatch):
     # vector and on a block of them; each row within the rounding bound of
     # two sums of L + 2 terms, and blocks of 8 rows (the last one partial)
     # sum in the same order
-    reps, orbit, index = _dihedral_basis(L)
+    reps, orbit, index = _sector_basis(L)
     h = tfim._sector_hamiltonian(L, reps, orbit, index)
     ref = _searchsorted_sector_hamiltonian(L, reps, orbit)
     rng = np.random.default_rng(SEED + L)
@@ -440,7 +437,8 @@ def _traced_peak(f, *args):
 
 def test_sector_basis_holds_no_label_table():
     # the labels are canonicalised in blocks, so the pass holds the
-    # representatives (1/40 of the labels at L=20) and a few blocks
+    # representatives before the reversal folds them (1/40 of the labels at
+    # L=20), a bitmap of them (1/128 of a state) and a few blocks
     L = 20
     assert _traced_peak(_sector_basis, L)[1] < 0.25 * 8 * 2**L
 
@@ -526,7 +524,7 @@ def test_cache_file_byte_layout(tmp_path):
     assert (version, L) == (6, 3)
     (energy,) = struct.unpack("<d", raw[12:20])
     assert energy == res.energy
-    dim = len(_dihedral_basis(3)[0])
+    dim = len(_sector_basis(3)[0])
     assert raw[20:] == np.asarray(res.amp, dtype="<f8").tobytes()
     assert len(raw) == 20 + 8 * dim
 
@@ -541,10 +539,12 @@ def test_cache_rejects_version_1_record(tmp_path):
 
 
 def test_cache_rejects_version_5_record(tmp_path):
-    # version 5 held one amplitude per orbit of the shift-and-flip sector
+    # version 5 held one amplitude per orbit of the shift-and-flip sector,
+    # whose representatives are the labels equal to their `_canonical` form
     L = 12
     res = ground_state(L)
-    reps, orbit = _sector_basis(L)
+    labels = np.arange(2**L)
+    reps = labels[_canonical(labels, L) == labels]
     old = struct.pack("<4sIId", b"TFGS", 5, L, res.energy)
     path = tmp_path / "gs.bin"
     path.write_bytes(old + np.ascontiguousarray(res.state[reps], dtype="<f8").tobytes())
@@ -574,8 +574,8 @@ def test_cache_rejects_truncated_file(tmp_path, monkeypatch):
     save_ground_state(path, res)
     data = path.read_bytes()
     # inside the amplitudes, inside the energy field, a partial trailing
-    # amplitude; then headers of L = 2^32 - 1, 2 and 25, refused before a
-    # sector basis is built
+    # amplitude; then headers of L = 2^32 - 1, 2 and 25, refused before the
+    # loader builds its sector basis
     for bad in (data[: len(data) - 16], data[:15], data + b"\0" * 3):
         path.write_bytes(bad)
         with pytest.raises(ValueError):
