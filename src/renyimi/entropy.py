@@ -71,9 +71,10 @@ blocks, one batched GEMM per block offset, halved by the flip as above;
 the whole chain of a real state whose `Symmetry` holds the shift and the
 flip, and which the site reversal fixes up to sign (the ground state),
 transforms only the orbit representatives of the X-strings under all three,
-about 2^L / 4L of them: the table of `spin._sector_basis` that the ground
-state is solved on.  Twisted by (-1)^(x.a), g_x transforms
-to the power of z ^ x at z, so every spectrum of cases 1 and 2 is binned
+about 2^L / 4L of them: `spin._sector_basis(L)`, the process's one table
+of L, which the ground state's solve or cache load has already built.
+Twisted by (-1)^(x.a), g_x transforms to the power of z ^ x at z, so
+every spectrum of cases 1 and 2 is binned
 by `_popcount_sums`, and `_fold_parity` puts back a flip-halved top bit.
 """
 
@@ -594,7 +595,8 @@ class PauliWeightPlan:
       * chain_orbits: the whole chain of a real state whose `symmetry`
         holds the shift and the flip, and which the site reversal R fixes
         up to sign (the critical ground state), transforms the orbit
-        representatives of `_sector_basis` alone, about 2^L / 4L X-strings,
+        representatives of the cached `_sector_basis(L)` alone (the table
+        the solver and the cache loader read), about 2^L / 4L X-strings,
         over L - 1 bits.  R is tested here on the representatives, weighted
         by sqrt(orbit): the full 2-norm of psi(R a) -+ psi(a) on such a state;
       * gram_blocks: any other window or state forms g_x from G's aligned

@@ -383,7 +383,8 @@ def write_fits_csv(path, fits):
 
 
 def read_points_csv(path):
-    """MiPoints of a points CSV; a bad header or row, or a non-finite field, is a ConfigError."""
+    """MiPoints of a points CSV; a bad header or row, a non-finite field, or an axis,
+    L_A, p_m or p_y that no config accepts, is a ConfigError."""
     points = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -402,6 +403,9 @@ def read_points_csv(path):
             raise ConfigError(f"{path}: non-numeric field in row {row!r}") from exc
         if not np.all(np.isfinite(values[3:])):
             raise ConfigError(f"{path}: non-finite field in row {row!r}")
+        L, l_a, axis, p_m, p_y = values[:5]  # in the domain that `build_config` holds a config to
+        if axis not in AXES or not 0 < l_a < L or not (0.0 <= p_m <= 0.5 and 0.0 <= p_y <= 0.5):
+            raise ConfigError(f"{path}: row {row!r} is not axis X/Y/Z, 0 < L_A < L, p in [0, 1/2]")
         points.append(MiPoint(*values))
     return points
 

@@ -192,15 +192,19 @@ def _canonical(labels, L):
     return best
 
 
+@functools.cache
 def _sector_basis(L):
     """Orbits of the L-bit labels under the shifts, the complement and the reversal R.
 
     Returns the representatives, sorted (int32: L <= 31), the orbit sizes
     and `index`, which takes `_canonical` labels (and overwrites them) to
-    the index of their orbit.  First the orbits without R: a label stands
-    for one when it equals its `_canonical` form, so has top bit 0, and the
-    labels below 2^(L-1) are tested in blocks (no table of 2^L labels); the
-    size is 2L over the shifts and shifted complements that fix it.  R then
+    the index of their orbit.  It is the one table of each L in a process:
+    the solver, the cache loader, `tfim._expand` and case 2's whole chain
+    all read this cached copy, so reps and orbit are read-only.  First the
+    orbits without R: a label stands for one when it equals its
+    `_canonical` form, so has top bit 0, and the labels below 2^(L-1) are
+    tested in blocks (no table of 2^L labels); the size is 2L over the
+    shifts and shifted complements that fix it.  R then
     folds them in pairs: the mirror of a representative r is the index of
     `_canonical(R r)`, r is kept when its index is at most its mirror's (so
     it is the least label of its orbit), and its size doubles when the
@@ -239,8 +243,9 @@ def _sector_basis(L):
     mirror = rank(_canonical(_reverse(sf, L), L))
     keep = own <= mirror
     dmap = (np.cumsum(keep, dtype=np.int32) - 1)[np.minimum(own, mirror)]
-    orbit = (size * (1 + (mirror != own)))[keep]
-    return sf[keep], orbit, lambda q: dmap[rank(q)]
+    reps, orbit = sf[keep], (size * (1 + (mirror != own)))[keep]
+    reps.flags.writeable = orbit.flags.writeable = False
+    return reps, orbit, lambda q: dmap[rank(q)]
 
 
 @dataclass(frozen=True)

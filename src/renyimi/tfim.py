@@ -11,9 +11,11 @@ reversal from its orbit representatives alone (`spin._sector_basis`, about
 Lanczos method on its bond diagonal and site-flip table (numpy alone, no stored
 matrix, a fixed start vector: bit-reproducible), fixes the sign on the sector
 vector and returns one amplitude per orbit, which is also the cache record.
-`GroundStateResult.state` expands them on first read to the 2^L float64
-amplitudes, real and exactly shift-, flip- and reversal-invariant by
-construction.  The full-space checks are `renyimi.oracle.dense_ground_state` and `apply_hamiltonian`.
+The orbit table is a function of L alone, cached once per process: the
+solver, the loader and `_expand` each look it up by L, and none passes it
+on.  `GroundStateResult.state` expands the amplitudes on first read to the
+2^L float64 amplitudes, real and exactly shift-, flip- and
+reversal-invariant by construction.  The full-space checks are `renyimi.oracle.dense_ground_state` and `apply_hamiltonian`.
 """
 
 from __future__ import annotations
@@ -53,20 +55,21 @@ class LanczosError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """A ground state of the ring of L sites as its sector vector: the orbit
-    representatives `reps` of `_sector_basis(L)` and the sign-fixed amplitude
-    `amp` of each orbit's labels.  `state`, the normalized 2^L float64
+    """A ground state of the ring of L sites as its sector vector: what its
+    cache record holds, L, the energy and the sign-fixed amplitude `amp` of
+    each orbit of `_sector_basis(L)` in the order of its representatives,
+    and the sector residual that the solve or the load computed.  The orbit
+    table is looked up by L, not held.  `state`, the normalized 2^L float64
     amplitudes, is expanded on first read and kept."""
 
     L: int
     energy: float
     residual: float
-    reps: np.ndarray
     amp: np.ndarray
 
     @cached_property
     def state(self):
-        psi = _expand(self.L, self.reps, self.amp)
+        psi = _expand(self.L, self.amp)
         psi /= np.linalg.norm(psi)
         return psi
 
@@ -82,14 +85,16 @@ def _bond_diagonal(L, labels):
     return diag
 
 
-def _sector_hamiltonian(L, reps, orbit, index):
+def _sector_hamiltonian(L):
     """H = D - S A S^-1 on the normalised orbit sums, as (diag, flips, sq).
 
     D is the bond diagonal, S = diag(sq) the square roots of the orbit sizes and A
     the 0/1 site-flip adjacency: flips[j, i] is the orbit `index` of
     `_canonical(reps[i] ^ 1 << j)` (an orbit met twice counts twice), for the
-    representatives, sizes and `index` of `_sector_basis`.
+    representatives, sizes and `index` of the cached `_sector_basis(L)`.  The
+    flip table itself is built per call and not kept (34 MB at L=24).
     """
+    reps, orbit, index = _sector_basis(L)
     flips = np.empty((L, len(reps)), dtype=np.intp)  # intp: `take` converts any other index type
     # flips per `_canonical` call, up to one block of its labels: the L=9 table took
     # 1.1 ms with one call per flip and 0.35 ms with one call (fresh processes)
@@ -118,8 +123,8 @@ def _sector_product(h, v):
     return diag.reshape(sq.shape) * v - sq * acc
 
 
-def _expand(L, reps, amp):
-    """The 2^L amplitudes that hold amp[i] on every label of orbit i of `_sector_basis`.
+def _expand(L, amp):
+    """The 2^L amplitudes that hold amp[i] on every label of orbit i of `_sector_basis(L)`.
 
     amp is scattered to the L shifts of each representative and then to
     those of its reversal, each folded into the low half of the labels by
@@ -127,6 +132,7 @@ def _expand(L, reps, amp):
     the high half is then the low half reversed, as psi(s^) = psi(s) and
     s ^ mask = mask - s.
     """
+    reps = _sector_basis(L)[0]
     mask = (1 << L) - 1
     psi = np.empty(1 << L)
     low = psi[: 1 << (L - 1)]
@@ -228,12 +234,12 @@ def ground_state(L) -> GroundStateResult:
         raise ValueError("the sector solver needs L >= 3 (L=2 double-counts the bond)")
     if L > LANCZOS_MAX_SITES:
         raise ValueError(f"the sector solver is capped at L <= {LANCZOS_MAX_SITES}")
-    reps, orbit, index = _sector_basis(L)
-    h = _sector_hamiltonian(L, reps, orbit, index)
-    if len(reps) < _SECTOR_DENSE_DIM:
-        theta, vecs = np.linalg.eigh(_sector_product(h, np.eye(len(reps))))
+    h = _sector_hamiltonian(L)
+    dim = len(h[0])
+    if dim < _SECTOR_DENSE_DIM:
+        theta, vecs = np.linalg.eigh(_sector_product(h, np.eye(dim)))
     else:
-        theta, vecs = _lanczos(h, np.random.default_rng(_LANCZOS_SEED).standard_normal(len(reps)))
+        theta, vecs = _lanczos(h, np.random.default_rng(_LANCZOS_SEED).standard_normal(dim))
     if not theta[1] - theta[0] >= 1e-10:
         raise LanczosError(
             f"Ritz gap {theta[1] - theta[0]:.3e} below 1e-10; refusing to "
@@ -241,12 +247,12 @@ def ground_state(L) -> GroundStateResult:
         )
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     energy = float(x @ _sector_product(h, x))
-    amp = vecs[:, 0] / np.sqrt(orbit)
+    amp = vecs[:, 0] / h[2]  # sq = sqrt(orbit)
     amp *= np.sign(amp[np.argmax(np.abs(amp))])
     residual = _sector_residual(h, amp, energy)
     if not residual <= _RESIDUAL_BOUND:
         raise LanczosError(f"residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
-    return GroundStateResult(L=L, energy=energy, residual=residual, reps=reps, amp=amp)
+    return GroundStateResult(L=L, energy=energy, residual=residual, amp=amp)
 
 
 @contextmanager
@@ -283,7 +289,8 @@ def load_ground_state(path) -> GroundStateResult:
     """Read a cache record back; recomputes the residual as an integrity check.
 
     The header's L must lie in 3..LANCZOS_MAX_SITES before the sector basis
-    is built, and the file hold one amplitude per orbit.  The residual is
+    is looked up (so a record adds no cached table of an L the solver
+    refuses), and the file hold one amplitude per orbit.  The residual is
     the `_sector_residual` that `ground_state` takes and bounds, so a record
     loads with the residual it was solved with; one past the bound is a ValueError.
     """
@@ -298,16 +305,16 @@ def load_ground_state(path) -> GroundStateResult:
             raise ValueError(f"{path}: unsupported version {version}")
         if not 3 <= L <= LANCZOS_MAX_SITES:
             raise ValueError(f"{path}: L={L} outside 3..{LANCZOS_MAX_SITES}")
-        reps, orbit, index = _sector_basis(L)
+        dim = len(_sector_basis(L)[0])
         # the file size decides, before any read: np.fromfile would drop a partial amplitude
         size = os.fstat(fh.fileno()).st_size
-        if size != _CACHE_HEADER.size + 8 * len(reps):
-            raise ValueError(f"{path}: expected {len(reps)} amplitudes, found {size} bytes")
+        if size != _CACHE_HEADER.size + 8 * dim:
+            raise ValueError(f"{path}: expected {dim} amplitudes, found {size} bytes")
         amp = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
-    residual = _sector_residual(_sector_hamiltonian(L, reps, orbit, index), amp, energy)
+    residual = _sector_residual(_sector_hamiltonian(L), amp, energy)
     if not residual <= _RESIDUAL_BOUND:  # nan fails as well
         raise ValueError(f"{path}: residual {residual:.3e} above bound {_RESIDUAL_BOUND}")
-    return GroundStateResult(L=L, energy=energy, residual=residual, reps=reps, amp=amp)
+    return GroundStateResult(L=L, energy=energy, residual=residual, amp=amp)
 
 
 def cache_path(cache_dir, L):

@@ -1050,16 +1050,25 @@ def test_whole_chain_orbit_path_needs_a_real_shift_and_flip_invariant_state(crit
     }
 
 
+def _cached_tables(k):
+    """The process-wide tables of k bits: one-hot counts, site-matrix powers and,
+    for k >= 3, the orbit representatives and sizes of the ring of k sites."""
+    tables = [entropy._bit_table(k), _factor(k, "X"), _factor(k, "Y")]
+    return tables + list(_sector_basis(k)[:2]) if k >= 3 else tables
+
+
 def test_cached_bit_tables_are_read_only():
-    # worker threads share the cached tables, so none may be written
+    # worker threads and every caller of one length share the cached tables:
+    # a second call returns the same arrays, and none may be written
     for k in range(5):
         labels = np.arange(2**k)
         hot, signs = entropy._bit_table(k), _factor(k, "X")
         assert np.array_equal(hot, np.bitwise_count(labels)[:, None] == np.arange(k + 1))
         assert np.array_equal(signs, hadamard(2**k))
-        for table in (hot, signs, _factor(k, "Y")):
+        for table, again in zip(_cached_tables(k), _cached_tables(k), strict=True):
+            assert again is table
             with pytest.raises(ValueError):
-                table[0, 0] = 0.0
+                table[(0,) * table.ndim] = 0
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -30,6 +30,7 @@ from renyimi.experiments import (
     run_case2,
     write_points_csv,
 )
+from renyimi.spin import _sector_basis
 
 CONFIG_TEXT = """
 # small pure-state sweep
@@ -546,14 +547,19 @@ def test_cli_ground_and_case1(tmp_path, capsys):
 
 
 def test_cli_case2(tmp_path):
+    # a cold run, then a warm one: the loader, the expansion and the whole
+    # chain's orbit histogram read one orbit table, built once
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
-        "L = 6\naxis = Z\np_m = 0.0, 0.5\np_y = 0.0, 0.2\n"
+        "L = 9\naxis = Z\np_m = 0.0, 0.5\np_y = 0.0, 0.2\n"
         f"L_A = 2:4\nwindow = 2:4\nout = {tmp_path / 'c2.csv'}\n"
         f"cache_dir = {tmp_path / 'cache'}\n"
     )
     assert cli.main(["case2", "--config", str(cfg_file)]) == 0
     assert os.path.exists(tmp_path / "c2.csv")
+    _sector_basis.cache_clear()
+    assert cli.main(["case2", "--config", str(cfg_file)]) == 0
+    assert _sector_basis.cache_info().misses == 1
 
 
 def test_cli_case2_above_cap_exits_2(tmp_path, capsys):
@@ -632,6 +638,30 @@ def test_cli_fit_non_finite_field_exits_2_and_writes_nothing(tmp_path, capsys, v
     assert cli.main(["fit", str(csv)]) == 2
     err = capsys.readouterr().err
     assert "non-finite field" in err and bad in err
+    assert sorted(os.listdir(tmp_path)) == ["cache", "pts.csv"]
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(1, "0"), (1, "8"), (1, "-1"), (2, "Q"), (2, "z"), (3, "0.7"), (3, "-0.2"), (4, "0.7"), (4, "-0.2")],
+)
+def test_cli_fit_row_outside_the_config_domain_exits_2_and_writes_nothing(tmp_path, capsys, column, value):
+    # L_A outside (0, L), an axis outside X/Y/Z, p_m or p_y outside [0, 1/2]:
+    # no config accepts these, so neither does a points CSV.  One L_A cell
+    # changes, or the axis or strength of every row, so that each group
+    # would still fit
+    csv = tmp_path / "pts.csv"
+    points, _ = run_case1(small_cfg(tmp_path))
+    write_points_csv(csv, points)
+    lines = csv.read_text().splitlines()
+    for i in [3] if column == 1 else range(2, len(lines)):
+        tok = lines[i].split(",")
+        lines[i] = ",".join(tok[:column] + [value] + tok[column + 1 :])
+    csv.write_text("\n".join(lines) + "\n")
+    assert cli.main(["fit", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "is not axis X/Y/Z, 0 < L_A < L, p in [0, 1/2]" in err
+    assert lines[3 if column == 1 else 2] in err
     assert sorted(os.listdir(tmp_path)) == ["cache", "pts.csv"]
 
 
