@@ -9,7 +9,8 @@ one solver function, builds the sector of the shifts, the complement and the
 reversal from its orbit representatives alone (`spin._sector_basis`, about
 2^L / 4L states; no table of 2^L labels), solves it by a thick-restart
 Lanczos method on its bond diagonal and site-flip table (numpy alone, no stored
-matrix, a fixed start vector: bit-reproducible), fixes the sign on the sector
+matrix, and no random start: it starts from the paramagnet |+>^L, so the solve
+is bit-reproducible and imports no `numpy.random`), fixes the sign on the sector
 vector and returns one amplitude per orbit, which is also the cache record.
 The orbit table is a function of L alone, cached once per process: the
 solver, the loader and `_expand` each look it up by L, and none passes it
@@ -31,17 +32,16 @@ import numpy as np
 from .spin import _LABEL_BLOCK_BITS, _canonical, _reverse, _rotate, _sector_basis
 
 LANCZOS_MAX_SITES = 24
-_LANCZOS_SEED = 8899
 _SECTOR_DENSE_DIM = 64  # smaller sectors (L <= 11) take a dense eigh
 _LANCZOS_NCV = 20  # Lanczos basis rows before a restart, ARPACK's default for two levels
-# relative Ritz tolerance: 83 sector products at L=20, 92 at 22, 101 at 24, as at
-# 1e-13, but one more restart at L=15, whose ground residual read 2.5e-13 there
+# relative Ritz tolerance: from |+>^L, 56 sector products at L=15, 83 at L=20,
+# 92 at 22 and 101 at 24
 _LANCZOS_TOL = 1e-14
 _LANCZOS_MAX_PRODUCTS = 2000  # sector products before the solve gives up
 _RESIDUAL_BOUND = 1e-8  # hard postcondition on any returned ground state
-# sector rows per block, in bits, of `_sector_product`'s flip gathers and of
-# the Lanczos restart's rotation: the gather buffer of one vector is 128 KB,
-# and the rotation's temporary 11 such rows, whatever the sector's size
+# sector rows per block, in bits, of `_sector_product`'s flip gathers: the
+# gather buffer of one vector is 128 KB whatever the sector's size, and the
+# Lanczos restart rotates its kept rows through a temporary of the same size
 _BLOCK_BITS = 14
 
 CACHE_MAGIC = b"TFGS"
@@ -166,8 +166,9 @@ def _lanczos(h, v0):
     against every row by classical Gram-Schmidt, a second pass taken only when
     its norm falls below 1/sqrt(2) of its value (the DGKS test), and the
     projections fill the symmetric T.  A restart keeps the 11 lowest Ritz
-    vectors, rotated into V's first rows in blocks of 2^_BLOCK_BITS columns (no
-    11-row temporary), and moves the residual vector after them: T is then
+    vectors, rotated into V's first rows in blocks of 2^_BLOCK_BITS / 11
+    columns, so its temporary is the 128 KB of one gather buffer at every
+    sector size, and moves the residual vector after them: T is then
     diag(theta) bordered by the projections of the next product.  Converged
     when |beta s_m,i| <= _LANCZOS_TOL |theta_i| for both levels.  Returns the
     two levels and their vectors as columns, as `eigh` does; LanczosError on a
@@ -203,7 +204,7 @@ def _lanczos(h, v0):
             return theta[:2], V[:m].T @ s[:, :2]
         if products >= _LANCZOS_MAX_PRODUCTS:
             raise LanczosError(f"no convergence after {products} products")
-        n = 1 << _BLOCK_BITS
+        n = (1 << _BLOCK_BITS) // keep
         for lo in range(0, V.shape[1], n):
             V[:keep, lo : lo + n] = s[:, :keep].T @ V[:m, lo : lo + n]
         V[keep] = V[m]
@@ -215,15 +216,18 @@ def _lanczos(h, v0):
 def ground_state(L) -> GroundStateResult:
     """Lowest eigenpair of the ring of L sites, solved in its symmetry sector (3 <= L <= 24).
 
-    `_lanczos`, from a fixed start vector, solves the momentum-0, flip-even,
-    reversal-even sector of `_sector_basis`; sectors below
-    _SECTOR_DENSE_DIM states take a dense `eigh` of the `_sector_product` of
-    the identity.  The energy is the unit sector
-    vector's Rayleigh quotient.  The sign is read on the sector: an orbit's
-    labels share its amplitude and its representative is its least label, so
-    the first largest |amp| is the first largest |psi| (the sector matrix is
-    stoquastic and connected: the ground vector has one sign, and no tie can
-    flip it).  No 2^L array is formed; `GroundStateResult.state` expands the
+    `_lanczos` solves the momentum-0, flip-even, reversal-even sector of
+    `_sector_basis` from sq = sqrt(orbit), the sector coordinates of the
+    paramagnet |+>^L; sectors below _SECTOR_DENSE_DIM states take a dense
+    `eigh` of the `_sector_product` of the identity.  The sector matrix is
+    stoquastic and connected (S. Bravyi et al., quant-ph/0606140), so the
+    ground vector has one sign: its overlap with the positive sq is nonzero
+    for certain, where a random start's is nonzero only almost surely.  The
+    energy is the unit sector vector's Rayleigh quotient.  The sign is read
+    on the sector: an orbit's labels share its amplitude and its
+    representative is its least label, so the first largest |amp| is the
+    first largest |psi| (the vector has one sign, and no tie can flip it).
+    No 2^L array is formed; `GroundStateResult.state` expands the
     amplitudes, real (float64), normalized and positive.  LanczosError if the
     solve does not converge or meets a non-finite value, if the gap to the
     next sector level is below 1e-10 (the critical ring's ground state is
@@ -239,7 +243,7 @@ def ground_state(L) -> GroundStateResult:
     if dim < _SECTOR_DENSE_DIM:
         theta, vecs = np.linalg.eigh(_sector_product(h, np.eye(dim)))
     else:
-        theta, vecs = _lanczos(h, np.random.default_rng(_LANCZOS_SEED).standard_normal(dim))
+        theta, vecs = _lanczos(h, h[2])
     if not theta[1] - theta[0] >= 1e-10:
         raise LanczosError(
             f"Ritz gap {theta[1] - theta[0]:.3e} below 1e-10; refusing to "

@@ -150,15 +150,40 @@ def test_lanczos_matches_dense_sector_eigh(L):
         assert np.linalg.norm(tfim._sector_product(h, x) - t * x) <= 1e-13 * abs(t)
 
 
+@pytest.mark.parametrize("L", range(3, 21))
+def test_sector_levels_match_free_fermions(L, monkeypatch):
+    # the gap check takes the second sector level for the first excited state:
+    # two fermions at +-pi/L, E1 - E0 = 8 sin(pi/2L), also momentum-0, flip-
+    # and reversal-even; the dense branch below L=12, the solver's Lanczos above
+    h = tfim._sector_hamiltonian(L)
+    if L < 12:
+        theta = np.linalg.eigvalsh(tfim._sector_product(h, np.eye(len(h[0]))))
+    else:
+        levels, lanczos = [], tfim._lanczos
+
+        def recorded(h, v0):
+            theta, vecs = lanczos(h, v0)
+            levels.append(theta)
+            return theta, vecs
+
+        monkeypatch.setattr(tfim, "_lanczos", recorded)
+        ground_state(L)
+        (theta,) = levels
+    assert abs(theta[1] - theta[0] - 8.0 * np.sin(np.pi / (2 * L))) <= 1e-12
+    assert abs(theta[0] + 2.0 / np.sin(np.pi / (2 * L))) <= 1e-13
+
+
 def test_cli_ground_loads_no_scipy(tmp_path):
-    # the sector solve is numpy alone: a cold `renyimi ground` imports no scipy module
+    # the sector solve is numpy alone: a cold `renyimi ground` imports no scipy
+    # module, and no `numpy.random`, as it starts from |+>^L
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("L = 12\n")
     code = (
         "import sys; from renyimi import cli; "
         f"code = cli.main(['ground', '--config', {str(cfg_file)!r}, "
         f"'--cache-dir', {str(tmp_path / 'cache')!r}]); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith('numpy.random')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -454,6 +479,15 @@ def test_ground_state_holds_one_state_sized_array():
     res, peak = _traced_peak(ground_state, L)
     assert peak < 2.0 * 8 * 2**L
     assert "state" not in vars(res)
+
+
+def test_lanczos_holds_its_basis_and_a_few_sector_vectors():
+    # the 21-row basis, a product's few vectors and the restart's rotation in
+    # column blocks of one 128 KB buffer; a whole-row rotation would add 11 rows
+    L = 20
+    h = tfim._sector_hamiltonian(L)
+    peak = _traced_peak(tfim._lanczos, h, h[2])[1]
+    assert peak < 30 * 8 * len(h[0])
 
 
 def test_first_state_read_holds_no_label_temporary():
