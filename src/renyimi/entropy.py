@@ -14,9 +14,10 @@ behind one plan interface, and the window size picks one:
 
   * dense_gram: bin |G|^2 by Hamming distance once, then every p is a
     length-(L_A+1) dot product.  G is built by GEMM in aligned square
-    blocks, one per orbit of the block pairs under G's symmetries (its
-    Hermiticity, and the flip below), each weighted by its orbit size; an
-    XOR fold sums a block's |G|^2 by a ^ a' with no index array.
+    blocks, offset by offset, one per orbit of the block pairs under G's
+    symmetries (its Hermiticity, and the flip below), each weighted by its
+    orbit size (`_gram_orbits`, which case 2 shares); an XOR fold sums one
+    offset's |G|^2 by a ^ a' with no index array.
   * low_rank: expand G through the Schmidt vectors, which one `eigh` of
     the small complement-side Gram matrix gives (no SVD), and drop the
     Schmidt pairs whose proven bounds sum to at most 2^-53 of the
@@ -66,8 +67,8 @@ builds each length once, and evaluates it once per strength (see `MiPlan`).
 The decohered windows of case 2 run on `PauliWeightPlan`, which bins a
 window's squared Pauli expectations by the two counts the channels damp:
 the sites where the string anticommutes with Z, and those where it
-anticommutes with Y.  It reads g_x[a] = G[a, a ^ x] off G's aligned
-blocks, one batched GEMM per block offset, halved by the flip as above;
+anticommutes with Y.  It reads g_x[a] = G[a, a ^ x] off the same orbit
+products of G's aligned blocks as dense_gram, a quarter of G on the flip;
 the whole chain of a real state whose `Symmetry` holds the shift and the
 flip, and which the site reversal fixes up to sign (the ground state),
 transforms only the orbit representatives of the X-strings under all three,
@@ -96,10 +97,14 @@ from .spin import (
     window_coefficient_matrix,
 )
 
-# working-set bound of a dense_gram row of blocks: smaller blocks bring the
-# computed share of G nearer its orbit count, and of 1 << 19 .. 1 << 22,
-# 1 << 20 took the least time over the 10- to 13-site plans at L=20 (Z axis)
-_BLOCK_ELEMENTS = 1 << 20
+# rows of the largest square block of G in case 1 (see _gram_orbits): smaller
+# blocks bring the computed share of G nearer its orbit count, 1/4 on the
+# flip, but a block's GEMM reads its rows of C strided by the window's 2^n,
+# and at L=24 (Z and X) 256-row blocks took 1.4-1.6x the time of 1024-row
+# ones on the 12- and 13-site windows.  Case 2 gathers g_x off the products,
+# and of 16 .. 1024 rows, 64 and 128 took the least time over its 4- to
+# 14-site windows at L=16 and 18; it takes _GRAM_BLOCK // 8
+_GRAM_BLOCK = 1 << 10
 # Walsh-Hadamard blocks (pair vectors of low_rank, X-strings of the Pauli-weight
 # histograms): best of 1 << 15 .. 1 << 19 for the 14-site low_rank plan at L=20,
 # 10-20% ahead of 1 << 17; 1 << 14 .. 1 << 17 lay within 15% of each other on
@@ -168,70 +173,74 @@ def _fold_parity(rows, parity):
     return t.reshape(len(rows), -1)
 
 
+def _gram_orbits(coeff, flip, block):
+    """The blocks of G = C C+ by block offset X: (X, rows, orbit size, products).
+
+    With nq = 2^n / block, the block pair (i, i ^ X) of G holds
+    G[i block + r, (i ^ X) block + c].  Transposition maps it to (i ^ X, i),
+    the conjugate transpose, and when the flip fixes the state up to sign,
+    G[a~, a'~] = G[a, a'] (a~ the complement of a) maps it to
+    (i ^ F, i ^ X ^ F), F = nq - 1, with the same entries: every image has
+    offset X.  So each offset's pairs fall into orbits {i, i ^ X, i ^ F,
+    i ^ X ^ F} of the row block, all of the size of {0, X, F, X ^ F} (1, 2
+    or 4; F = 0 without the flip).  `rows` holds the least row of each
+    orbit, and products[q] = C_i C_{i^X}+ of i = rows[q], one GEMM each;
+    the rows lie below nq/2 on the flip.  The products are a view of one
+    buffer, rewritten at the next offset.
+    """
+    nq = coeff.shape[0] // block
+    top = nq - 1 if flip else 0
+    blocks = coeff.reshape(nq, block, -1)
+    products = np.empty(((nq + 1) // 2 if flip else nq, block, block), coeff.dtype)
+    for x in range(nq):
+        rows = np.array([i for i in range(nq) if i <= min(i ^ x, i ^ top, i ^ x ^ top)])
+        for q, row in enumerate(rows):
+            np.matmul(blocks[row], blocks[row ^ x].conj().T, out=products[q])
+        yield x, rows, len({0, x, top, x ^ top}), products[: rows.size]
+
+
 def _xor_fold(m):
-    """f[q, e] = sum_i m[i, q*block + (i ^ e)] of a (block, nq*block) array, block = 2^k.
+    """f[q, e] = sum_r m[q, r, r ^ e] of a (k, block, block) array, block = 2^b.
 
     Folds the top bit of the row and column offsets at a time: the pairs
     with equal bits add into the e-bit-0 half, the unequal ones into the
     e-bit-1 half.  Each pass writes into the rows of the bit-0 half of the
     last, so `m` is overwritten and the result is a view of it.
     """
-    block = m.shape[0]
-    f = m.reshape(block, -1, 1, block)  # (row offset, column block, e so far, column offset)
-    while f.shape[0] > 1:
-        n, nq, ne, _ = f.shape
-        h = n // 2
-        v = f.reshape(2, h, nq, ne, 2, h)
-        v[0, :, :, :, 0] += v[1, :, :, :, 1]
-        v[0, :, :, :, 1] += v[1, :, :, :, 0]
-        f = v[0].reshape(h, nq, 2 * ne, h)
-    return f.reshape(-1, block)
+    k, block, _ = m.shape
+    f = m.reshape(k, block, 1, block)  # (product, row offset, e so far, column offset)
+    while f.shape[1] > 1:
+        h = f.shape[1] // 2
+        v = f.reshape(k, 2, h, f.shape[2], 2, h)
+        v[:, 0, :, :, 0] += v[:, 1, :, :, 1]
+        v[:, 0, :, :, 1] += v[:, 1, :, :, 0]
+        f = v[:, 0].reshape(k, h, -1, h)
+    return f.reshape(k, block)
 
 
 class _DenseGramPlan:
     """|G|^2 binned by window Hamming distance; purity(p) is then O(L_A).
 
-    g[d] = sum_a |G[a, a^d]|^2 is accumulated over aligned square blocks
-    of 2^k configurations, block (i, j) holding G's rows of block i and
-    columns of block j: there the entry (r, c) has d = (i ^ j) 2^k + (r ^ c),
-    so `_xor_fold` sums |G|^2 of a row of blocks into its (j, r ^ c) layout
-    and the result lands on g's blocks i ^ j, with no index array.
-
-    Row block i computes only the columns j that are no image of a block
-    already computed, one contiguous slice per row block.  G is Hermitian
-    and d symmetric, so (i, j) and (j, i) add the same: j >= i is taken,
-    with weight 1 on j = i and 2 elsewhere.  When the flip fixes the state
-    up to sign, G[a~, a'~] = G[a, a'] (a~ the complement of a) maps the
-    block (i, j) to (nq-1-i, nq-1-j) with the same d, so only i < nq/2 and
-    i <= j <= nq-1-i are taken, with weight 2 on j = i and j = nq-1-i and
-    4 elsewhere.
+    g[d] = sum_a |G[a, a^d]|^2 is accumulated over the aligned square
+    blocks of `_gram_orbits`: in the block pair (i, i ^ X) the entry (r, c)
+    has d = X block + (r ^ c), so `_xor_fold` sums |G|^2 of one offset's
+    products by r ^ c, with no index array, and the sum lands on g's block
+    X.  G is Hermitian, so |G|^2 is symmetric, and d is the same on every
+    block pair of an orbit: each product counts at its orbit's size.  That
+    takes about half of G's blocks, and a quarter on the flip.
     """
 
     def __init__(self, coeff, flip):
         na = coeff.shape[0]
         self.n_bits = na.bit_length() - 1
-        rows = na // 2 if flip else na
-        # a row block's product holds at most _BLOCK_ELEMENTS entries and half
-        # of C's: at L=20 an 8 MB product of the 11-site window went to mmap on
-        # top of the heap that glibc keeps after the low_rank plans built
-        # before it (+14% peak RSS of case 1), where 4 MB reuses that heap
-        bound = min(_BLOCK_ELEMENTS, coeff.size // 2)
-        block = min(rows, 1 << (max(1, bound // na).bit_length() - 1))
-        nq = na // block
-        g = np.zeros((nq, block))
-        for i in range(nq // 2 if flip else nq):
-            j1 = nq - i if flip else nq
-            # |G|^2 of the conjugate block: the row block is conjugated, not C
-            m = _abs2_owned(
-                coeff[i * block : (i + 1) * block].conj() @ coeff[i * block : j1 * block].T
-            )
-            # orbit sizes of the column blocks j = i .. j1 - 1
-            weight = np.full(j1 - i, 4.0 if flip else 2.0)
-            weight[0] /= 2.0
-            if flip:
-                weight[-1] /= 2.0
-            g[i ^ np.arange(i, j1)] += weight[:, None] * _xor_fold(m)
-            del m  # freed before the next row block's GEMM
+        # one offset's products hold at most na * block <= na d_B / 2 entries,
+        # half of C's: at L=20 an 8 MB product buffer of the 11-site window
+        # went to mmap on top of the heap that glibc keeps after the low_rank
+        # plans built before it (+14% peak RSS of case 1), where 4 MB reuses it
+        block = min(na // 2 if flip else na, _GRAM_BLOCK, max(1, coeff.shape[1] // 2))
+        g = np.zeros((na // block, block))
+        for x, _, weight, products in _gram_orbits(coeff, flip, block):
+            g[x] = weight * _xor_fold(_abs2_owned(products)).sum(axis=0)
         self.binned = _popcount_sums(g, self.n_bits)[0]
 
     def purity(self, lam):
@@ -509,34 +518,40 @@ def _twisted_bins(g, xs, n, weights=1.0):
 def _gram_histogram(coeff, flip):
     """Pauli-weight histogram of a window from the aligned blocks of its Gram matrix.
 
-    g_x[a] = G[a, a ^ x], and the block of G on the row blocks i and i ^ X
-    (blocks of B configurations) holds G[iB + r, (i ^ X)B + c] with
-    x = XB + (r ^ c).  So for each block offset X one batched GEMM over the
-    row blocks i, and one gather of the entries (r, r ^ e) of every block,
-    give g_x for the B strings x = XB + e, binned by `_twisted_bins`.  With
-    the flip, G[a~, a'~] = G[a, a'] gives g_x twisted by (-1)^(x.a) the flip
-    parity |x| mod 2: the row blocks with top bit 0 and an (n-1)-bit
-    transform suffice, and `_fold_parity` puts the top bit of z back.
+    g_x[a] = G[a, a ^ x], so on the row block k, for x = X block + e, it
+    reads the entries (r, r ^ e) of the block pair (k, k ^ X).  `_gram_orbits`
+    forms one pair per orbit: the row k = i of a product reads it there,
+    the row k = i ^ X reads (r ^ e, r) of it conjugated (G is Hermitian),
+    and every entry of g_x repeats on the flip image a~ of a, as
+    G[a~, a'~] = G[a, a'], so the row k = i ^ X ^ F reads the latter
+    reversed in r.  Two within-block tables of (r, e) serve all these
+    reads.  With the flip, g_x twisted by (-1)^(x.a) has the flip parity
+    |x| mod 2, so the row blocks below nq/2 and an (n-1)-bit transform
+    suffice, and `_fold_parity` puts the top bit of z back.  The strings
+    x are binned by `_twisted_bins` in chunks of a bounded transform, and
+    the blocks have at most _GRAM_BLOCK // 8 rows: neither depends on the
+    complement, so neither shrinks as L grows.
     """
     dim = coeff.shape[0]
     n = dim.bit_length() - 1
-    # B d_A bounds the transform's working set, B d_A d_B the multiply-adds of a step
-    rows_max = dim // 2 if flip else dim
-    block = min(rows_max, _WHT_BLOCK_ELEMENTS // dim, _BLOCK_ELEMENTS // coeff.size)
-    block = 1 << (max(1, block).bit_length() - 1)
-    nq = dim // block
-    rows = nq // 2 if flip else nq
-    blocks = coeff.reshape(nq, block, -1)
-    blocks_c = blocks.conj()
+    half = dim // 2 if flip else dim
+    block = min(half, _GRAM_BLOCK // 8)
     r = np.arange(block)
-    i = np.arange(rows)
-    # g[e, iB + r] is the entry (i, r, r ^ e) of the (rows, B, B) block products
-    take = ((i * block)[:, None] + r) * block + (r[:, None] ^ r)[:, None, :]
-    take = take.reshape(block, -1)
+    # a product's flat offsets of (r, r ^ e) and (r ^ e, r), [e, r]
+    direct, transposed = r * block + (r[:, None] ^ r), (r[:, None] ^ r) * block + r
+    step = min(block, max(1, _WHT_BLOCK_ELEMENTS // half))
+    grid = np.empty((step, half // block, block), coeff.dtype)  # (string, row block, r)
     h = np.zeros((n + 1, n + 1 - flip))
-    for x_block in range(nq):
-        gram = np.matmul(blocks[:rows], blocks_c[i ^ x_block].transpose(0, 2, 1))
-        h += _twisted_bins(gram.reshape(-1)[take], x_block * block + r, n)
+    for x, rows, _, products in _gram_orbits(coeff, flip, block):
+        products = products.reshape(rows.size, -1)
+        # the row blocks i ^ y read the transposed products, reversed in r when y = x ^ F
+        y = min(x, x ^ (dim // block - 1)) if flip else x
+        reads = transposed if y == x else transposed[:, ::-1]
+        for e in range(0, block, step):
+            grid[:, rows] = products.take(direct[e : e + step], axis=1).transpose(1, 0, 2)
+            if y:
+                grid[:, rows ^ y] = products.take(reads[e : e + step], axis=1).conj().transpose(1, 0, 2)
+            h += _twisted_bins(grid.reshape(step, half), x * block + r[e : e + step], n)
     # a flip-even transform is twice its (n-1)-bit half
     h = _fold_parity(h, np.arange(n + 1) & 1) * 4.0 if flip else h
     return h / dim
@@ -599,8 +614,9 @@ class PauliWeightPlan:
         the solver and the cache loader read), about 2^L / 4L X-strings,
         over L - 1 bits.  R is tested here on the representatives, weighted
         by sqrt(orbit): the full 2-norm of psi(R a) -+ psi(a) on such a state;
-      * gram_blocks: any other window or state forms g_x from G's aligned
-        blocks by GEMM, over n - 1 bits on a flip-symmetric state.
+      * gram_blocks: any other window or state reads g_x off the orbit
+        products of G's aligned blocks (`_gram_orbits`, shared with
+        dense_gram), over n - 1 bits on a flip-symmetric state.
 
     `state` is in the Z (dephasing) basis, and a real (float64) one runs in
     real arithmetic; `symmetry` and `_symmetry` are as on GsePlan.

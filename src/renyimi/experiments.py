@@ -37,7 +37,9 @@ from .tfim import (
 
 # the whole-chain Pauli-weight histogram transforms about 2^L / 4L orbit
 # representatives over L - 1 bits; a warm run (L_A 4:L-4, 6x6 grid, one BLAS
-# thread, 2-vCPU VM) takes 0.8 s at L=16 and 14-21 s at L=18, against a 15 s budget
+# thread, 2-vCPU VM) takes 0.8 s at L=16 and 10.1-11.3 s at L=18 (three runs
+# with the cap lifted), of which that histogram takes 5-10 s from run to run,
+# so L=18 is not reliably within a 15 s budget
 CASE2_MAX_SITES = 16
 
 _POINTS_PREAMBLE = "# entropies in nats (natural log)"

@@ -779,16 +779,67 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _recording_offsets(monkeypatch):
+    # wrap entropy._gram_orbits: each offset it yields adds its kinds to the
+    # returned set, "X=0", "X=F" (F = nq - 1 on the flip) and "orbit of 4"
+    kinds = set()
+    inner = entropy._gram_orbits
+
+    def recorded(coeff, flip, block):
+        top = coeff.shape[0] // block - 1 if flip else 0
+        for x, rows, weight, products in inner(coeff, flip, block):
+            kinds.update(k for k, hit in (("X=0", x == 0), ("X=F", x == top > 0),
+                                          ("orbit of 4", weight == 4)) if hit)
+            yield x, rows, weight, products
+
+    monkeypatch.setattr(entropy, "_gram_orbits", recorded)
+    return kinds
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("nq", [1, 2, 4, 8, 16, 32, 64])
+def test_gram_orbits_cover_every_block_pair_once(flip, nq):
+    # one-row blocks of a random complex C: block pair (i, j) is G[i, j]
+    rng = np.random.default_rng(SEED + nq)
+    coeff = rng.standard_normal((nq, 3)) + 1j * rng.standard_normal((nq, 3))
+    gram = coeff @ coeff.conj().T
+    top = nq - 1 if flip else 0
+    covered, reps, total = set(), set(), 0
+    for x, rows, weight, products in entropy._gram_orbits(coeff, flip, 1):
+        assert len(products) == len(rows)
+        for i, block in zip(rows, products):
+            assert i < max(1, nq // 2) or not flip
+            assert np.allclose(block, gram[i, i ^ x], rtol=0, atol=1e-14)
+            orbit = {(i, i ^ x), (i ^ x, i), (i ^ top, i ^ x ^ top), (i ^ x ^ top, i ^ top)}
+            assert len(orbit) == weight and i == min(a for a, _ in orbit)
+            assert not covered & orbit
+            covered |= orbit
+            reps.add((int(i), int(i ^ x)))
+            total += weight
+    assert covered == set(product(range(nq), repeat=2)) and total == nq * nq
+    # the block pairs the row-by-row loop took: j >= i, and j <= nq-1-i in the
+    # first half of the rows on the flip
+    if flip:
+        expected = {(i, j) for i in range(max(1, nq // 2)) for j in range(i, nq - i)}
+    else:
+        expected = {(i, j) for i in range(nq) for j in range(i, nq)}
+    assert reps == expected
+
+
 @pytest.mark.parametrize("kind, axis", [
     ("critical", "Z"), ("odd", "Z"), ("critical", "X"), ("critical", "Y"), ("random", "Z"),
 ])
 def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
     # blocks small enough that every block loop of the three plans runs many
-    # times at L = 8: the dense_gram row blocks (fold placement and orbit
-    # weights), the low_rank pair-vector blocks and the X-string blocks
-    monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 1 << 9)
+    # times at L = 8: the Gram block offsets of both consumers (fold
+    # placement, orbit weights and reads), the low_rank pair-vector blocks
+    # and the X-string blocks (case 2's Gram blocks take an eighth: one row)
+    monkeypatch.setattr(entropy, "_GRAM_BLOCK", 1 << 3)
     monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", 1 << 6)
     folds = _counting(monkeypatch, "_xor_fold")
+    offsets = _recording_offsets(monkeypatch)
+    # on the flip, X = 0 and X = F have orbits of 2, every other offset of 4
+    kinds = {"X=0", "X=F", "orbit of 4"} if kind != "random" and axis != "X" else {"X=0"}
     transforms = _counting(monkeypatch, "_wht")
     L = 8
     if kind == "random":
@@ -803,9 +854,10 @@ def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
         for start in range(L - length + 1):
             coeff = window_coefficient_matrix(rot, start, length)
             del folds[:], transforms[:]
+            offsets.clear()
             dense = entropy._DenseGramPlan(coeff, flip)
             if length == L:
-                assert len(folds) >= 8
+                assert len(folds) >= 8 and offsets == kinds
             low_rank = entropy._LowRankPlan(coeff, flip)
             if length == L // 2:
                 assert len(transforms) >= 4
@@ -824,10 +876,13 @@ def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
     rho = density_from_state(psi)
     for p_y in (0.0, 0.2):
         rho_y = y_decohere_dense(rho, p_y)
-        for start, length in ((0, 3), (5, 3), (0, L)):
+        for start, length in ((0, 3), (5, 3), (0, 5), (0, L)):
             del transforms[:]
+            offsets.clear()
             plan = PauliWeightPlan(psi, start, length)
             assert len(transforms) >= 4
+            if length == 5:
+                assert offsets == kinds
             for p_m in (0.0, 0.1, 0.3, 0.5):
                 ref = _dense_window_entropy(rho_y, L, start, length, p_m)
                 assert abs(plan.entropy(p_m, p_y) - ref) < 1e-10
@@ -949,9 +1004,10 @@ def test_gram_block_windows_match_einsum_reference(monkeypatch, kind, L, shrunk)
     # every (start, length) of complex states; the flip-even and flip-odd ones
     # take the half-height blocks and the (n-1)-bit transform
     if shrunk:
-        monkeypatch.setattr(entropy, "_BLOCK_ELEMENTS", 1 << 9)
+        monkeypatch.setattr(entropy, "_GRAM_BLOCK", 1 << 3)
         monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", 1 << 6)
     transforms = _counting(monkeypatch, "_wht")
+    offsets = _recording_offsets(monkeypatch)
     psi = random_state(L, np.random.default_rng(SEED + 6 + L))
     if kind != "random":
         psi = psi + psi[::-1] if kind == "even" else psi - psi[::-1]
@@ -966,6 +1022,22 @@ def test_gram_block_windows_match_einsum_reference(monkeypatch, kind, L, shrunk)
             assert np.max(np.abs(plan.histogram - ref)) <= 1e-14
             if shrunk and L == 8 and length >= 2:
                 assert len(transforms) >= 2  # several block offsets ran
+    if shrunk and L == 8:
+        assert offsets == ({"X=0", "X=F", "orbit of 4"} if kind != "random" else {"X=0"})
+
+
+def test_gram_block_histogram_block_does_not_shrink_with_the_chain(monkeypatch):
+    # the row block of a window's Gram products is set by the window, not by
+    # the complement: the 8-site window bins its strings in as many chunks at
+    # L = 20 as at L = 12
+    bins = _counting(monkeypatch, "_twisted_bins")
+    counts = []
+    for L in (12, 20):
+        del bins[:]
+        plan = PauliWeightPlan(random_state(L, np.random.default_rng(SEED + L)), 0, 8)
+        assert plan.algorithm == "gram_blocks"
+        counts.append(len(bins))
+    assert counts[0] == counts[1]
 
 
 # below L=6 the site reversal fixes every real shift-invariant state that the
