@@ -3,8 +3,9 @@
 Decoheres every site of the critical ground state at strength p_y, sweeps
 the measurement-relaxation strength p_m, and prints the fitted c2 over the
 (p_m, p_y) plane.  Both channels are diagonal in the Pauli basis, so one
-Pauli-weight histogram per window serves the whole plane; the CLI `case2`
-subcommand runs the same pipeline and writes CSVs.
+Pauli-weight histogram per window serves the whole plane, and each window's
+plan evaluates the whole grid in one call (`PauliWeightPlan.entropies`);
+the CLI `case2` subcommand runs the same pipeline and writes CSVs.
 """
 
 import time
@@ -21,8 +22,8 @@ L = 12
 psi = ground_state(L).state
 window = default_window(L)
 l_a_values = list(range(window[0], window[1] + 1))
-p_m_grid = (0.0, 0.1, 0.25, 0.5)
-p_y_grid = (0.0, 0.1, 0.2, 0.3, 0.4)
+p_m_grid = [round(0.05 * i, 2) for i in range(11)]  # 0 .. 0.5
+p_y_grid = [round(0.05 * i, 2) for i in range(10)]  # 0 .. 0.45
 
 print(f"L = {L}, fit window L_A in [{window[0]}, {window[1]}]")
 t0 = time.perf_counter()
@@ -32,12 +33,18 @@ plans = build_mi_plans(psi, l_a_values, "Z", plan=PauliWeightPlan)
 t_plans = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-table = {}
-for p_y in p_y_grid:
-    for p_m in p_m_grid:
-        entropies = {}  # each shared histogram is contracted once per grid point
-        points = [plans[l_a].point(p_m, p_y, entropies=entropies) for l_a in l_a_values]
-        table[(p_m, p_y)] = fit_cft([(pt.L, pt.L_A, pt.I2) for pt in points]).c2
+# each distinct window plan evaluates the whole (p_m, p_y) grid once
+distinct = {plan for mi in plans.values() for plan in mi.plans}
+entropies = {plan: plan.entropies(p_m_grid, p_y_grid) for plan in distinct}
+i2 = {}
+for l_a in l_a_values:
+    plan_a, plan_b, plan_ab = plans[l_a].plans
+    i2[l_a] = entropies[plan_a] + entropies[plan_b] - entropies[plan_ab]
+table = {
+    (p_m, p_y): fit_cft([(L, l_a, i2[l_a][i, j]) for l_a in l_a_values]).c2
+    for i, p_m in enumerate(p_m_grid)
+    for j, p_y in enumerate(p_y_grid)
+}
 
 print(f"built the window histograms of {len(plans)} bipartitions in {t_plans:.1f}s, "
       f"swept {len(table)} grid points in {time.perf_counter() - t0:.3f}s")

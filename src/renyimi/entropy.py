@@ -62,7 +62,17 @@ arithmetic; only the Y axis needs complex numbers.  An L_A sweep reads the
 windows (0, L_A), (L_A, L - L_A) and the whole chain; `build_mi_plans` builds
 one plan per distinct window, and on a translation-invariant state the B
 window of L_A is the start-0 window of length L - L_A, so a symmetric sweep
-builds each length once, and evaluates it once per strength (see `MiPlan`).
+builds each length once, and evaluates it once over the sweep's whole
+strength grid (see `MiPlan`).
+
+Every plan has a grid method, `GsePlan.entropies(p_m_values)` and
+`PauliWeightPlan.entropies(p_m_values, p_y_values)`, of which `purity` and
+`entropy` are the one-point case.  A GsePlan takes one dot of its stored
+spectrum with each p_m's row of strength powers; a PauliWeightPlan
+contracts its histogram with each p_m's row (a GEMV), then takes one dot
+per (p_m, p_y) cell.  Those are the one-point form's products in its
+order, so every point keeps its bits; one GEMM over the whole grid would
+round differently.
 
 The decohered windows of case 2 run on `PauliWeightPlan`, which bins a
 window's squared Pauli expectations by the two counts the channels damp:
@@ -243,9 +253,13 @@ class _DenseGramPlan:
             g[x] = weight * _xor_fold(_abs2_owned(products)).sum(axis=0)
         self.binned = _popcount_sums(g, self.n_bits)[0]
 
+    def purities(self, lam):
+        """The purity at each contraction of the 1-D `lam`: a row of powers of mu = lam^2, one dot each."""
+        powers = (lam * lam)[:, None] ** np.arange(self.n_bits + 1)
+        return np.array(list(map(self.binned.dot, powers)))
+
     def purity(self, lam):
-        mu = lam * lam
-        return float(self.binned @ mu ** np.arange(self.n_bits + 1))
+        return float(self.purities(np.array([lam]))[0])
 
 
 def _row_norms2(m):
@@ -435,11 +449,16 @@ class _LowRankPlan:
         spectrum = _fold_parity(sums, np.arange(len(sums))).sum(axis=0) if flip else sums[0]
         self.spectrum = spectrum / na
 
-    def purity(self, lam):
+    def purities(self, lam):
+        """The purity at each contraction of the 1-D `lam`: a row of sector eigenvalues, one dot each."""
         # spectrum[d] carries the 1/2^n normalization already
-        mu = lam * lam
+        mu = (lam * lam)[:, None]
         d = np.arange(self.n_bits + 1, dtype=np.float64)
-        return float(self.spectrum @ ((1.0 + mu) ** (self.n_bits - d) * (1.0 - mu) ** d))
+        kernel = (1.0 + mu) ** (self.n_bits - d) * (1.0 - mu) ** d
+        return np.array(list(map(self.spectrum.dot, kernel)))
+
+    def purity(self, lam):
+        return float(self.purities(np.array([lam]))[0])
 
 
 class GsePlan:
@@ -447,8 +466,9 @@ class GsePlan:
 
     Bound to one pure state in the dephasing basis (`rotate_to_basis` takes
     a state there) and one contiguous site window; the expensive
-    state-dependent work happens once in the constructor and `entropy(p_m)`
-    is then cheap across a strength grid.  The window size picks the
+    state-dependent work happens once in the constructor, and
+    `entropies(p_m_values)` then evaluates a whole strength grid at O(L_A) a
+    point; `entropy(p_m)` is its one-point case.  The window size picks the
     kernel, named in `algorithm`: rank1_full (low_rank on the whole chain),
     low_rank on n sites of an L-site chain when 2n >= L + 4, dense_gram
     below.  That rule is fitted to both kernels' build times on the Z axis
@@ -475,25 +495,42 @@ class GsePlan:
         kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
         self._impl = kernel(coeff, self.symmetry.flip)
 
+    def entropies(self, p_m_values):
+        """The entropy at each strength of the sequence `p_m_values`, as a float64 array."""
+        return _entropies_of(self._impl.purities(_contractions(p_m_values, "p_m")))
+
     def purity(self, p_m):
         return self._impl.purity(_contraction(p_m, "p_m"))
 
     def entropy(self, p_m):
-        return _entropy_of(self.purity(p_m))
+        return float(self.entropies((p_m,))[0])
+
+
+def _contractions(values, name):
+    """lam = 1 - 2p of each strength p of `values`, the factor a strength-p channel puts on an off-diagonal Pauli."""
+    p = np.asarray(values, dtype=np.float64)
+    outside = ~((p >= 0.0) & (p <= 0.5))  # nan is outside too
+    if outside.any():
+        raise ValueError(f"{name}={values[np.argmax(outside)]} outside [0, 1/2]")
+    # exact lam = 0 at the projective point, no rounding from 1 - 2*0.5
+    return np.where(p == 0.5, 0.0, 1.0 - 2.0 * p)
 
 
 def _contraction(p, name):
-    """lam = 1 - 2p, the factor a strength-p channel puts on an off-diagonal Pauli."""
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"{name}={p} outside [0, 1/2]")
-    # exact lam = 0 at the projective point, no rounding from 1 - 2*0.5
-    return 0.0 if p == 0.5 else 1.0 - 2.0 * p
+    return float(_contractions((p,), name)[0])
+
+
+def _entropies_of(purity):
+    """-log of each purity; FloatingPointError unless every one is finite and positive."""
+    purity = np.asarray(purity, dtype=np.float64)
+    valid = np.isfinite(purity) & (purity > 0.0)
+    if not valid.all():
+        raise FloatingPointError(f"purity {purity[~valid][0]} underflowed")
+    return -np.log(purity) + 0.0  # +0.0 folds -0.0 into 0.0
 
 
 def _entropy_of(purity):
-    if not np.isfinite(purity) or purity <= 0.0:
-        raise FloatingPointError(f"purity {purity} underflowed")
-    return float(-np.log(purity) + 0.0)  # +0.0 folds -0.0 into 0.0
+    return float(_entropies_of(purity))
 
 
 def _twisted_bins(g, xs, n, weights=1.0):
@@ -597,8 +634,9 @@ class PauliWeightPlan:
     them), and the Y channel outside the window drops out under the partial
     trace.  The window purity is 2^-n sum_P <P>^2 over the scaled
     expectations, so the constructor bins <P>^2 once into
-    `histogram[|x|, |x ^ z|]` (normalization included) and
-    `entropy(p_m, p_y)` is the O(n^2) form lam_m^2i H[i, j] lam_y^2j.
+    `histogram[|x|, |x ^ z|]` (normalization included), and every grid
+    point of `entropies(p_m_values, p_y_values)` is the O(n^2) form
+    lam_m^2i H[i, j] lam_y^2j; `entropy(p_m, p_y)` is its one-point case.
 
     Each X-string x contributes a Walsh-Hadamard transform over a:
     <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x] = G[a, a^x],
@@ -642,14 +680,28 @@ class PauliWeightPlan:
             coeff = window_coefficient_matrix(psi, start, length)
             self.histogram = _gram_histogram(coeff, sym.flip)
 
-    def purity(self, p_m, p_y):
-        lam_m = _contraction(p_m, "p_m")
-        lam_y = _contraction(p_y, "p_y")
+    def purities(self, p_m_values, p_y_values):
+        """The purity on the grid p_m_values x p_y_values, as a (p_m, p_y) array.
+
+        One row lam_m^2i H[i, :] per p_m (a GEMV), then one dot with
+        lam_y^2j per cell, the one-point form's products in its order: one
+        GEMM of the whole grid rounds differently in the last bit.
+        """
         e = 2 * np.arange(self.histogram.shape[0])
-        return float(lam_m**e @ self.histogram @ lam_y**e)
+        lam_m = _contractions(p_m_values, "p_m")[:, None] ** e
+        lam_y = _contractions(p_y_values, "p_y")[:, None] ** e
+        rows = [row @ self.histogram for row in lam_m]
+        return np.array([list(map(row.dot, lam_y)) for row in rows]).reshape(len(lam_m), len(lam_y))
+
+    def entropies(self, p_m_values, p_y_values):
+        """The entropy on the grid p_m_values x p_y_values, as a (p_m, p_y) float64 array."""
+        return _entropies_of(self.purities(p_m_values, p_y_values))
+
+    def purity(self, p_m, p_y):
+        return float(self.purities((p_m,), (p_y,))[0, 0])
 
     def entropy(self, p_m, p_y):
-        return _entropy_of(self.purity(p_m, p_y))
+        return float(self.entropies((p_m,), (p_y,))[0, 0])
 
 
 def _check_length(state, part: Bipartition):
@@ -716,13 +768,16 @@ class MiPoint:
 class MiPlan:
     """The S_A, S_B and S_AB plans of one bipartition; every sweep's MiPoints come from here.
 
-    `plans` maps each window (start, length) to the plan that serves it, as
-    `build_mi_plans` builds them: GsePlans or PauliWeightPlans.
-    `point(*strengths)` passes the strengths, (p_m,) or (p_m, p_y), to each
-    plan's `entropy` and is cheap across a strength grid.  The MiPlans of
-    one sweep share plans: the whole chain serves every L_A, and a B window
-    may be another L_A's A window.  Handing their `point` calls at one
-    strength tuple one `entropies` dict evaluates each distinct plan once.
+    `plans` holds the plans of the windows A, B and AB (`Bipartition.windows`)
+    as `build_mi_plans` builds them: GsePlans or PauliWeightPlans.
+    `point(*strengths)` is the one-point view: it passes the strengths,
+    (p_m,) or (p_m, p_y), to each plan's `entropy`.  A sweep evaluates its
+    grid through the plans' grid method instead, `entropies(p_m_values)` or
+    `entropies(p_m_values, p_y_values)`, which contracts every grid point as
+    the one-point form does, to the bit.  The MiPlans of one sweep share
+    plans: the whole chain serves every L_A, and a B window may be another
+    L_A's A window, so a sweep (`experiments`) evaluates each distinct plan
+    once over its whole grid.
     """
 
     def __init__(self, part: Bipartition, axis, plans):
@@ -730,14 +785,13 @@ class MiPlan:
         self.axis = axis
         self._plan_a, self._plan_b, self._plan_ab = (plans[w] for w in part.windows)
 
-    def point(self, *strengths, entropies=None) -> MiPoint:
-        """The MiPoint at `strengths`; `entropies` maps plans to their entropy there."""
-        entropies = {} if entropies is None else entropies
-        plans = (self._plan_a, self._plan_b, self._plan_ab)
-        for plan in plans:
-            if plan not in entropies:
-                entropies[plan] = plan.entropy(*strengths)
-        s_a, s_b, s_ab = (entropies[plan] for plan in plans)
+    @property
+    def plans(self):
+        return (self._plan_a, self._plan_b, self._plan_ab)
+
+    def point(self, *strengths) -> MiPoint:
+        """The MiPoint at `strengths`."""
+        s_a, s_b, s_ab = (plan.entropy(*strengths) for plan in self.plans)
         p_m, p_y = (*map(float, strengths), 0.0)[:2]  # p_y = 0 on pure-state plans
         return MiPoint(
             L=self.part.L,
@@ -756,20 +810,22 @@ def _near(a, b, ops):
     """True when |op(a, b)| <= 1e-12 in the 2-norm for one of the ufuncs `ops`.
 
     a and b are equal-shape 2-D views; the squared differences are summed
-    a block of rows at a time through one buffer, and the test stops once
-    every sum is past the bound.  (The sum |a|^2 + |b|^2 -+ 2 Re <a, b>
-    would need no buffer, but it cancels to far above 1e-24.)
+    a block of rows at a time through one buffer, an operation is no longer
+    run once its sum is past the bound, and the test stops once every one
+    is.  (The sum |a|^2 + |b|^2 -+ 2 Re <a, b> would need no buffer, but it
+    cancels to far above 1e-24.)
     """
-    sums = np.zeros(len(ops))
+    sums = dict.fromkeys(ops, 0.0)
     rows = max(1, _WHT_BLOCK_ELEMENTS // a.shape[1])
     buf = np.empty(min(a.shape[0], rows) * a.shape[1], np.result_type(a, b))
     for r0 in range(0, a.shape[0], rows):
         a_rows, b_rows = a[r0 : r0 + rows], b[r0 : r0 + rows]
         d = buf[: a_rows.size].reshape(a_rows.shape)
-        for i, op in enumerate(ops):
+        for op in sums:
             op(a_rows, b_rows, out=d)
-            sums[i] += np.vdot(d, d).real
-        if not np.sqrt(sums.min()) <= 1e-12:  # nan fails as well
+            sums[op] += np.vdot(d, d).real
+        sums = {op: s for op, s in sums.items() if np.sqrt(s) <= 1e-12}  # nan fails as well
+        if not sums:
             return False
     return True
 

@@ -16,14 +16,18 @@ through `tfim.atomic_write`; their columns are the fields of `MiPoint` and
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
 from .entropy import MiPoint, PauliWeightPlan, build_mi_plans
-from .scaling import default_window, degenerate_design, fit_cft, scaling_variable
+# fit_cft, the one-group form of fit_rows, is not called here, but
+# perfbench/tracing.py wraps experiments.fit_cft by name
+from .scaling import default_window, degenerate_design, fit_cft, fit_rows, scaling_variable  # noqa: F401
 from .spin import AXES
 from .tfim import (
     LANCZOS_MAX_SITES,
@@ -297,12 +301,6 @@ def cached_ground_state(L, cache_dir="cache"):
     return result, False
 
 
-def _fit_group(points, window):
-    lo, hi = window
-    data = [(p.L, p.L_A, p.I2) for p in points if lo <= p.L_A <= hi]
-    return fit_cft(data)
-
-
 def _sweep(cfg: ExperimentConfig, ground, plan, grid):
     """Points over L_A and the strength grid, and their fits, for a validated config.
 
@@ -315,14 +313,30 @@ def _sweep(cfg: ExperimentConfig, ground, plan, grid):
     if ground.L != cfg.L:
         raise ConfigError(f"ground state of L={ground.L} is not one of L={cfg.L}")
     l_a_values = sorted(set(cfg.L_A))
+    grid = [sorted(set(values)) for values in grid]
+    window = effective_window(cfg)
+    _check_window(window, cfg.L)
     # the module global, looked up at each call, so a traced one is the one that runs
     plans = build_mi_plans(ground.state, l_a_values, cfg.axis, cfg.workers, plan)
-    points = []
-    for strengths in product(*(sorted(set(values)) for values in grid)):
-        # the MiPlans share plans: each distinct one is evaluated once per tuple
-        entropies = {}
-        points += [plans[l_a].point(*strengths, entropies=entropies) for l_a in l_a_values]
-    return points, fit_points(points, effective_window(cfg))
+    mis = [plans[l_a] for l_a in l_a_values]
+    # the MiPlans share plans: each distinct one evaluates the whole grid once,
+    # flattened in (p_m, p_y) order
+    entropies = {}
+    for mi in mis:
+        for p in mi.plans:
+            if p not in entropies:
+                entropies[p] = p.entropies(*grid).reshape(-1)
+    # (strength tuple, L_A) arrays in the row order of the points CSV
+    s_a, s_b, s_ab = (np.stack([entropies[mi.plans[k]] for mi in mis], axis=1) for k in range(3))
+    i2 = s_a + s_b - s_ab
+    strengths = [(*map(float, t), 0.0)[:2] for t in product(*grid)]  # p_y = 0 on pure-state plans
+    points = [
+        MiPoint(cfg.L, l_a, cfg.axis, p_m, p_y, *row)
+        for (p_m, p_y), rows in zip(strengths, np.stack((s_a, s_b, s_ab, i2), axis=-1).tolist())
+        for l_a, row in zip(l_a_values, rows)
+    ]
+    keys = [(cfg.axis, p_m, p_y) for p_m, p_y in strengths]
+    return points, _fit_groups(cfg.L, l_a_values, i2, window, keys)
 
 
 def run_case1(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
@@ -341,23 +355,47 @@ def run_case2(cfg: ExperimentConfig, ground: GroundStateResult | None = None):
     return _sweep(cfg, ground, PauliWeightPlan, (cfg.p_m, cfg.p_y))
 
 
+def _fit_groups(L, l_a, i2, window, keys):
+    """FitRows of the groups `keys`, (axis, p_m, p_y) each, in one batched fit.
+
+    Row g of `i2` holds the I2 of group g at the L_A values `l_a`; the
+    values inside `window` share one design.
+    """
+    lo, hi = window
+    inside = [j for j, v in enumerate(l_a) if lo <= v <= hi]
+    x = np.array([scaling_variable(L, l_a[j]) for j in inside])
+    c2, b2, rms, _ = fit_rows(np.broadcast_to(x, (len(keys), x.size)), i2[:, inside])
+    return [FitRow(*key, *fit, window) for key, fit in zip(keys, zip(c2.tolist(), b2.tolist(), rms.tolist()))]
+
+
 def fit_points(points, window=None):
-    """Group loaded points by (axis, p_m, p_y) and fit each group; all share one L."""
+    """Group loaded points by (axis, p_m, p_y) and fit each group; all share one L.
+
+    The groups that hold the same L_A values share one window check and one
+    design, and are fitted as one batch.
+    """
     chains = sorted({p.L for p in points})
     if len(chains) > 1:
         raise ConfigError(f"points of more than one chain length L {chains}; fit each L alone")
     groups = {}
     for p in points:
         groups.setdefault((p.axis, p.p_m, p.p_y), []).append(p)
-    fits = []
-    for (axis, p_m, p_y) in sorted(groups):
-        group = groups[(axis, p_m, p_y)]
-        win = window if window else default_window(group[0].L)
-        _check_window(win, group[0].L)
-        _check_fittable(group[0].L, sorted({p.L_A for p in group}), win)
-        res = _fit_group(group, win)
-        fits.append(FitRow(axis, p_m, p_y, res.c2, res.b2, res.rms, win))
-    return fits
+    if not groups:
+        return []
+    L = chains[0]
+    win = window if window else default_window(L)
+    _check_window(win, L)
+    by_l_a = attrgetter("L_A")
+    families = {}  # the sorted L_A values of a group: the keys of the groups that hold them
+    for key in sorted(groups):
+        groups[key].sort(key=by_l_a)
+        families.setdefault(tuple(map(by_l_a, groups[key])), []).append(key)
+    fits = {}
+    for l_a, keys in families.items():
+        _check_fittable(L, sorted(set(l_a)), win)
+        i2 = np.array([[p.I2 for p in groups[key]] for key in keys])
+        fits.update(zip(keys, _fit_groups(L, l_a, i2, win, keys)))
+    return [fits[key] for key in sorted(groups)]
 
 
 def _fmt(value):
@@ -369,11 +407,29 @@ def _fmt(value):
     return str(value)
 
 
+def _fmt_column(values, reprs):
+    # plain floats, as the sweeps and the loader give them, take one repr per
+    # distinct nonzero value, kept in `reprs` across the columns (a sweep
+    # repeats its strengths, and S_B repeats S_A of a shared plan); zeros take
+    # their own, as 0.0 == -0.0.  Ints and text take one str per distinct
+    # value, and any other column goes through _fmt
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        reprs.update({v: repr(v) for v in set(values) - reprs.keys() if v})
+        return [reprs[v] if v else repr(v) for v in values]
+    if kinds <= {int, str}:  # no int equals a str, so one dict holds both
+        text = {v: str(v) for v in set(values)}
+        return list(map(text.__getitem__, values))
+    return list(map(_fmt, values))
+
+
 def _write_csv(path, preamble, columns, rows):
+    """The rows formatted a column at a time, then written at once."""
+    reprs = {}
+    cells = [_fmt_column(values, reprs) for values in zip(*map(attrgetter(*columns), rows))]
+    lines = map(",".join, zip(*cells))
     with atomic_write(path) as fh:
-        fh.write(f"{preamble}\n{','.join(columns)}\n".encode())
-        for row in rows:
-            fh.write((",".join(_fmt(getattr(row, c)) for c in columns) + "\n").encode())
+        fh.write("\n".join([preamble, ",".join(columns), *lines, ""]).encode())
 
 
 def write_points_csv(path, points):
@@ -403,7 +459,7 @@ def read_points_csv(path):
             values = [int(tok[0]), int(tok[1]), tok[2]] + [float(t) for t in tok[3:]]
         except ValueError as exc:
             raise ConfigError(f"{path}: non-numeric field in row {row!r}") from exc
-        if not np.all(np.isfinite(values[3:])):
+        if not all(map(math.isfinite, values[3:])):
             raise ConfigError(f"{path}: non-finite field in row {row!r}")
         L, l_a, axis, p_m, p_y = values[:5]  # in the domain that `build_config` holds a config to
         if axis not in AXES or not 0 < l_a < L or not (0.0 <= p_m <= 0.5 and 0.0 <= p_y <= 0.5):

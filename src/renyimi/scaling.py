@@ -42,28 +42,44 @@ class FitResult:
     residuals: tuple
 
 
+def fit_rows(x, y):
+    """OLS of each row of y on the same row of x, both (groups, n) arrays with n >= 2.
+
+    Each row is sorted by (x, y) first, so permuting a row's samples leaves
+    its fit bit-identical, and then takes the row means and one dot per
+    row for the slope, the arithmetic of a one-row fit in its order.
+    Returns the arrays (c2, b2, rms, residuals), the residuals in the sorted
+    order of each row.
+    """
+    order = np.lexsort((y, x), axis=-1)
+    x = np.take_along_axis(x, order, axis=-1)
+    y = np.take_along_axis(y, order, axis=-1)
+    xm = x.mean(axis=1)
+    ym = y.mean(axis=1)
+    dx = x - xm[:, None]
+    dy = y - ym[:, None]
+    slope = np.array(list(map(np.dot, dx, dy))) / np.array(list(map(np.dot, dx, dx)))
+    b2 = ym - slope * xm
+    c2 = 4.0 * slope
+    residuals = y - (c2 / 4.0)[:, None] * x - b2[:, None]
+    rms = np.sqrt(np.mean(residuals**2, axis=1))
+    return c2, b2, rms, residuals
+
+
 def fit_cft(points) -> FitResult:
     """Ordinary least squares of (L, L_A, I2) samples on the scaling form.
 
     Inputs are sorted internally, so permuting the points leaves the
     result bit-identical.  Raises on a rank-deficient design (fewer than
     two distinct scaling-variable values, e.g. only symmetric L_A pairs).
+    The fit is the one-row case of `fit_rows`.
     """
-    data = sorted((scaling_variable(L, L_A), float(i2)) for L, L_A, i2 in points)
-    x = np.array([d[0] for d in data])
-    y = np.array([d[1] for d in data])
-    if degenerate_design(x):
+    data = [(scaling_variable(L, L_A), float(i2)) for L, L_A, i2 in points]
+    if degenerate_design([x for x, _ in data]):
         raise ValueError(
             "rank-deficient design: fewer than two distinct scaling-variable values "
             "(symmetric L_A pairs collapse)"
         )
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    slope = float(dx @ (y - ym)) / float(dx @ dx)
-    intercept = ym - slope * xm
-    c2 = 4.0 * slope
-    b2 = intercept
-    residuals = y - (c2 / 4.0) * x - b2
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    return FitResult(c2=c2, b2=b2, rms=rms, residuals=tuple(float(r) for r in residuals))
+    xy = np.array(data)
+    c2, b2, rms, residuals = fit_rows(xy[None, :, 0], xy[None, :, 1])
+    return FitResult(c2=float(c2[0]), b2=float(b2[0]), rms=float(rms[0]), residuals=tuple(residuals[0].tolist()))

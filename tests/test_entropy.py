@@ -441,6 +441,56 @@ def test_flip_halved_low_rank_plans_peak_near_three_states(critical, length, alg
     assert peak <= 3.1 * psi.nbytes
 
 
+def test_near_stops_running_an_operation_once_its_sum_is_past_the_bound(monkeypatch):
+    # a flip-even state over 16 row blocks: psi(a~) + psi(a) fails the bound on
+    # the first block and is not formed again, psi(a~) - psi(a) runs on all of
+    # them; a state that fails both runs each once
+    monkeypatch.setattr(entropy, "_WHT_BLOCK_ELEMENTS", 16)
+    half = np.random.default_rng(SEED).standard_normal(128)
+    calls = []
+
+    def counting(ufunc):
+        def op(a, b, out):
+            calls.append(ufunc.__name__)
+            return ufunc(a, b, out=out)
+
+        return op
+
+    ops = (counting(np.subtract), counting(np.add))
+    psi = np.concatenate([half, half[::-1]])
+    assert entropy._near(psi[::-1, None], psi[:, None], ops)
+    assert calls.count("add") == 1 and calls.count("subtract") == 16
+    calls.clear()
+    psi = np.concatenate([half, half])
+    assert not entropy._near(psi[::-1, None], psi[:, None], ops)
+    assert calls == ["subtract", "add"]
+
+
+@pytest.mark.parametrize("length", [3, 8, 10])  # dense_gram, low_rank, rank1_full at L=10
+def test_grid_entropies_keep_the_bits_of_the_scalar_forms(critical, length):
+    # the grid methods against the one-point forms they replaced, one scalar
+    # contraction per cell: equal to the bit, not within a tolerance
+    state = rotate_to_basis(critical(10), "Z")
+    p_m = [0.0, 0.013, 0.1, 0.25, 0.37, 0.5]
+    p_y = [0.0, 0.05, 0.2, 0.45]
+    plan = GsePlan(state, 0, length)
+    n = plan._impl.n_bits
+    for p, value in zip(p_m, plan.entropies(p_m)):
+        mu = entropy._contraction(p, "p_m") ** 2
+        if plan.algorithm == "dense_gram":
+            purity = float(plan._impl.binned @ mu ** np.arange(n + 1))
+        else:
+            d = np.arange(n + 1, dtype=np.float64)
+            purity = float(plan._impl.spectrum @ ((1.0 + mu) ** (n - d) * (1.0 - mu) ** d))
+        assert value == float(-np.log(purity) + 0.0)
+    plan = PauliWeightPlan(state, 0, length)
+    e = 2 * np.arange(plan.histogram.shape[0])
+    grid = plan.entropies(p_m, p_y)
+    for (i, pm), (j, py) in product(enumerate(p_m), enumerate(p_y)):
+        lam_m, lam_y = entropy._contraction(pm, "p_m"), entropy._contraction(py, "p_y")
+        assert grid[i, j] == float(-np.log(float(lam_m**e @ plan.histogram @ lam_y**e)) + 0.0)
+
+
 def is_flip_symmetric(psi):
     # the flip half of `Symmetry.of` on its own
     return entropy._near(psi[::-1, None], psi[:, None], (np.subtract, np.add))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyimi import Bipartition, cli, entropy, experiments, tfim
+from renyimi import Bipartition, cli, entropy, experiments, fit_cft, tfim
 from renyimi.oracle import (
     ChannelSpec,
     apply_lifted_channel,
@@ -485,29 +485,60 @@ def test_run_case2_csvs_do_not_depend_on_worker_count(tmp_path):
 
 
 @pytest.mark.parametrize("run, plan_class, grid", [
-    (run_case1, "GsePlan", dict(p_m=(0.0, 0.2, 0.5))),
-    (run_case2, "PauliWeightPlan", dict(p_m=(0.0, 0.5), p_y=(0.0, 0.2, 0.45))),
+    (run_case1, "GsePlan", dict(p_m=(0.5, 0.0, 0.2, 0.0))),
+    (run_case2, "PauliWeightPlan", dict(p_m=(0.5, 0.0), p_y=(0.45, 0.0, 0.2, 0.2))),
 ])
 def test_sweep_evaluates_each_distinct_plan_once_per_strength_tuple(
     tmp_path, monkeypatch, run, plan_class, grid
 ):
+    # every strength tuple of the sweep comes from one grid call per distinct plan
     calls = []
     cls = getattr(entropy, plan_class)
-    inner = cls.entropy
+    inner = cls.entropies
 
-    def counted(self, *strengths):
-        calls.append((id(self), strengths))
-        return inner(self, *strengths)
+    def counted(self, *grids):
+        calls.append((id(self), tuple(tuple(g) for g in grids)))
+        return inner(self, *grids)
 
-    monkeypatch.setattr(cls, "entropy", counted)
+    monkeypatch.setattr(cls, "entropies", counted)
     cfg = small_cfg(tmp_path, L_A=(2, 3, 4, 5, 6), **grid)
     points, _ = run(cfg)
-    tuples = len(cfg.p_m) * max(1, len(cfg.p_y))
-    assert len(points) == 5 * tuples
+    sorted_grid = tuple(tuple(sorted(set(values))) for values in grid.values())
+    assert len(points) == 5 * int(np.prod([len(values) for values in sorted_grid]))
     # the whole chain and the start-0 windows of lengths 2..6, each B window
     # being the A window of L - L_A on the shift-invariant ground state
-    assert len({plan for plan, _ in calls}) == 6
-    assert len(calls) == len(set(calls)) == 6 * tuples
+    assert len({plan for plan, _ in calls}) == len(calls) == 6
+    assert all(grids == sorted_grid for _, grids in calls)
+
+
+def test_fine_case2_grid_csvs_match_the_one_point_path(tmp_path):
+    # an 11 x 10 map: the grid evaluation, the batched fits and the one-write
+    # CSVs give the bytes of MiPlan.point, fit_cft and one repr per cell
+    p_m = tuple(round(0.05 * i, 2) for i in range(11))
+    p_y = tuple(round(0.05 * i, 2) for i in range(10))
+    cfg = small_cfg(tmp_path, p_m=p_m, p_y=p_y, L_A=tuple(range(1, 8)), window=(2, 6))
+    points_csv, fits_csv = _csv_bytes(cfg, *run_case2(cfg))
+
+    state = cached_ground_state(8, cache_dir=cfg.cache_dir)[0].state
+    plans = entropy.build_mi_plans(state, range(1, 8), "Z", plan=entropy.PauliWeightPlan)
+    point_lines, fit_lines = [], []
+    for pm in p_m:
+        for py in p_y:
+            group = [plans[l_a].point(pm, py) for l_a in range(1, 8)]
+            point_lines += [
+                f"8,{pt.L_A},Z,{pm!r},{py!r},{pt.S_A!r},{pt.S_B!r},{pt.S_AB!r},{pt.I2!r}"
+                for pt in group
+            ]
+            res = fit_cft([(8, pt.L_A, pt.I2) for pt in group if 2 <= pt.L_A <= 6])
+            fit_lines.append(f"Z,{pm!r},{py!r},{res.c2!r},{res.b2!r},{res.rms!r},2:6")
+    header = "# entropies in nats (natural log)\nL,L_A,axis,p_m,p_y,S_A,S_B,S_AB,I2\n"
+    assert points_csv.decode() == header + "".join(line + "\n" for line in point_lines)
+    header = "# fit method: ordinary least squares\naxis,p_m,p_y,c2,b2,rms,window\n"
+    assert fits_csv.decode() == header + "".join(line + "\n" for line in fit_lines)
+
+    refit = tmp_path / "refit.csv"
+    assert cli.main(["fit", cfg.out, "--window", "2:6", "--out", str(refit)]) == 0
+    assert refit.read_bytes() == fits_csv
 
 
 def test_cli_case2_csvs_do_not_depend_on_worker_count_L10(tmp_path):

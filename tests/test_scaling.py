@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from renyimi import default_window, fit_cft, scaling_variable
+from renyimi.scaling import fit_rows
 
 
 def ansatz(L, L_A, c2, b2):
@@ -65,6 +66,24 @@ def test_fit_is_permutation_invariant_bitwise():
     assert res_a.c2 == res_b.c2
     assert res_a.b2 == res_b.b2
     assert res_a.residuals == res_b.residuals
+
+
+def test_batched_fit_keeps_the_bits_of_the_one_row_fit():
+    # fit_rows on many groups at once, each row's samples shuffled, against a
+    # one-group OLS in scalar steps: sorted samples, means, one dot each
+    rng = np.random.default_rng(10)
+    L, l_a = 20, np.arange(3, 18)
+    x = np.array([scaling_variable(L, v) for v in l_a])
+    y = 0.25 * x + 0.3 + 0.01 * rng.standard_normal((40, l_a.size))
+    order = np.argsort(rng.random((40, l_a.size)), axis=1)
+    c2, b2, rms, _ = fit_rows(x[order], np.take_along_axis(y, order, axis=1))
+    for g in range(40):
+        xs, ys = np.array(sorted(zip(x, y[g]))).T
+        dx = xs - xs.mean()
+        slope = float(dx @ (ys - ys.mean())) / float(dx @ dx)
+        intercept = ys.mean() - slope * xs.mean()
+        residuals = ys - slope * xs - intercept
+        assert (c2[g], b2[g], rms[g]) == (4.0 * slope, intercept, np.sqrt(np.mean(residuals**2)))
 
 
 def test_fit_residual_definition():

@@ -150,11 +150,12 @@ def test_lanczos_matches_dense_sector_eigh(L):
         assert np.linalg.norm(tfim._sector_product(h, x) - t * x) <= 1e-13 * abs(t)
 
 
-@pytest.mark.parametrize("L", range(3, 21))
+@pytest.mark.parametrize("L", range(3, 23))
 def test_sector_levels_match_free_fermions(L, monkeypatch):
     # the gap check takes the second sector level for the first excited state:
     # two fermions at +-pi/L, E1 - E0 = 8 sin(pi/2L), also momentum-0, flip-
-    # and reversal-even; the dense branch below L=12, the solver's Lanczos above
+    # and reversal-even; the dense branch below L=12, the solver's Lanczos
+    # above, whose true residual must stay within its Ritz tolerance
     h = tfim._sector_hamiltonian(L)
     if L < 12:
         theta = np.linalg.eigvalsh(tfim._sector_product(h, np.eye(len(h[0]))))
@@ -167,8 +168,9 @@ def test_sector_levels_match_free_fermions(L, monkeypatch):
             return theta, vecs
 
         monkeypatch.setattr(tfim, "_lanczos", recorded)
-        ground_state(L)
+        res = ground_state(L)
         (theta,) = levels
+        assert res.residual <= tfim._LANCZOS_TOL * abs(res.energy)
     assert abs(theta[1] - theta[0] - 8.0 * np.sin(np.pi / (2 * L))) <= 1e-12
     assert abs(theta[0] + 2.0 / np.sin(np.pi / (2 * L))) <= 1e-13
 
