@@ -17,7 +17,12 @@ behind one plan interface, and the window size picks one:
     blocks, offset by offset, one per orbit of the block pairs under G's
     symmetries (its Hermiticity, and the flip below), each weighted by its
     orbit size (`_gram_orbits`, which case 2 shares); an XOR fold sums one
-    offset's |G|^2 by a ^ a' with no index array.
+    offset's |G|^2 by a ^ a' with no index array.  A start-0 window of m
+    sites is the n-site one with its top sites traced out, so
+    `build_mi_plans` derives every smaller start-0 dense_gram window of a
+    sweep from the largest one's block products, in the same pass: each
+    offset's products and their orbit images are summed into one offset of
+    G_{n-1}'s blocks, halved level by level down the chain.
   * low_rank: expand G through the Schmidt vectors, which one `eigh` of
     the small complement-side Gram matrix gives (no SVD), and drop the
     Schmidt pairs whose proven bounds sum to at most 2^-53 of the
@@ -228,30 +233,84 @@ def _xor_fold(m):
     return f.reshape(k, block)
 
 
-class _DenseGramPlan:
-    """|G|^2 binned by window Hamming distance; purity(p) is then O(L_A).
+def _abs2_into(z, buf):
+    """|z|^2 of a 2-D array into the head of the flat float64 `buf`, z left as it is.
 
-    g[d] = sum_a |G[a, a^d]|^2 is accumulated over the aligned square
-    blocks of `_gram_orbits`: in the block pair (i, i ^ X) the entry (r, c)
-    has d = X block + (r ^ c), so `_xor_fold` sums |G|^2 of one offset's
-    products by r ^ c, with no index array, and the sum lands on g's block
-    X.  G is Hermitian, so |G|^2 is symmetric, and d is the same on every
-    block pair of an orbit: each product counts at its orbit's size.  That
-    takes about half of G's blocks, and a quarter on the flip.
+    A complex z squares its imaginary part into the next z.size entries.
     """
+    out = buf[: z.size].reshape(z.shape)
+    np.square(z.real, out=out)
+    if z.dtype.kind == "c":
+        out += np.square(z.imag, out=buf[z.size : 2 * z.size].reshape(z.shape))
+    return out
 
-    def __init__(self, coeff, flip):
-        na = coeff.shape[0]
-        self.n_bits = na.bit_length() - 1
-        # one offset's products hold at most na * block <= na d_B / 2 entries,
-        # half of C's: at L=20 an 8 MB product buffer of the 11-site window
-        # went to mmap on top of the heap that glibc keeps after the low_rank
-        # plans built before it (+14% peak RSS of case 1), where 4 MB reuses it
-        block = min(na // 2 if flip else na, _GRAM_BLOCK, max(1, coeff.shape[1] // 2))
-        g = np.zeros((na // block, block))
-        for x, _, weight, products in _gram_orbits(coeff, flip, block):
-            g[x] = weight * _xor_fold(_abs2_owned(products)).sum(axis=0)
-        self.binned = _popcount_sums(g, self.n_bits)[0]
+
+def _fold_blocks(blocks, buf):
+    """sum_i f_i[e] of the `_xor_fold`s of |blocks[i]|^2, squared one block at a time into `buf`."""
+    return sum(_xor_fold(_abs2_into(b, buf)[None])[0] for b in blocks)
+
+
+def _add_orbit(sums, x, i, top, p):
+    """Add every block pair of G in the orbit of p = G's block pair (i, i ^ x) to sums[row mod len(sums)].
+
+    The orbit's pairs (k, k ^ x) are p at k = i, its conjugate transpose at
+    i ^ x and, on the flip (top = F), both of these reversed along both
+    axes at i ^ F and i ^ x ^ F; each distinct row k counts once.
+    """
+    images = ((i, False, False), (i ^ x, True, False), (i ^ top, False, True), (i ^ x ^ top, True, True))
+    seen = set()
+    for row, transpose, reverse in images:
+        if row in seen:
+            continue
+        seen.add(row)
+        v = p.T if transpose else p
+        v = v[::-1, ::-1] if reverse else v
+        dst = sums[row % len(sums)]
+        if transpose and p.dtype.kind == "c":
+            dst.real += v.real
+            dst.imag -= v.imag
+        else:
+            dst += v
+
+
+def _fold_levels(cur, level, x, levels, buf):
+    """Fold each smaller start-0 window's |G|^2 at offset x into its row of `levels`.
+
+    cur holds the block pairs (k, k ^ x) of the window of `level` sites
+    (k < len(cur)).  Tracing out its top site, G_{m-1}[a, a'] = G_m[a, a']
+    + G_m[a + 2^(m-1), a' + 2^(m-1)], adds the upper half of the rows onto
+    the lower one while there are two or more; an offset x at or past the
+    new row count then reaches no smaller window.  A single block (x = 0)
+    is G_m itself, and G_{m-1} = G_m[:h, :h] + G_m[h:, h:].  Each level is
+    summed in place in cur, and `levels` maps the lengths to fold to their
+    g, (2^m / block, block) or (1, 2^m) below the block.
+    """
+    lowest = min(levels)
+    while True:
+        if level in levels:
+            levels[level][x] += _fold_blocks(cur, buf)
+        if level == lowest:
+            return
+        k, s = cur.shape[:2]
+        if k > 1:
+            k //= 2
+            if x >= k:
+                return
+            cur[:k] += cur[k:]
+            cur = cur[:k]
+        else:
+            s //= 2
+            cur[:, :s, :s] += cur[:, s:, s:]
+            cur = cur[:, :s, :s]
+        level -= 1
+
+
+class _BinnedGram:
+    """|G|^2 binned by window Hamming distance; purity(p) is then O(L_A)."""
+
+    def __init__(self, binned):
+        self.binned = binned
+        self.n_bits = binned.size - 1
 
     def purities(self, lam):
         """The purity at each contraction of the 1-D `lam`: a row of powers of mu = lam^2, one dot each."""
@@ -260,6 +319,62 @@ class _DenseGramPlan:
 
     def purity(self, lam):
         return float(self.purities(np.array([lam]))[0])
+
+
+class _DenseGramPlan(_BinnedGram):
+    """|G|^2 of a window and of the start-0 windows inside it, binned from one pass over G's blocks.
+
+    g[d] = sum_a |G[a, a^d]|^2 is accumulated over the aligned square
+    blocks of `_gram_orbits`: in the block pair (i, i ^ X) the entry (r, c)
+    has d = X block + (r ^ c), so `_xor_fold` sums |G|^2 of one offset's
+    products by r ^ c, with no index array, and the sum lands on g's block
+    X.  G is Hermitian, so |G|^2 is symmetric, and d is the same on every
+    block pair of an orbit: each product counts at its orbit's size.  That
+    takes about half of G's blocks, and a quarter on the flip.  A complex
+    state squares into one real buffer, allocated once.
+
+    `nested` (a start-0 window's) maps smaller lengths m to None, and each
+    gets the `_BinnedGram` of the window of its m low sites, G_m being G
+    with its top sites traced out.  Those windows' pairs keep the top bits
+    of row and column equal, so only the offsets X < nq/2 reach them: before
+    such an offset squares its products, every orbit product and its images
+    are added into one buffer of nq/2 blocks (`_add_orbit`), G_{n-1}'s
+    blocks at X, which `_fold_levels` halves level by level.  After the
+    offset's own fold the first product is free, and squares those blocks
+    one at a time.  So the chain takes one window's GEMMs and one offset of
+    G_{n-1} beside them.
+    """
+
+    def __init__(self, coeff, flip, nested=None):
+        na = coeff.shape[0]
+        n = na.bit_length() - 1
+        # one offset's products hold at most na * block <= na d_B / 2 entries,
+        # half of C's: at L=20 an 8 MB product buffer of the 11-site window
+        # went to mmap on top of the heap that glibc keeps after the low_rank
+        # plans built before it (+14% peak RSS of case 1), where 4 MB reuses it
+        block = min(na // 2 if flip else na, _GRAM_BLOCK, max(1, coeff.shape[1] // 2))
+        nq = na // block
+        top = nq - 1 if flip else 0
+        g = np.zeros((nq, block))
+        cap = (nq + 1) // 2 if flip else nq  # products at one offset, at most
+        squares = None if coeff.dtype.kind == "f" else np.empty((cap, block, block))
+        levels = {m: np.zeros((max(1, (1 << m) // block), min(block, 1 << m))) for m in nested or ()}
+        sums = np.empty((max(1, nq // 2), block, block), coeff.dtype) if levels else None
+        for x, rows, weight, products in _gram_orbits(coeff, flip, block):
+            nests = bool(levels) and x < len(sums)
+            if nests:
+                sums.fill(0.0)
+                for i, p in zip(rows, products):
+                    _add_orbit(sums, x, i, top, p)
+            squared = _abs2_owned(products, None if squares is None else squares[: rows.size])
+            g[x] = weight * _xor_fold(squared).sum(axis=0)
+            if nests:
+                # sums holds G_{n-1}'s blocks, or G itself when it is one block
+                buf = products[0].reshape(-1).view(np.float64)
+                _fold_levels(sums, n - (nq > 1), x, levels, buf)
+        super().__init__(_popcount_sums(g, n)[0])
+        for m, gm in levels.items():
+            nested[m] = _BinnedGram(_popcount_sums(gm, m)[0])
 
 
 def _row_norms2(m):
@@ -475,7 +590,11 @@ class GsePlan:
     at L = 16 to 24, where they cross at 2n = L + 4 (`BENCH_case1_eigh.json`):
     the GEMMs of dense_gram take about 2^(L+n) multiply-adds and those of
     low_rank about 2^(2L-n), plus the transforms of its kept pairs, a few
-    thousand at most.
+    thousand at most.  The rule was fitted to windows built one by one and
+    is not refit for the chain: in a sweep the start-0 dense_gram windows
+    cost about their largest window's build (`_nested`, which
+    `build_mi_plans` hands each window of the chain; the largest one fills
+    it with the spectra of the others).
     `symmetry` is the state's `Symmetry`, and its `flip` tells whether the
     kernel worked on half the window configurations; `build_mi_plans` tests
     it once for all the windows of a sweep and hands it in as `_symmetry`,
@@ -483,17 +602,19 @@ class GsePlan:
     construction (evaluation only reads the stored arrays).
     """
 
-    def __init__(self, state, start, length, *, _symmetry=None):
+    def __init__(self, state, start, length, *, _symmetry=None, _nested=None):
         self.window = (start, length)
-        L = num_sites(state)
-        if length == L:
-            self.algorithm = "rank1_full"
-        else:
-            self.algorithm = "low_rank" if 2 * length >= L + 4 else "dense_gram"
+        self.algorithm = _gse_algorithm(num_sites(state), length)
         self.symmetry = Symmetry.of(state) if _symmetry is None else _symmetry
+        if _nested is not None and _nested.get(length) is not None:
+            # a start-0 window that its chain's largest window has derived
+            self._impl = _nested[length]
+            return
         coeff = window_coefficient_matrix(state, start, length)
-        kernel = _DenseGramPlan if self.algorithm == "dense_gram" else _LowRankPlan
-        self._impl = kernel(coeff, self.symmetry.flip)
+        if self.algorithm == "dense_gram":
+            self._impl = _DenseGramPlan(coeff, self.symmetry.flip, _nested)
+        else:
+            self._impl = _LowRankPlan(coeff, self.symmetry.flip)
 
     def entropies(self, p_m_values):
         """The entropy at each strength of the sequence `p_m_values`, as a float64 array."""
@@ -504,6 +625,13 @@ class GsePlan:
 
     def entropy(self, p_m):
         return float(self.entropies((p_m,))[0])
+
+
+def _gse_algorithm(L, length):
+    """The kernel that GsePlan runs on a window of `length` of L sites."""
+    if length == L:
+        return "rank1_full"
+    return "low_rank" if 2 * length >= L + 4 else "dense_gram"
 
 
 def _contractions(values, name):
@@ -863,8 +991,12 @@ def build_mi_plans(state, L_A_values, axis, workers=1, plan=None):
     None, PauliWeightPlan for case 2) built as `plan(rotated, start, length,
     _symmetry=symmetry)`.  On a translation-invariant state the B window has
     the reduced density matrix of the start-0 window of the same length, so
-    that plan serves both; any other state keeps its own B window.  With
-    workers > 1 the builds share a thread pool.
+    that plan serves both; any other state keeps its own B window.  On
+    GsePlans the start-0 dense_gram windows are one chain: its largest
+    window is built first and derives the spectra of the others from its
+    Gram blocks (`_DenseGramPlan`), and each of them still gets its own plan.
+    With workers > 1 the builds share a thread pool, and the chain is one
+    task of it.
     """
     # GsePlan is looked up at each call, so a subclass swapped in for it
     # (a tracer's) builds them all
@@ -877,18 +1009,26 @@ def build_mi_plans(state, L_A_values, axis, workers=1, plan=None):
     # largest first: the pool ends on short builds, and the peak resident set
     # stays that of the largest plan (smallest first raised it 7% at L=14, Y axis)
     windows = sorted(set(source.values()), key=lambda w: (-w[1], w[0]))
+    # the start-0 dense_gram windows of a GsePlan sweep are one chain, built
+    # as one task in its largest window's place: that one derives the others
+    chain = [w for w in windows if w[0] == 0 and issubclass(plan, GsePlan)
+             and _gse_algorithm(L, w[1]) == "dense_gram"]
+    tasks = [chain if w in chain[:1] else [w] for w in windows if w not in chain[1:]]
 
-    def build(window):
-        return plan(rot, *window, _symmetry=symmetry)
+    def build(task):
+        if len(task) == 1:
+            return [plan(rot, *task[0], _symmetry=symmetry)]
+        nested = dict.fromkeys(length for _, length in task[1:])
+        return [plan(rot, *w, _symmetry=symmetry, _nested=nested) for w in task]
 
     if workers <= 1:
-        built = [build(w) for w in windows]
+        built = [build(task) for task in tasks]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, windows))
-    by_window = dict(zip(windows, built))
+            built = list(pool.map(build, tasks))
+    by_window = dict(zip((w for task in tasks for w in task), (p for ps in built for p in ps)))
     plans = {w: by_window[src] for w, src in source.items()}
     return {p.L_A: MiPlan(p, axis, plans) for p in parts}
 

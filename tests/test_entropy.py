@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
@@ -501,6 +501,12 @@ def is_translation_invariant(psi):
     return entropy._near(psi.reshape(2, -1).T, psi.reshape(-1, 2), (np.subtract,))
 
 
+def dense_gram_chain(psi):
+    # the start-0 dense_gram windows 6..11 of an L=20 sweep, as build_mi_plans builds them
+    symmetry, nested = Symmetry.of(psi), dict.fromkeys(range(6, 11))
+    return {GsePlan(psi, 0, n, _symmetry=symmetry, _nested=nested).algorithm for n in range(11, 5, -1)}
+
+
 @pytest.mark.parametrize("axis, work, expected, bound", [
     pytest.param("Z", Symmetry.of, Symmetry(flip=True, translation=True), 0.25,
                  id="Z-Symmetry.of-0.25"),
@@ -511,13 +517,18 @@ def is_translation_invariant(psi):
     ("Z", 14, "low_rank", 1.05),
     ("Z", 13, "low_rank", 1.1),
     ("X", 14, "low_rank", 1.25),
+    pytest.param("Z", dense_gram_chain, {"dense_gram"}, 0.65, id="Z-dense_gram_chain-0.65"),
+    pytest.param("X", dense_gram_chain, {"dense_gram"}, 0.85, id="X-dense_gram_chain-0.85"),
 ])
 def test_case1_stages_hold_one_working_copy_beside_the_state(critical, axis, work, expected, bound):
     # peak traced bytes over the state's, on the L=20 ground state (8 MB), of
     # `Symmetry.of`, of each of its two checks alone or of the GsePlan of a
     # window length: the checks sum over blocks, the whole chain transforms
     # |psi|^2 in place, low_rank holds its Schmidt vectors (one state size
-    # on X, where no flip halves them) and block buffers that it reuses
+    # on X, where no flip halves them) and block buffers that it reuses.  The
+    # dense_gram chain holds the 11-site window's products (0.28 on Z, 0.53
+    # on X) and one offset of G_10's blocks beside them, which it squares a
+    # block at a time
     psi = rotate_to_basis(critical(20), axis)
     tracemalloc.start()
     try:
@@ -734,16 +745,25 @@ def test_rank_one_windows_skip_their_zero_weight_vectors():
 
 def test_gaussian_oracle_checks_both_kernels_at_L20(critical):
     # the free-fermion mixture oracle on a dense_gram window (10 sites) and a
-    # truncated low_rank one (13 sites) of the L=20 ground state, all axes
+    # truncated low_rank one (13 sites) of the L=20 ground state, all axes,
+    # and on the 8- and 10-site windows that a sweep's chain derives from
+    # its 11-site window's Gram blocks
     psi = critical(20)
     for axis in ("X", "Y", "Z"):
         rot = rotate_to_basis(psi, axis)
+        sweep = build_mi_plans(psi, range(6, 15), axis)
         for length, algorithm in ((10, "dense_gram"), (13, "low_rank")):
             plan = GsePlan(rot, 0, length)
             assert plan.algorithm == algorithm
             for p_m in (0.1, 0.35):
                 exact = gaussian_dephased_renyi2(20, length, axis, p_m)
                 assert abs(plan.entropy(p_m) - exact) <= 1e-11, (axis, length, p_m)
+        for length in (8, 10):
+            plan = sweep[length]._plan_a
+            assert (plan.window, plan.algorithm) == ((0, length), "dense_gram")
+            for p_m in (0.1, 0.35):
+                exact = gaussian_dephased_renyi2(20, length, axis, p_m)
+                assert abs(plan.entropy(p_m) - exact) <= 1e-11, (axis, length, p_m, "chain")
 
 
 def test_wht_with_a_spare_writes_only_into_its_two_buffers():
@@ -936,6 +956,65 @@ def test_multi_block_plans_match_oracle(critical, monkeypatch, kind, axis):
             for p_m in (0.0, 0.1, 0.3, 0.5):
                 ref = _dense_window_entropy(rho_y, L, start, length, p_m)
                 assert abs(plan.entropy(p_m, p_y) - ref) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["critical", "even", "odd", "near", "random"])
+@PROPERTY
+@example(L=8, seed=SEED, axis="Z")
+@given(L=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+       axis=st.sampled_from(["X", "Y", "Z"]))
+def test_dense_gram_chain_matches_oracle_on_every_start_0_window(critical, kind, L, seed, axis):
+    # the chain of every top window n < L against the dense oracle on each
+    # smaller start-0 window; blocks of four rows put levels above the block
+    # size, at it and inside it, and at L = 8 with the top window of 5 sites
+    # (eight blocks) the flip's offsets X = 0, X = F and orbits of 4 all run
+    if kind == "random":
+        psi = random_state(L, np.random.default_rng(seed))
+    else:
+        psi = _flip_case_state(critical, L, kind, seed)
+    rot = rotate_to_basis(psi, axis)
+    flip = Symmetry.of(rot).flip
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_GRAM_BLOCK", 1 << 2)
+        offsets = _recording_offsets(mp)
+        levels = _counting(mp, "_fold_levels")
+        chains = {}
+        for top in range(2, L):
+            nested = dict.fromkeys(range(1, top))
+            offsets.clear()
+            entropy._DenseGramPlan(window_coefficient_matrix(rot, 0, top), flip, nested)
+            if (L, top) == (8, 5):
+                assert offsets == ({"X=0", "X=F", "orbit of 4"} if flip else {"X=0"})
+            chains[top] = nested
+    assert levels
+    for length in range(1, L - 2):
+        for p_m in (0.0, 0.1, 0.3, 0.5):
+            oracle = r2gse_dense(psi, Bipartition(L, length), axis, p_m)
+            lam = entropy._contraction(p_m, "p_m")
+            for top, nested in chains.items():
+                if length < top:
+                    value = entropy._entropy_of(nested[length].purity(lam))
+                    assert abs(value - oracle) < 1e-10, (top, length, p_m)
+
+
+def test_sweep_takes_one_gram_pass_for_its_start_0_dense_gram_windows(critical, monkeypatch):
+    # the dense_gram windows 2..6 of an L=10 sweep: one pass of the 6-site
+    # window, not five; a state without the shift nests only its A windows,
+    # and its five dense_gram B windows (2..6 sites at L_A = 8..4) take their own
+    passes = _counting(monkeypatch, "_gram_orbits")
+    build_mi_plans(critical(10), range(2, 9), "Z")
+    assert len(passes) == 1
+    psi = random_state(10, np.random.default_rng(SEED + 13))
+    assert not Symmetry.of(psi).translation
+    for workers in (1, 2):
+        passes.clear()
+        plans = build_mi_plans(psi, range(2, 9), "Z", workers)
+        assert len(passes) == 6
+        rot = rotate_to_basis(psi, "Z")
+        for l_a, mi in plans.items():
+            for plan in mi.plans:
+                assert plan.entropy(0.2) == pytest.approx(GsePlan(rot, *plan.window).entropy(0.2),
+                                                          rel=0, abs=1e-12)
 
 
 def _dense_window_entropy(rho, L, start, length, p_m):
