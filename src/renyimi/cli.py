@@ -10,7 +10,8 @@ runs `experiments.run_case1` or `run_case2` and writes the points CSV and
 the fits CSV beside it.
 
 Exit codes: 0 success, 2 configuration error (also an L above the sector
-solver's cap, before any solve), 3 numeric failure.
+solver's cap, before any solve) or an output that could not be written,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -120,6 +121,9 @@ def main(argv=None) -> int:
     except (LanczosError, ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a write refused or cut short past the checks, e.g. a full disk
+        print(f"write error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

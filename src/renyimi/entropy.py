@@ -68,16 +68,20 @@ windows (0, L_A), (L_A, L - L_A) and the whole chain; `build_mi_plans` builds
 one plan per distinct window, and on a translation-invariant state the B
 window of L_A is the start-0 window of length L - L_A, so a symmetric sweep
 builds each length once, and evaluates it once over the sweep's whole
-strength grid (see `MiPlan`).
+strength grid (see `mi_points`).
 
-Every plan has a grid method, `GsePlan.entropies(p_m_values)` and
-`PauliWeightPlan.entropies(p_m_values, p_y_values)`, of which `purity` and
-`entropy` are the one-point case.  A GsePlan takes one dot of its stored
-spectrum with each p_m's row of strength powers; a PauliWeightPlan
-contracts its histogram with each p_m's row (a GEMV), then takes one dot
-per (p_m, p_y) cell.  Those are the one-point form's products in its
-order, so every point keeps its bits; one GEMM over the whole grid would
-round differently.
+Both plan classes share one base, `_WindowPlan`, which holds the window
+and the `Symmetry` and defines `entropies(*grids)`, `entropy(*strengths)`
+and `purity(*strengths)` once on each class's own grid method,
+`GsePlan.purities(p_m_values)` or `PauliWeightPlan.purities(p_m_values,
+p_y_values)`; the one-point forms are a one-point grid.  A GsePlan takes
+one dot of its stored spectrum with each p_m's row of strength powers; a
+PauliWeightPlan contracts its histogram with each p_m's row (a GEMV), then
+takes one dot per (p_m, p_y) cell.  Those are the one-point form's
+products in its order, so every point keeps its bits; one GEMM over the
+whole grid would round differently.  `mi_points` is the one assembly of
+MiPoints, the rows of the points CSV, from those grids: every sweep and
+`MiPlan.point` go through it.
 
 The decohered windows of case 2 run on `PauliWeightPlan`, which bins a
 window's squared Pauli expectations by the two counts the channels damp:
@@ -98,6 +102,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -576,14 +582,40 @@ class _LowRankPlan:
         return float(self.purities(np.array([lam]))[0])
 
 
-class GsePlan:
+class _WindowPlan:
+    """What every window plan shares: its `window`, the state's `symmetry`, and the entropy forms.
+
+    A plan class adds its grid method `purities(*grids)`, one strength
+    sequence per channel, which gives an array of the grid's shape;
+    `entropies(*grids)` takes -log of each purity, and `purity(*strengths)`
+    and `entropy(*strengths)` are the one-point grid.  `symmetry` is tested
+    here when the caller hands in none.
+    """
+
+    def __init__(self, state, start, length, symmetry):
+        self.window = (start, length)
+        self.symmetry = Symmetry.of(state) if symmetry is None else symmetry
+
+    def entropies(self, *grids):
+        """The entropy at each point of the strength grid, as a float64 array of its shape."""
+        return _entropies_of(self.purities(*grids))
+
+    def purity(self, *strengths):
+        return float(self.purities(*((s,) for s in strengths)).flat[0])
+
+    def entropy(self, *strengths):
+        return float(self.entropies(*((s,) for s in strengths)).flat[0])
+
+
+class GsePlan(_WindowPlan):
     """Reusable evaluator of the dephased-subsystem Renyi-2 entropy.
 
     Bound to one pure state in the dephasing basis (`rotate_to_basis` takes
     a state there) and one contiguous site window; the expensive
     state-dependent work happens once in the constructor, and
-    `entropies(p_m_values)` then evaluates a whole strength grid at O(L_A) a
-    point; `entropy(p_m)` is its one-point case.  The window size picks the
+    `purities(p_m_values)`, the grid method under the `_WindowPlan` forms
+    `entropies(p_m_values)` and `entropy(p_m)`, then evaluates a whole
+    strength grid at O(L_A) a point.  The window size picks the
     kernel, named in `algorithm`: rank1_full (low_rank on the whole chain),
     low_rank on n sites of an L-site chain when 2n >= L + 4, dense_gram
     below.  That rule is fitted to both kernels' build times on the Z axis
@@ -598,14 +630,13 @@ class GsePlan:
     `symmetry` is the state's `Symmetry`, and its `flip` tells whether the
     kernel worked on half the window configurations; `build_mi_plans` tests
     it once for all the windows of a sweep and hands it in as `_symmetry`,
-    and a plan built on its own tests it itself.  Thread-safe after
+    and a plan built on its own tests it in the base.  Thread-safe after
     construction (evaluation only reads the stored arrays).
     """
 
     def __init__(self, state, start, length, *, _symmetry=None, _nested=None):
-        self.window = (start, length)
+        super().__init__(state, start, length, _symmetry)
         self.algorithm = _gse_algorithm(num_sites(state), length)
-        self.symmetry = Symmetry.of(state) if _symmetry is None else _symmetry
         if _nested is not None and _nested.get(length) is not None:
             # a start-0 window that its chain's largest window has derived
             self._impl = _nested[length]
@@ -616,15 +647,9 @@ class GsePlan:
         else:
             self._impl = _LowRankPlan(coeff, self.symmetry.flip)
 
-    def entropies(self, p_m_values):
-        """The entropy at each strength of the sequence `p_m_values`, as a float64 array."""
-        return _entropies_of(self._impl.purities(_contractions(p_m_values, "p_m")))
-
-    def purity(self, p_m):
-        return self._impl.purity(_contraction(p_m, "p_m"))
-
-    def entropy(self, p_m):
-        return float(self.entropies((p_m,))[0])
+    def purities(self, p_m_values):
+        """The purity at each strength of the sequence `p_m_values`, as a float64 array."""
+        return self._impl.purities(_contractions(p_m_values, "p_m"))
 
 
 def _gse_algorithm(L, length):
@@ -750,7 +775,7 @@ def _orbit_histogram(psi, reps, orbit):
     return (h + h[::-1, ::-1]) * (2.0 / dim)
 
 
-class PauliWeightPlan:
+class PauliWeightPlan(_WindowPlan):
     """Renyi-2 entropy of a window under Z-dephasing and Y-decoherence.
 
     The window [start, start+length) of a pure state is dephased in Z at
@@ -763,8 +788,9 @@ class PauliWeightPlan:
     trace.  The window purity is 2^-n sum_P <P>^2 over the scaled
     expectations, so the constructor bins <P>^2 once into
     `histogram[|x|, |x ^ z|]` (normalization included), and every grid
-    point of `entropies(p_m_values, p_y_values)` is the O(n^2) form
-    lam_m^2i H[i, j] lam_y^2j; `entropy(p_m, p_y)` is its one-point case.
+    point of `purities(p_m_values, p_y_values)` is the O(n^2) form
+    lam_m^2i H[i, j] lam_y^2j; `entropies`, `entropy(p_m, p_y)` and
+    `purity(p_m, p_y)` come from the `_WindowPlan` base.
 
     Each X-string x contributes a Walsh-Hadamard transform over a:
     <X^x Z^z> = sum_a (-1)^(z.a) g_x[a] with g_x[a] = rho[a, a^x] = G[a, a^x],
@@ -790,9 +816,8 @@ class PauliWeightPlan:
     """
 
     def __init__(self, state, start, length, *, _symmetry=None):
-        psi = np.asarray(state)
-        self.window = (start, length)
-        self.symmetry = sym = Symmetry.of(psi) if _symmetry is None else _symmetry
+        super().__init__(state, start, length, _symmetry)
+        psi, sym = np.asarray(state), self.symmetry
         L = num_sites(psi)
         chain = length == L and sym.flip and sym.translation and psi.dtype.kind == "f"
         if chain:
@@ -820,16 +845,6 @@ class PauliWeightPlan:
         lam_y = _contractions(p_y_values, "p_y")[:, None] ** e
         rows = [row @ self.histogram for row in lam_m]
         return np.array([list(map(row.dot, lam_y)) for row in rows]).reshape(len(lam_m), len(lam_y))
-
-    def entropies(self, p_m_values, p_y_values):
-        """The entropy on the grid p_m_values x p_y_values, as a (p_m, p_y) float64 array."""
-        return _entropies_of(self.purities(p_m_values, p_y_values))
-
-    def purity(self, p_m, p_y):
-        return float(self.purities((p_m,), (p_y,))[0, 0])
-
-    def entropy(self, p_m, p_y):
-        return float(self.entropies((p_m,), (p_y,))[0, 0])
 
 
 def _check_length(state, part: Bipartition):
@@ -878,9 +893,8 @@ def r2gse_pure(state, part: Bipartition, axis, p_m):
     return GsePlan(rotate_to_basis(state, axis), 0, part.L_A).entropy(p_m)
 
 
-@dataclass(frozen=True)
-class MiPoint:
-    """One mutual-information sample; I2 = S_A + S_B - S_AB as stored."""
+class MiPoint(NamedTuple):
+    """One mutual-information sample, a row of the points CSV; I2 = S_A + S_B - S_AB as stored."""
 
     L: int
     L_A: int
@@ -894,44 +908,50 @@ class MiPoint:
 
 
 class MiPlan:
-    """The S_A, S_B and S_AB plans of one bipartition; every sweep's MiPoints come from here.
+    """The S_A, S_B and S_AB plans of one bipartition.
 
-    `plans` holds the plans of the windows A, B and AB (`Bipartition.windows`)
-    as `build_mi_plans` builds them: GsePlans or PauliWeightPlans.
-    `point(*strengths)` is the one-point view: it passes the strengths,
-    (p_m,) or (p_m, p_y), to each plan's `entropy`.  A sweep evaluates its
-    grid through the plans' grid method instead, `entropies(p_m_values)` or
-    `entropies(p_m_values, p_y_values)`, which contracts every grid point as
-    the one-point form does, to the bit.  The MiPlans of one sweep share
-    plans: the whole chain serves every L_A, and a B window may be another
-    L_A's A window, so a sweep (`experiments`) evaluates each distinct plan
-    once over its whole grid.
+    `plans` is the tuple of the plans of the windows A, B and AB
+    (`Bipartition.windows`) as `build_mi_plans` builds them: GsePlans or
+    PauliWeightPlans.  `point(*strengths)` is the MiPoint at (p_m,) or
+    (p_m, p_y): `mi_points` on a one-point grid, so it holds the bits of
+    the same cell of any grid.
     """
 
     def __init__(self, part: Bipartition, axis, plans):
         self.part = part
         self.axis = axis
-        self._plan_a, self._plan_b, self._plan_ab = (plans[w] for w in part.windows)
-
-    @property
-    def plans(self):
-        return (self._plan_a, self._plan_b, self._plan_ab)
+        self.plans = tuple(plans[w] for w in part.windows)
 
     def point(self, *strengths) -> MiPoint:
         """The MiPoint at `strengths`."""
-        s_a, s_b, s_ab = (plan.entropy(*strengths) for plan in self.plans)
-        p_m, p_y = (*map(float, strengths), 0.0)[:2]  # p_y = 0 on pure-state plans
-        return MiPoint(
-            L=self.part.L,
-            L_A=self.part.L_A,
-            axis=self.axis,
-            p_m=p_m,
-            p_y=p_y,
-            S_A=s_a,
-            S_B=s_b,
-            S_AB=s_ab,
-            I2=s_a + s_b - s_ab,
-        )
+        return mi_points([self], [(s,) for s in strengths])[0][0]
+
+
+def mi_points(mis, grid):
+    """The MiPoints of the MiPlans `mis` over a strength grid, and their I2.
+
+    `grid` holds the strength sequences, (p_m_values,) or (p_m_values,
+    p_y_values).  The MiPlans of one sweep share plans (the whole chain
+    serves every L_A, and a B window may be another L_A's A window), so
+    each distinct plan evaluates the whole grid once through its grid
+    method, which contracts every point as the one-point form does, to the
+    bit.  The rows come in (p_m, p_y, mis) order, the order of the points
+    CSV, with p_y = 0 on pure-state plans; I2 is a (grid point, mis) array.
+    """
+    entropies = {}
+    for mi in mis:
+        for p in mi.plans:
+            if p not in entropies:
+                entropies[p] = p.entropies(*grid).reshape(-1)
+    s_a, s_b, s_ab = (np.stack([entropies[mi.plans[k]] for mi in mis], axis=1) for k in range(3))
+    i2 = s_a + s_b - s_ab
+    strengths = [(*map(float, t), 0.0)[:2] for t in product(*grid)]
+    points = [
+        MiPoint(mi.part.L, mi.part.L_A, mi.axis, p_m, p_y, *row)
+        for (p_m, p_y), rows in zip(strengths, np.stack((s_a, s_b, s_ab, i2), axis=-1).tolist())
+        for mi, row in zip(mis, rows)
+    ]
+    return points, i2
 
 
 def _near(a, b, ops):

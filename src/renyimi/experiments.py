@@ -8,23 +8,24 @@ accepts only `lanczos`, the sector solver every run uses.  L must lie in
 
 Case 1 (pure state, strengths p_m) and case 2 (Y-decohered, strengths
 (p_m, p_y)) differ only in their validation and plan family: both build one
-`MiPlan` per L_A and run the same sweep, in the row order of the points CSV.
-The points and fits CSVs, like the ground-state cache record, are written
-through `tfim.atomic_write`; their columns are the fields of `MiPoint` and
-`FitRow`.
+`MiPlan` per L_A and run the same sweep, whose rows `entropy.mi_points`
+assembles in the row order of the points CSV.  The rows are the named
+tuples `MiPoint` and `FitRow`, whose fields are the CSV columns.  The
+points and fits CSVs, like the ground-state cache record, are written
+through `tfim.atomic_write`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
-from itertools import product
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import MiPoint, PauliWeightPlan, build_mi_plans
+from .entropy import MiPoint, PauliWeightPlan, build_mi_plans, mi_points
 # fit_cft, the one-group form of fit_rows, is not called here, but
 # perfbench/tracing.py wraps experiments.fit_cft by name
 from .scaling import default_window, degenerate_design, fit_cft, fit_rows, scaling_variable  # noqa: F401
@@ -67,8 +68,9 @@ class ExperimentConfig:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class FitRow:
+class FitRow(NamedTuple):
+    """One fit of a group of points, a row of the fits CSV."""
+
     axis: str
     p_m: float
     p_y: float
@@ -78,8 +80,8 @@ class FitRow:
     window: tuple
 
 
-POINT_COLUMNS = tuple(f.name for f in fields(MiPoint))
-FIT_COLUMNS = tuple(f.name for f in fields(FitRow))
+POINT_COLUMNS = MiPoint._fields
+FIT_COLUMNS = FitRow._fields
 
 
 def _parse_int(text, key):
@@ -240,6 +242,8 @@ def check_output_paths(*paths):
             raise ConfigError(f"output path {path} ends in a separator and names no file")
         if not os.path.isdir(out_dir):
             raise ConfigError(f"output directory {out_dir} does not exist")
+        if not os.access(out_dir, os.W_OK | os.X_OK):
+            raise ConfigError(f"output directory {out_dir} is not writable")
         if os.path.isdir(path):
             raise ConfigError(f"output path {path} is a directory")
         name_max = os.pathconf(out_dir, "PC_NAME_MAX")
@@ -318,24 +322,8 @@ def _sweep(cfg: ExperimentConfig, ground, plan, grid):
     _check_window(window, cfg.L)
     # the module global, looked up at each call, so a traced one is the one that runs
     plans = build_mi_plans(ground.state, l_a_values, cfg.axis, cfg.workers, plan)
-    mis = [plans[l_a] for l_a in l_a_values]
-    # the MiPlans share plans: each distinct one evaluates the whole grid once,
-    # flattened in (p_m, p_y) order
-    entropies = {}
-    for mi in mis:
-        for p in mi.plans:
-            if p not in entropies:
-                entropies[p] = p.entropies(*grid).reshape(-1)
-    # (strength tuple, L_A) arrays in the row order of the points CSV
-    s_a, s_b, s_ab = (np.stack([entropies[mi.plans[k]] for mi in mis], axis=1) for k in range(3))
-    i2 = s_a + s_b - s_ab
-    strengths = [(*map(float, t), 0.0)[:2] for t in product(*grid)]  # p_y = 0 on pure-state plans
-    points = [
-        MiPoint(cfg.L, l_a, cfg.axis, p_m, p_y, *row)
-        for (p_m, p_y), rows in zip(strengths, np.stack((s_a, s_b, s_ab, i2), axis=-1).tolist())
-        for l_a, row in zip(l_a_values, rows)
-    ]
-    keys = [(cfg.axis, p_m, p_y) for p_m, p_y in strengths]
+    points, i2 = mi_points([plans[l_a] for l_a in l_a_values], grid)
+    keys = [(p.axis, p.p_m, p.p_y) for p in points[:: len(l_a_values)]]
     return points, _fit_groups(cfg.L, l_a_values, i2, window, keys)
 
 
@@ -424,9 +412,9 @@ def _fmt_column(values, reprs):
 
 
 def _write_csv(path, preamble, columns, rows):
-    """The rows formatted a column at a time, then written at once."""
+    """The rows, tuples in `columns` order, formatted a column at a time, then written at once."""
     reprs = {}
-    cells = [_fmt_column(values, reprs) for values in zip(*map(attrgetter(*columns), rows))]
+    cells = [_fmt_column(values, reprs) for values in zip(*rows)]
     lines = map(",".join, zip(*cells))
     with atomic_write(path) as fh:
         fh.write("\n".join([preamble, ",".join(columns), *lines, ""]).encode())

@@ -334,7 +334,7 @@ def test_build_mi_plans_matches_per_window_plans(critical, L, data, axis, p_m):
     assert Symmetry.of(rot).translation
     plans = build_mi_plans(psi, [l_a, L - l_a], axis)
     # on the invariant state the B window of L_A is the A window of L - L_A
-    assert plans[l_a]._plan_b is plans[L - l_a]._plan_a
+    assert plans[l_a].plans[1] is plans[L - l_a].plans[0]
     pt = plans[l_a].point(p_m)
     assert abs(pt.S_A - GsePlan(rot, 0, l_a).entropy(p_m)) <= 1e-12
     assert abs(pt.S_B - GsePlan(rot, l_a, L - l_a).entropy(p_m)) <= 1e-12
@@ -349,7 +349,7 @@ def test_non_invariant_state_keeps_its_own_b_window(L, data, seed, axis):
     psi = random_state(L, np.random.default_rng(seed))
     assert not Symmetry.of(psi).translation
     mi = build_mi_plans(psi, [l_a], axis, plan=PauliWeightPlan)[l_a]
-    assert (mi._plan_a.window, mi._plan_b.window, mi._plan_ab.window) == mi.part.windows
+    assert tuple(p.window for p in mi.plans) == mi.part.windows
     rot = rotate_to_basis(psi, axis)
     s_b = build_mi_plans(psi, [l_a], axis)[l_a].point(0.25).S_B
     assert abs(s_b - GsePlan(rot, l_a, L - l_a).entropy(0.25)) <= 1e-12
@@ -759,7 +759,7 @@ def test_gaussian_oracle_checks_both_kernels_at_L20(critical):
                 exact = gaussian_dephased_renyi2(20, length, axis, p_m)
                 assert abs(plan.entropy(p_m) - exact) <= 1e-11, (axis, length, p_m)
         for length in (8, 10):
-            plan = sweep[length]._plan_a
+            plan = sweep[length].plans[0]
             assert (plan.window, plan.algorithm) == ((0, length), "dense_gram")
             for p_m in (0.1, 0.35):
                 exact = gaussian_dephased_renyi2(20, length, axis, p_m)
@@ -830,10 +830,10 @@ def test_flip_guard_decides_once_per_rotated_state(critical, monkeypatch):
         assert len(records) == 1 and len(nears) == (3 if plan else 2)
         assert records[0] == Symmetry(flip=halved, translation=True)
         built = {id(p): p for mi in plans.values()
-                 for p in (mi._plan_a, mi._plan_b, mi._plan_ab)}
+                 for p in mi.plans}
         assert len(built) == 8
         assert all(p.symmetry is records[0] for p in built.values())
-    assert plans[2]._plan_ab.algorithm == "chain_orbits"
+    assert plans[2].plans[2].algorithm == "chain_orbits"
 
 
 def _counting(monkeypatch, name):

@@ -1,3 +1,4 @@
+import errno
 import os
 import struct
 import tracemalloc
@@ -511,26 +512,33 @@ def test_sweep_evaluates_each_distinct_plan_once_per_strength_tuple(
     assert all(grids == sorted_grid for _, grids in calls)
 
 
-def test_fine_case2_grid_csvs_match_the_one_point_path(tmp_path):
-    # an 11 x 10 map: the grid evaluation, the batched fits and the one-write
-    # CSVs give the bytes of MiPlan.point, fit_cft and one repr per cell
+@pytest.mark.parametrize("case, axis", [("case1", "Z"), ("case1", "Y"), ("case2", "Z")])
+def test_fine_grid_csvs_match_the_one_point_path(tmp_path, case, axis):
+    # an 11-value p_m grid (by 10 p_y values in case 2): the grid evaluation,
+    # the batched fits and the one-write CSVs give the bytes of MiPlan.point,
+    # fit_cft and one repr per cell; case 1 at L=8 runs dense_gram (chained),
+    # low_rank and rank1_full, and on Y in complex arithmetic
     p_m = tuple(round(0.05 * i, 2) for i in range(11))
-    p_y = tuple(round(0.05 * i, 2) for i in range(10))
-    cfg = small_cfg(tmp_path, p_m=p_m, p_y=p_y, L_A=tuple(range(1, 8)), window=(2, 6))
-    points_csv, fits_csv = _csv_bytes(cfg, *run_case2(cfg))
+    if case == "case2":
+        p_y, plan, run = tuple(round(0.05 * i, 2) for i in range(10)), entropy.PauliWeightPlan, run_case2
+    else:
+        p_y, plan, run = (), None, run_case1
+    cfg = small_cfg(tmp_path, axis=axis, p_m=p_m, p_y=p_y, L_A=tuple(range(1, 8)), window=(2, 6))
+    points_csv, fits_csv = _csv_bytes(cfg, *run(cfg))
 
     state = cached_ground_state(8, cache_dir=cfg.cache_dir)[0].state
-    plans = entropy.build_mi_plans(state, range(1, 8), "Z", plan=entropy.PauliWeightPlan)
+    plans = entropy.build_mi_plans(state, range(1, 8), axis, plan=plan)
     point_lines, fit_lines = [], []
     for pm in p_m:
-        for py in p_y:
-            group = [plans[l_a].point(pm, py) for l_a in range(1, 8)]
+        for strengths in [(pm, py) for py in p_y] or [(pm,)]:
+            py = (*strengths, 0.0)[1]
+            group = [plans[l_a].point(*strengths) for l_a in range(1, 8)]
             point_lines += [
-                f"8,{pt.L_A},Z,{pm!r},{py!r},{pt.S_A!r},{pt.S_B!r},{pt.S_AB!r},{pt.I2!r}"
+                f"8,{pt.L_A},{axis},{pm!r},{py!r},{pt.S_A!r},{pt.S_B!r},{pt.S_AB!r},{pt.I2!r}"
                 for pt in group
             ]
             res = fit_cft([(8, pt.L_A, pt.I2) for pt in group if 2 <= pt.L_A <= 6])
-            fit_lines.append(f"Z,{pm!r},{py!r},{res.c2!r},{res.b2!r},{res.rms!r},2:6")
+            fit_lines.append(f"{axis},{pm!r},{py!r},{res.c2!r},{res.b2!r},{res.rms!r},2:6")
     header = "# entropies in nats (natural log)\nL,L_A,axis,p_m,p_y,S_A,S_B,S_AB,I2\n"
     assert points_csv.decode() == header + "".join(line + "\n" for line in point_lines)
     header = "# fit method: ordinary least squares\naxis,p_m,p_y,c2,b2,rms,window\n"
@@ -872,6 +880,54 @@ def test_cli_output_name_past_the_directory_limit_exits_2_before_the_solve(
     err = capsys.readouterr().err
     assert "config error" in err and f"{stem}_fits.csv is longer than" in err
     assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def _refusing(real, error):
+    """`real` (os.open or os.replace), raising `error` on a temporary file."""
+
+    def call(path, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise error
+        return real(path, *args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("target", ["record", "csv"])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("open", PermissionError(errno.EACCES, "Permission denied")),
+        ("replace", OSError(errno.ENOSPC, "No space left on device")),
+    ],
+    ids=["open", "replace"],
+)
+def test_cli_refused_write_exits_2_and_leaves_no_temporary_file(
+    tmp_path, capsys, monkeypatch, target, call, error
+):
+    # past the checks a write can still fail (root ignores permission bits, a
+    # disk fills up): the cache record's on a cold cache, or a CSV's over an
+    # existing one, which keeps its bytes
+    cfg_file = _case1_config(tmp_path, "pts")
+    if target == "csv":
+        assert cli.main(["case1", "--config", cfg_file]) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    monkeypatch.setattr(os, call, _refusing(getattr(os, call), error))
+    assert cli.main(["case1", "--config", cfg_file]) == 2
+    assert f"write error: {error}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command", ["ground", "case1"])
+def test_cli_unwritable_output_directory_exits_2_before_the_solve(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(experiments, "ground_state", _no_solve)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert cli.main([command, "--config", _case1_config(tmp_path, "pts")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "is not writable" in err
+    assert not os.path.exists(tmp_path / "pts.csv")
 
 
 def test_cli_fit_checks_the_window_as_case1_does(tmp_path, capsys):
